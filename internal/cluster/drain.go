@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // drainReq is the immutable description of one shard drain.
@@ -106,6 +108,11 @@ func (d *remoteDrain) Close() error {
 	}
 	return nil
 }
+
+// NextBlock goes through the shared per-row adapter: frames arrive row by
+// row off the wire, and Next is where resume accounting lives. (Making a
+// frame payload be the block is the follow-up.)
+func (d *remoteDrain) NextBlock(b *engine.Block) error { return engine.FillBlock(b, d.Next) }
 
 func (d *remoteDrain) Next() ([]uint32, error) {
 	if d.done {

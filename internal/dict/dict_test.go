@@ -2,6 +2,8 @@ package dict
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -154,5 +156,128 @@ func BenchmarkEncodeExisting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Encode(terms[i&(len(terms)-1)])
+	}
+}
+
+// TestRenderingRoundTrip: every term kind and every escape survives
+// Encode → Render (the served form) and Encode → Decode (the re-parse).
+func TestRenderingRoundTrip(t *testing.T) {
+	d := New()
+	long := strings.Repeat("x", 3*chunkSize) // a record spanning several chunk slots
+	terms := []rdf.Term{
+		rdf.NewIRI("http://a"),
+		rdf.NewIRI(""),
+		rdf.NewIRI("http://a>b"),
+		rdf.NewBlank("b0"),
+		rdf.NewBlank("with space"),
+		rdf.NewLiteral(""),
+		rdf.NewLiteral(`q"uo\te` + "\n\r\t"),
+		rdf.NewLiteral(`ends with backslash\`),
+		rdf.NewLiteral("héllo \xff"),
+		rdf.NewLangLiteral(`say "hi"`, "en-GB"),
+		rdf.NewTypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer"),
+		rdf.NewTypedLiteral("a@b^^<c>", "http://dt"),
+		rdf.NewLiteral(long),
+		rdf.NewIRI("http://after/the/long/one"),
+	}
+	v := d.View()
+	for i, term := range terms {
+		id := d.Encode(term)
+		if id != ID(i) {
+			t.Fatalf("term %d got id %d", i, id)
+		}
+		if got := d.Decode(id); got != term {
+			t.Errorf("Decode(Encode(%.40q)) = %.40q", term, got)
+		}
+		// The view predates the term: Render re-snapshots to find it.
+		rendering, plain := v.Render(id)
+		if string(rendering) != term.String() {
+			t.Errorf("Render(%d) = %.40q, want %.40q", id, rendering, term.String())
+		}
+		wantPlain := !strings.ContainsAny(term.String(), "\"\\\n\r\t\xff") && !strings.Contains(term.String(), "é")
+		if plain != wantPlain {
+			t.Errorf("Render(%.40q) plain = %v, want %v", term, plain, wantPlain)
+		}
+		if got, ok := d.Lookup(term); !ok || got != id {
+			t.Errorf("Lookup(%.40q) = %d,%v", term, got, ok)
+		}
+	}
+}
+
+func TestRenderPanicsOnUnknown(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Render of unassigned id should panic")
+		}
+	}()
+	New().View().Render(7)
+}
+
+// TestViewReadersRaceWriters: readers render ids from their snapshots — no
+// lock per cell — while writers append terms across many chunk boundaries.
+// Run under -race this checks the snapshot's claim: the tables only grow,
+// so what a snapshot can see is never written again.
+func TestViewReadersRaceWriters(t *testing.T) {
+	d := New()
+	name := func(w, i int) rdf.Term {
+		// ~100-byte renderings: the writers cross a 64 KiB chunk boundary
+		// every ~650 terms.
+		return rdf.NewIRI(fmt.Sprintf("http://example.org/writer%d/%s/%06d", w, strings.Repeat("p", 60), i))
+	}
+	const writers, perWriter, readers = 2, 4000, 4
+	for i := 0; i < 100; i++ {
+		d.Encode(name(0, i))
+	}
+
+	var wg sync.WaitGroup
+	ids := make([][]ID, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				ids[w] = append(ids[w], d.Encode(name(w, i)))
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := d.Size()
+				v := d.View()
+				for id := 0; id < n; id += 7 {
+					b, plain := v.Render(ID(id))
+					if len(b) < 20 || b[0] != '<' || b[len(b)-1] != '>' || !plain {
+						t.Errorf("Render(%d) = %q plain=%v", id, b, plain)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	// Writer 0 re-encodes the 100 terms registered up front.
+	if want := writers * perWriter; d.Size() != want {
+		t.Fatalf("Size = %d, want %d", d.Size(), want)
+	}
+	v := d.View()
+	for w := range ids {
+		for i, id := range ids[w] {
+			if b, _ := v.Render(id); string(b) != name(w, i).String() {
+				t.Fatalf("writer %d term %d (id %d) renders as %q", w, i, id, b)
+			}
+		}
 	}
 }

@@ -6,92 +6,131 @@ import (
 	"io"
 )
 
-// genBatchRows is the producer-side batch size: rows are handed from the
-// producing goroutine to the consumer in slices of up to this many, so the
-// per-row channel cost is amortized while buffered memory stays O(batch).
-const genBatchRows = 128
-
-// genFlushMin is the smallest partial batch the producer will flush
+// genFlushMin is the smallest partial block the producer will flush
 // opportunistically. Flushing partials keeps first-byte latency low, but
 // trying on every row would degenerate into one channel send per row
 // whenever the consumer keeps up; trying only at power-of-two sizes ≥
-// genFlushMin bounds the sends per full batch.
+// genFlushMin bounds the sends per full block.
 const genFlushMin = 16
 
-// genChanDepth is how many batches may sit between producer and consumer.
-// Together with genBatchRows it bounds how many rows a producer can run
-// ahead of a stalled or closed consumer.
+// genChanDepth is how many blocks may sit between producer and consumer.
+// Together with BlockRows it bounds how many rows a producer can run ahead
+// of a stalled or closed consumer.
 const genChanDepth = 4
 
 // generator adapts a push-style enumeration (engines naturally emit rows
 // from recursive loops) to the pull-style Cursor contract: the producer
-// runs on its own goroutine and hands over batches through a bounded
-// channel. Closing the cursor cancels the producer's context, so abandoned
-// queries stop within one cancellation stride instead of enumerating to
-// completion.
+// runs on its own goroutine and hands over blocks through a bounded
+// channel; the buffers of blocks the consumer is done with travel back
+// through a second one, so a steady stream allocates nothing. Closing the
+// cursor cancels the producer's context, so abandoned queries stop within
+// one cancellation stride instead of enumerating to completion.
 type generator struct {
 	vars   []string
-	ch     chan [][]uint32
+	ch     chan Block
+	free   chan []uint32 // spent buffers on their way back to the producer
 	result chan error
 	cancel context.CancelFunc
 
-	batch  [][]uint32
-	idx    int
 	done   bool
 	err    error
 	closed bool
 }
 
+// Emitter is the producer's end of a generator: rows are written straight
+// into the block that will carry them. Either fill Slot and Push, or Emit a
+// row held elsewhere. Once Push or Emit returns an error the producer must
+// return; the Emitter is dead.
+type Emitter struct {
+	g   *generator
+	ctx context.Context
+	blk Block
+}
+
+// Slot returns the storage of the next row, len(vars) wide. Nothing is
+// emitted until Push; an unpushed slot is simply overwritten by the next.
+func (e *Emitter) Slot() []uint32 { return e.blk.Row(e.blk.n) }
+
+// Push emits the row in Slot. It returns the context's error when the
+// producer should stop.
+func (e *Emitter) Push() error {
+	e.blk.n++
+	n := e.blk.n
+	if n < BlockRows {
+		// Opportunistic flush at power-of-two partial sizes: a waiting
+		// consumer gets its first rows after ≤ genFlushMin, while a
+		// keeping-up consumer still receives amortized blocks instead of
+		// one send per row.
+		if n >= genFlushMin && n&(n-1) == 0 {
+			select {
+			case e.g.ch <- e.blk:
+				e.blk = e.g.fresh()
+			default:
+			}
+		}
+		return nil
+	}
+	select {
+	case e.g.ch <- e.blk:
+		e.blk = e.g.fresh()
+		return nil
+	case <-e.ctx.Done():
+		e.blk.n-- // keep Slot in bounds; the row is dropped with the stream
+		return e.ctx.Err()
+	}
+}
+
+// Emit copies row into the stream.
+func (e *Emitter) Emit(row []uint32) error {
+	if len(row) != e.blk.stride {
+		panic("engine: emitted row width differs from the cursor's projection")
+	}
+	copy(e.Slot(), row)
+	return e.Push()
+}
+
+// fresh returns an empty block over a recycled buffer when one is waiting,
+// a new buffer otherwise.
+func (g *generator) fresh() Block {
+	b := Block{}
+	select {
+	case b.data = <-g.free:
+	default:
+	}
+	b.init(len(g.vars))
+	return b
+}
+
 // NewGenerator runs produce on a new goroutine and returns the cursor over
-// the rows it emits. produce must stop and return promptly once ctx is done
-// (emit returns the context's error when the producer should stop; checking
-// ctx inside long loops that emit rarely is the producer's job). Rows
-// passed to emit are handed to the consumer verbatim: produce must not
-// reuse or mutate them afterwards.
-func NewGenerator(ctx context.Context, vars []string, produce func(ctx context.Context, emit func([]uint32) error) error) Cursor {
+// the rows it emits, each len(vars) wide. produce must stop and return
+// promptly once ctx is done (the Emitter returns the context's error when
+// the producer should stop; checking ctx inside long loops that emit
+// rarely is the producer's job). Emitted rows are copied into the stream's
+// blocks, so produce may reuse its own row storage freely.
+func NewGenerator(ctx context.Context, vars []string, produce func(ctx context.Context, out *Emitter) error) Cursor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	gctx, cancel := context.WithCancel(ctx)
 	g := &generator{
-		vars:   vars,
-		ch:     make(chan [][]uint32, genChanDepth),
+		vars: vars,
+		ch:   make(chan Block, genChanDepth),
+		// One buffer can be in the consumer's hands and one in the
+		// producer's beyond the genChanDepth in flight; a full free list
+		// just drops the buffer.
+		free:   make(chan []uint32, genChanDepth+2),
 		result: make(chan error, 1),
 		cancel: cancel,
 	}
 	go func() {
-		var batch [][]uint32
-		emit := func(row []uint32) error {
-			batch = append(batch, row)
-			if n := len(batch); n < genBatchRows {
-				// Opportunistic flush at power-of-two partial sizes: a
-				// waiting consumer gets its first rows after ≤ genFlushMin,
-				// while a keeping-up consumer still receives amortized
-				// batches instead of one send per row.
-				if n >= genFlushMin && n&(n-1) == 0 {
-					select {
-					case g.ch <- batch:
-						batch = nil
-					default:
-					}
-				}
-				return nil
-			}
-			select {
-			case g.ch <- batch:
-				batch = nil
-				return nil
-			case <-gctx.Done():
-				return gctx.Err()
-			}
-		}
-		err := produce(gctx, emit)
-		if len(batch) > 0 {
-			// Deliver the tail batch even when produce failed: rows emitted
+		out := &Emitter{g: g, ctx: gctx, blk: g.fresh()}
+		err := produce(gctx, out)
+		if out.blk.n > 0 {
+			// Deliver the tail block even when produce failed: rows emitted
 			// before an error belong to the consumer (mirroring a streaming
 			// response, where rows written before a mid-stream error stand).
 			select {
-			case g.ch <- batch:
+			case g.ch <- out.blk:
 			case <-gctx.Done():
 				if err == nil {
 					err = gctx.Err()
@@ -101,32 +140,35 @@ func NewGenerator(ctx context.Context, vars []string, produce func(ctx context.C
 		g.result <- err
 		close(g.ch)
 	}()
-	return g
+	return WithNext(g)
 }
 
 func (g *generator) Vars() []string { return g.vars }
 
-func (g *generator) Next() ([]uint32, error) {
-	for {
-		if g.idx < len(g.batch) {
-			row := g.batch[g.idx]
-			g.idx++
-			return row, nil
-		}
-		if g.done {
-			return nil, g.err
-		}
-		b, ok := <-g.ch
-		if !ok {
-			g.done = true
-			g.err = <-g.result
-			if g.err == nil {
-				g.err = io.EOF
-			}
-			return nil, g.err
-		}
-		g.batch, g.idx = b, 0
+func (g *generator) NextBlock(b *Block) error {
+	if g.done {
+		b.Reset()
+		return g.err
 	}
+	if cap(b.data) > 0 {
+		// The caller is done with b's rows: send the buffer back.
+		select {
+		case g.free <- b.data:
+		default:
+		}
+	}
+	nb, ok := <-g.ch
+	if !ok {
+		*b = Block{}
+		g.done = true
+		g.err = <-g.result
+		if g.err == nil {
+			g.err = io.EOF
+		}
+		return g.err
+	}
+	*b = nb
+	return nil
 }
 
 // Truncated is always false for a bare generator: caps are applied by the
@@ -147,24 +189,25 @@ func (g *generator) Close() error {
 	if g.err == nil {
 		g.err = io.EOF
 	}
-	g.batch, g.idx = nil, 0
 	return nil
 }
 
 // Limit wraps c so it skips the first offset rows and yields at most
 // maxRows rows (maxRows <= 0 means uncapped). Truncation is reported
-// exactly: after the cap is reached, one extra row is probed — a row means
-// Truncated() == true, io.EOF means the result happened to fit exactly.
-// Hitting the cap closes the underlying cursor, stopping its producer.
-func Limit(c Cursor, offset, maxRows int) Cursor {
-	if offset <= 0 && maxRows <= 0 {
-		return c
+// exactly: a block that overshoots the cap proves a further row exists;
+// when the cap lands on a block boundary one more block is probed — a row
+// means Truncated() == true, io.EOF means the result happened to fit
+// exactly. Hitting the cap closes the underlying cursor, stopping its
+// producer.
+func Limit(c BlockCursor, offset, maxRows int) Cursor {
+	if offset > 0 || maxRows > 0 {
+		c = &limitCursor{inner: c, skip: offset, capped: maxRows > 0, remaining: maxRows}
 	}
-	return &limitCursor{inner: c, skip: offset, capped: maxRows > 0, remaining: maxRows}
+	return WithNext(c)
 }
 
 type limitCursor struct {
-	inner     Cursor
+	inner     BlockCursor
 	skip      int
 	capped    bool
 	remaining int
@@ -175,71 +218,54 @@ type limitCursor struct {
 
 func (l *limitCursor) Vars() []string { return l.inner.Vars() }
 
-func (l *limitCursor) Next() ([]uint32, error) {
-	if l.done {
-		return nil, l.err
-	}
-	for l.skip > 0 {
-		if _, err := l.inner.Next(); err != nil {
-			return l.finish(err)
-		}
-		l.skip--
-	}
-	if l.capped && l.remaining == 0 {
-		// Exactness probe: only an actually existing extra row marks the
-		// result truncated.
-		_, err := l.inner.Next()
+func (l *limitCursor) NextBlock(b *Block) error {
+	for !l.done {
+		err := l.inner.NextBlock(b)
+		probe := l.capped && l.remaining == 0
 		switch {
-		case err == nil:
+		case err == nil && probe:
 			l.truncated = true
-		case errors.Is(err, io.EOF):
-			l.truncated = l.inner.Truncated()
+			l.finish(io.EOF)
+		case err != nil:
+			l.finish(err)
 		default:
-			return l.finish(err)
+			if l.skip > 0 {
+				k := min(l.skip, b.n)
+				b.DropFront(k)
+				l.skip -= k
+				if b.n == 0 {
+					continue
+				}
+			}
+			if l.capped {
+				if b.n > l.remaining {
+					// The overshoot proves a further row exists.
+					b.Truncate(l.remaining)
+					l.truncated = true
+					l.finish(io.EOF)
+				}
+				l.remaining -= b.n
+			}
+			return nil
 		}
-		l.inner.Close()
-		return l.finish(io.EOF)
 	}
-	row, err := l.inner.Next()
-	if err != nil {
-		return l.finish(err)
-	}
-	if l.capped {
-		l.remaining--
-	}
-	return row, nil
+	b.Reset()
+	return l.err
 }
 
-func (l *limitCursor) finish(err error) ([]uint32, error) {
+// finish ends the stream with err and stops the producer.
+func (l *limitCursor) finish(err error) {
 	l.done = true
 	l.err = err
 	if errors.Is(err, io.EOF) && !l.truncated {
 		l.truncated = l.inner.Truncated()
 	}
-	return nil, err
+	l.inner.Close()
 }
 
 func (l *limitCursor) Truncated() bool { return l.truncated }
 
 func (l *limitCursor) Close() error { return l.inner.Close() }
-
-// AppendRowKeyCol appends one column's fixed-width little-endian encoding
-// to a row-key buffer (for keys over a subset of columns).
-func AppendRowKeyCol(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// RowKey renders a dictionary-encoded row into a compact string key for
-// map-based DISTINCT deduplication and hash joins. Every layer that keys
-// rows (the WCOJ executor, the pairwise and naive engines, the shard merge
-// layer) shares this one encoding.
-func RowKey(row []uint32) string {
-	b := make([]byte, 0, len(row)*4)
-	for _, v := range row {
-		b = AppendRowKeyCol(b, v)
-	}
-	return string(b)
-}
 
 // cancelStride is how many loop iterations pass between context polls in
 // engine inner loops (context.Context.Err takes a lock; polling it on a

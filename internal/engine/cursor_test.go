@@ -13,12 +13,12 @@ import (
 
 // rowsOf builds a generator emitting n single-column rows 0..n-1.
 func rowsOf(ctx context.Context, n int) Cursor {
-	return NewGenerator(ctx, []string{"x"}, func(gctx context.Context, emit func([]uint32) error) error {
+	return NewGenerator(ctx, []string{"x"}, func(gctx context.Context, out *Emitter) error {
 		for i := 0; i < n; i++ {
 			if err := gctx.Err(); err != nil {
 				return err
 			}
-			if err := emit([]uint32{uint32(i)}); err != nil {
+			if err := out.Emit([]uint32{uint32(i)}); err != nil {
 				return err
 			}
 		}
@@ -48,8 +48,8 @@ func TestGeneratorStreamsAllRowsInOrder(t *testing.T) {
 
 func TestGeneratorPropagatesProducerError(t *testing.T) {
 	boom := errors.New("boom")
-	c := NewGenerator(nil, []string{"x"}, func(ctx context.Context, emit func([]uint32) error) error {
-		if err := emit([]uint32{1}); err != nil {
+	c := NewGenerator(nil, []string{"x"}, func(ctx context.Context, out *Emitter) error {
+		if err := out.Emit([]uint32{1}); err != nil {
 			return err
 		}
 		return boom
@@ -67,10 +67,10 @@ func TestGeneratorPropagatesProducerError(t *testing.T) {
 // one row must unblock a producer stuck on a full channel.
 func TestGeneratorCloseStopsBlockedProducer(t *testing.T) {
 	stopped := make(chan struct{})
-	c := NewGenerator(nil, []string{"x"}, func(ctx context.Context, emit func([]uint32) error) error {
+	c := NewGenerator(nil, []string{"x"}, func(ctx context.Context, out *Emitter) error {
 		defer close(stopped)
 		for i := 0; ; i++ {
-			if err := emit([]uint32{uint32(i)}); err != nil {
+			if err := out.Emit([]uint32{uint32(i)}); err != nil {
 				return err
 			}
 		}
@@ -161,7 +161,7 @@ func TestGeneratorHonoursParentContext(t *testing.T) {
 		if err != nil {
 			t.Fatalf("err = %v", err)
 		}
-		if i > genBatchRows*(genChanDepth+2) {
+		if i > BlockRows*(genChanDepth+2) {
 			t.Fatalf("drained %d rows after cancel without seeing the error", i)
 		}
 	}

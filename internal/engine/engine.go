@@ -6,7 +6,8 @@
 // return identical result multisets).
 //
 // The contract is Open(query, ExecOpts) → Cursor: rows are produced
-// incrementally, cancellation is cooperative (every engine stops promptly
+// incrementally and handed over in reusable row-major Blocks, cancellation
+// is cooperative (every engine stops promptly
 // once ExecOpts.Ctx is done), and row caps/offsets are enforced exactly at
 // the cursor layer (Truncated is true iff at least one row beyond MaxRows
 // exists — no "limit+1 probe" leaks into engine code). Collect adapts a
@@ -60,26 +61,51 @@ func (o ExecOpts) Err() error {
 	return nil
 }
 
-// Cursor streams one query's dictionary-encoded result rows. Cursors are
-// single-consumer: Next and Close must not be called concurrently. Close
-// is idempotent and must be called when the consumer is done (it stops the
-// producing computation and frees its resources); closing mid-stream is the
-// supported way to abandon a result early.
-type Cursor interface {
+// BlockCursor streams one query's dictionary-encoded result rows, a Block at
+// a time: NextBlock is the one hand-off contract every layer between the
+// joiner and the socket composes through (row caps, the live overlay, the
+// shard merge, the response encoders), and the four methods here are all a
+// layer implements. Cursors are single-consumer: no two methods may be
+// called concurrently. Close is idempotent and must be called when the
+// consumer is done (it stops the producing computation and frees its
+// resources); closing mid-stream is the supported way to abandon a result
+// early, and stops the producer within one block.
+type BlockCursor interface {
 	// Vars is the projection, in the query's SELECT order.
 	Vars() []string
-	// Next returns the next row, or io.EOF after the last one. Returned
-	// rows are owned by the caller (the cursor never reuses or mutates
-	// them). Any other error (context cancellation, execution failure)
-	// terminates the stream.
-	Next() ([]uint32, error)
+	// NextBlock replaces b's contents with the next rows of the stream. On
+	// a nil return b holds between 1 and BlockRows rows, which the caller
+	// owns — it may read them, rewrite them, compact them in place — until
+	// it passes b to NextBlock again. That call surrenders them: the
+	// cursor may hand b's buffer back to its producer, so rows (and
+	// sub-slices of them) taken from b must not be used afterwards. A
+	// consumer that wants to keep rows either copies them out or passes a
+	// fresh zero Block each time, which gives the cursor nothing to
+	// recycle. After the last row NextBlock returns io.EOF; any other error
+	// (context cancellation, execution failure) terminates the stream.
+	// Rows delivered before an error stand. On any error b is left empty,
+	// and the same error is returned from then on.
+	NextBlock(b *Block) error
 	// Truncated reports whether a MaxRows cap cut the stream short. It is
-	// meaningful after Next has returned io.EOF, and the report is exact:
-	// true iff at least one row beyond the cap existed.
+	// meaningful after the stream has returned io.EOF, and the report is
+	// exact: true iff at least one row beyond the cap existed.
 	Truncated() bool
 	// Close stops the producer and releases resources. Safe to call more
-	// than once, and after Next returned an error.
+	// than once, and after the stream returned an error.
 	Close() error
+}
+
+// Cursor is what an Engine's Open returns: the block contract plus Next,
+// the thin per-row adapter over it (see WithNext) for tests, Collect and
+// other consumers off the hot path. Use Next or NextBlock on one cursor,
+// not both.
+type Cursor interface {
+	BlockCursor
+	// Next returns the next row, or io.EOF after the last one; any other
+	// error terminates the stream. The rows it returns come from blocks
+	// that are never recycled, so they are the caller's to keep and stay
+	// unchanged.
+	Next() ([]uint32, error)
 }
 
 // Engine is a query engine bound to one dataset.

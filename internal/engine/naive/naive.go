@@ -57,28 +57,24 @@ func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error)
 	if err := opts.Err(); err != nil {
 		return nil, err
 	}
-	cur := engine.NewGenerator(opts.Ctx, q.Select, func(ctx context.Context, emit func([]uint32) error) error {
+	cur := engine.NewGenerator(opts.Ctx, q.Select, func(ctx context.Context, out *engine.Emitter) error {
 		b := binding{}
-		var dedup map[string]bool
+		var seen *engine.RowSet
 		if q.Distinct {
-			dedup = map[string]bool{}
+			seen = &engine.RowSet{}
 		}
 		remaining := make([]query.Pattern, len(q.Patterns))
 		copy(remaining, q.Patterns)
 		s := &search{e: e, tick: engine.NewTicker(ctx)}
 		return s.solve(remaining, b, func() error {
-			row := make([]uint32, len(q.Select))
+			row := out.Slot()
 			for i, v := range q.Select {
 				row[i] = b[v]
 			}
-			if dedup != nil {
-				key := engine.RowKey(row)
-				if dedup[key] {
-					return nil
-				}
-				dedup[key] = true
+			if seen != nil && !seen.Add(row) {
+				return nil
 			}
-			return emit(row)
+			return out.Push()
 		})
 	})
 	return engine.Limit(cur, opts.Offset, opts.MaxRows), nil

@@ -113,7 +113,7 @@ func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error)
 	if err != nil {
 		return nil, err
 	}
-	cur := engine.NewGenerator(opts.Ctx, q.Select, func(ctx context.Context, emit func([]uint32) error) error {
+	cur := engine.NewGenerator(opts.Ctx, q.Select, func(ctx context.Context, out *engine.Emitter) error {
 		cur, err := e.scans.Scan(ctx, q.Patterns[steps[0].pattern])
 		if err != nil {
 			return err
@@ -133,39 +133,35 @@ func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error)
 				return err
 			}
 		}
-		return project(ctx, cur, q.Select, q.Distinct, emit)
+		return project(ctx, cur, q.Select, q.Distinct, out)
 	})
 	return engine.Limit(cur, opts.Offset, opts.MaxRows), nil
 }
 
-// project streams the final table's SELECT columns to emit, deduplicating
+// project streams the final table's SELECT columns into out, deduplicating
 // when distinct is set.
-func project(ctx context.Context, t *Table, sel []string, distinct bool, emit func([]uint32) error) error {
+func project(ctx context.Context, t *Table, sel []string, distinct bool, out *engine.Emitter) error {
 	idx := make([]int, len(sel))
 	for i, v := range sel {
 		idx[i] = t.VarIndex(v)
 	}
-	var dedup map[string]bool
+	var seen *engine.RowSet
 	if distinct {
-		dedup = map[string]bool{}
+		seen = &engine.RowSet{}
 	}
 	tick := engine.NewTicker(ctx)
 	for _, row := range t.Rows {
 		if err := tick.Check(); err != nil {
 			return err
 		}
-		out := make([]uint32, len(idx))
+		dst := out.Slot()
 		for i, j := range idx {
-			out[i] = row[j]
+			dst[i] = row[j]
 		}
-		if dedup != nil {
-			key := engine.RowKey(out)
-			if dedup[key] {
-				continue
-			}
-			dedup[key] = true
+		if seen != nil && !seen.Add(dst) {
+			continue
 		}
-		if err := emit(out); err != nil {
+		if err := out.Push(); err != nil {
 			return err
 		}
 	}

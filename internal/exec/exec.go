@@ -21,7 +21,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
+	"io"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -81,17 +81,18 @@ func Open(p *plan.Plan, st *store.Store, opts Options) (engine.Cursor, error) {
 			return nil, err
 		}
 	}
-	cur := engine.NewGenerator(opts.Ctx, p.Select, func(ctx context.Context, emit func([]uint32) error) error {
-		return stream(p, st, opts, ctx, emit)
+	cur := engine.NewGenerator(opts.Ctx, p.Select, func(ctx context.Context, out *engine.Emitter) error {
+		return stream(p, st, opts, ctx, out)
 	})
 	return engine.Limit(cur, opts.Offset, opts.MaxRows), nil
 }
 
 // stream is the producer: bottom-up pass, then the final enumeration
-// feeding emit. ctx is the generator's context — cancelled both by the
-// caller's Ctx and by the consumer closing the cursor — so every phase,
-// including node materialization, stops cooperatively.
-func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, emit func([]uint32) error) error {
+// projecting each binding straight into out's current block. ctx is the
+// generator's context — cancelled both by the caller's Ctx and by the
+// consumer closing the cursor — so every phase, including node
+// materialization, stops cooperatively.
+func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, out *engine.Emitter) error {
 	if p.Empty {
 		return nil
 	}
@@ -153,27 +154,17 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, em
 		proj[i] = pos
 	}
 
+	project := func(dst, binding []uint32) {
+		for i, pos := range proj {
+			dst[i] = binding[pos]
+		}
+	}
 	// Streaming dedup for DISTINCT: applied in enumeration order, before
 	// the cursor-layer offset/cap, so a capped distinct result is exactly
 	// the first MaxRows distinct rows.
-	out := emit
+	var seen *engine.RowSet
 	if p.Distinct {
-		dedup := map[string]bool{}
-		out = func(row []uint32) error {
-			key := engine.RowKey(row)
-			if dedup[key] {
-				return nil
-			}
-			dedup[key] = true
-			return emit(row)
-		}
-	}
-	project := func(binding []uint32) []uint32 {
-		row := make([]uint32, len(proj))
-		for i, pos := range proj {
-			row[i] = binding[pos]
-		}
-		return row
+		seen = &engine.RowSet{}
 	}
 
 	workers := opts.Workers
@@ -185,85 +176,57 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, em
 		j := newJoiner(attrs, inputs)
 		j.ctx = ctx
 		return j.run(func(binding []uint32) error {
-			return out(project(binding))
+			row := out.Slot()
+			project(row, binding)
+			if seen != nil && !seen.Add(row) {
+				return nil
+			}
+			return out.Push()
 		})
 	}
-	return streamParallel(ctx, workers, fv, attrs, inputs, project, out)
-}
 
-// streamParallel fans the final enumeration out over workers goroutines,
-// each enumerating one residue class of the first variable's domain, and
-// streams their outputs in worker order — the same concatenation order the
-// materializing implementation produced, so parallel results stay
-// deterministic. Later workers enumerate concurrently while earlier ones
-// drain, buffering at most workerChanDepth batches each.
-func streamParallel(ctx context.Context, workers, fv int, attrs []plan.Attr, inputs []*input, project func([]uint32) []uint32, out func([]uint32) error) error {
-	const workerBatchRows = 128
-	const workerChanDepth = 4
-
-	chans := make([]chan [][]uint32, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		chans[w] = make(chan [][]uint32, workerChanDepth)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer close(chans[w])
-			// Each worker gets private descent state over the shared
-			// immutable tries (resolved once, before the goroutines start,
-			// so the lazy trie caches are not raced).
-			j := newJoiner(attrs, cloneInputs(inputs))
-			j.ctx = ctx
-			j.filterAt = fv
-			j.filterMod = uint32(workers)
-			j.filterRes = uint32(w)
-			var batch [][]uint32
-			err := j.run(func(binding []uint32) error {
-				batch = append(batch, project(binding))
-				if len(batch) < workerBatchRows {
-					return nil
-				}
-				select {
-				case chans[w] <- batch:
-					batch = nil
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				}
+	// Fan the final enumeration out over workers goroutines, each a
+	// generator of its own enumerating one residue class of the first
+	// variable's domain, and stream their blocks in worker order — a fixed
+	// concatenation order, so parallel results stay deterministic. Later
+	// workers enumerate concurrently while earlier ones drain, running at
+	// most a generator's channel depth ahead. Each worker gets private
+	// descent state over the shared immutable tries (resolved here, before
+	// the goroutines start, so the lazy trie caches are not raced).
+	curs := make([]engine.Cursor, workers)
+	for w := range curs {
+		j := newJoiner(attrs, cloneInputs(inputs))
+		j.filterAt = fv
+		j.filterMod = uint32(workers)
+		j.filterRes = uint32(w)
+		curs[w] = engine.NewGenerator(ctx, p.Select, func(wctx context.Context, wout *engine.Emitter) error {
+			j.ctx = wctx
+			return j.run(func(binding []uint32) error {
+				project(wout.Slot(), binding)
+				return wout.Push()
 			})
-			if err == nil && len(batch) > 0 {
-				select {
-				case chans[w] <- batch:
-				case <-ctx.Done():
-					err = ctx.Err()
+		})
+		defer curs[w].Close()
+	}
+	var blk engine.Block
+	for _, cur := range curs {
+		for {
+			err := cur.NextBlock(&blk)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			for i := 0; i < blk.Len(); i++ {
+				row := blk.Row(i)
+				if seen != nil && !seen.Add(row) {
+					continue
+				}
+				if err := out.Emit(row); err != nil {
+					return err
 				}
 			}
-			errs[w] = err
-		}(w)
-	}
-
-	var consumeErr error
-	for w := 0; w < workers; w++ {
-		for batch := range chans[w] {
-			if consumeErr != nil {
-				continue // keep draining so workers can exit
-			}
-			for _, row := range batch {
-				if err := out(row); err != nil {
-					consumeErr = err
-					break
-				}
-			}
-		}
-	}
-	wg.Wait()
-	if consumeErr != nil {
-		return consumeErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
 	return nil

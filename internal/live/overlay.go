@@ -1,7 +1,6 @@
 package live
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -58,66 +57,138 @@ type evaluator struct {
 // for q compiled against s's base through the inner engine (only usable
 // when q has no DISTINCT — the base stream must keep multiplicities).
 func openOverlay(s *state, inner engine.Engine, q *query.BGP, basePlan *plan.Plan, opts engine.ExecOpts) engine.Cursor {
-	produce := func(ctx context.Context, emit func([]uint32) error) error {
-		ev := &evaluator{s: s, tick: engine.NewTicker(ctx)}
-		net, err := ev.corrections(q)
-		if err != nil {
-			return err
-		}
-		cur, err := openBase(s, inner, q, basePlan, engine.ExecOpts{Ctx: ctx, Workers: opts.Workers})
-		if err != nil {
-			return err
-		}
-		defer cur.Close()
+	cur := &overlayCursor{s: s, inner: inner, q: q, basePlan: basePlan, opts: opts}
+	if q.Distinct {
+		cur.seen = &engine.RowSet{}
+	}
+	return engine.Limit(cur, opts.Offset, opts.MaxRows)
+}
 
-		var dedup map[string]bool
-		if q.Distinct {
-			dedup = map[string]bool{}
-		}
-		out := func(row []uint32) error {
-			if dedup != nil {
-				k := engine.RowKey(row)
-				if dedup[k] {
-					return nil
-				}
-				dedup[k] = true
-			}
-			return emit(row)
-		}
-		for {
-			row, err := cur.Next()
+// overlayCursor forwards the base stream's blocks, dropping tombstoned
+// occurrences (and DISTINCT duplicates) in place, then appends the rows
+// whose net correction is positive. The corrections are computed, and the
+// base cursor opened, on the first pull, so their errors surface from the
+// stream like any execution error.
+type overlayCursor struct {
+	s        *state
+	inner    engine.Engine
+	q        *query.BGP
+	basePlan *plan.Plan
+	opts     engine.ExecOpts
+
+	net    map[string]*corr   // pending corrections, keyed by projected row
+	key    []byte             // probe scratch for net
+	base   engine.BlockCursor // nil before the first pull and after base EOF
+	extra  [][]uint32         // rows to append after the base, with multiplicity
+	seen   *engine.RowSet     // DISTINCT, applied after the merge
+	opened bool
+	err    error
+}
+
+func (c *overlayCursor) Vars() []string { return c.q.Select }
+
+func (c *overlayCursor) NextBlock(b *engine.Block) error {
+	for c.err == nil {
+		switch {
+		case !c.opened:
+			c.opened = true
+			c.err = c.open()
+			continue
+		case c.base != nil:
+			err := c.base.NextBlock(b)
 			if err == io.EOF {
-				break
+				c.err = c.endBase()
+				continue
 			}
 			if err != nil {
-				return err
+				c.err = err
+				continue
 			}
-			if len(net) > 0 {
-				if c := net[engine.RowKey(row)]; c != nil && c.n < 0 {
-					c.n++ // a tombstone consumed this occurrence
-					continue
-				}
+			if len(c.net) > 0 {
+				b.Filter(c.survives)
 			}
-			if err := out(row); err != nil {
-				return err
-			}
-		}
-		for _, c := range net {
-			if c.n < 0 {
-				// Mathematically impossible when base ≡ corrections; if it
-				// happens the wrapped engine produced a wrong multiset.
-				return fmt.Errorf("live: overlay correction underflow (%d unmatched deletions for one row) — wrapped engine produced an inconsistent base multiset", -c.n)
-			}
-			for i := 0; i < c.n; i++ {
-				if err := out(append([]uint32(nil), c.row...)); err != nil {
-					return err
-				}
+		default:
+			if c.err = c.nextExtra(b); c.err != nil {
+				continue
 			}
 		}
-		return nil
+		if c.seen != nil {
+			b.Filter(c.seen.Add)
+		}
+		if b.Len() > 0 {
+			return nil
+		}
 	}
-	cur := engine.NewGenerator(opts.Ctx, q.Select, produce)
-	return engine.Limit(cur, opts.Offset, opts.MaxRows)
+	b.Reset()
+	return c.err
+}
+
+// open computes the corrections and starts the base stream.
+func (c *overlayCursor) open() error {
+	ev := &evaluator{s: c.s, tick: engine.NewTicker(c.opts.Ctx)}
+	net, err := ev.corrections(c.q)
+	if err != nil {
+		return err
+	}
+	c.net = net
+	c.base, err = openBase(c.s, c.inner, c.q, c.basePlan, engine.ExecOpts{Ctx: c.opts.Ctx, Workers: c.opts.Workers})
+	return err
+}
+
+// survives reports whether one base occurrence of row outlives the
+// tombstones, consuming one pending deletion when it does not. The probe
+// key is built in place, so a row no correction touches allocates nothing.
+func (c *overlayCursor) survives(row []uint32) bool {
+	c.key = engine.AppendRowKey(c.key[:0], row)
+	if cr := c.net[string(c.key)]; cr != nil && cr.n < 0 {
+		cr.n++
+		return false
+	}
+	return true
+}
+
+// endBase closes the exhausted base stream and lines up the rows with a
+// positive net correction.
+func (c *overlayCursor) endBase() error {
+	c.base.Close()
+	c.base = nil
+	for _, cr := range c.net {
+		if cr.n < 0 {
+			// Mathematically impossible when base ≡ corrections; if it
+			// happens the wrapped engine produced a wrong multiset.
+			return fmt.Errorf("live: overlay correction underflow (%d unmatched deletions for one row) — wrapped engine produced an inconsistent base multiset", -cr.n)
+		}
+		for i := 0; i < cr.n; i++ {
+			c.extra = append(c.extra, cr.row)
+		}
+	}
+	return nil
+}
+
+// nextExtra fills b with the next appended rows.
+func (c *overlayCursor) nextExtra(b *engine.Block) error {
+	return engine.FillBlock(b, func() ([]uint32, error) {
+		if len(c.extra) == 0 {
+			return nil, io.EOF
+		}
+		row := c.extra[0]
+		c.extra = c.extra[1:]
+		return row, nil
+	})
+}
+
+// Truncated is always false: caps are applied by the Limit wrapper.
+func (c *overlayCursor) Truncated() bool { return false }
+
+func (c *overlayCursor) Close() error {
+	if c.base != nil {
+		c.base.Close()
+		c.base = nil
+	}
+	if c.err == nil {
+		c.err = io.EOF
+	}
+	return nil
 }
 
 // openBase starts the Q(B) stream: through the compiled plan when one is
@@ -166,15 +237,16 @@ func (b *baseRef) bareClone(q *query.BGP) *query.BGP {
 // the projected row.
 func (ev *evaluator) corrections(q *query.BGP) (map[string]*corr, error) {
 	net := map[string]*corr{}
+	var key []byte
 	d := ev.s.delta
 	k := len(q.Patterns)
 	accumulate := func(sign int) func(row []uint32) error {
 		return func(row []uint32) error {
-			key := engine.RowKey(row)
-			c := net[key]
+			key = engine.AppendRowKey(key[:0], row)
+			c := net[string(key)]
 			if c == nil {
 				c = &corr{row: row}
-				net[key] = c
+				net[string(key)] = c
 			}
 			c.n += sign
 			return nil

@@ -83,27 +83,37 @@ func (t Term) IsBlank() bool { return t.Kind == Blank }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
+	var buf [128]byte
+	return string(t.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the term's N-Triples rendering to dst and returns the
+// extended slice — String without the intermediate string, for callers
+// that key or store the rendering (the dictionary above all).
+func (t Term) AppendTo(dst []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case Blank:
-		return "_:" + t.Value
+		dst = append(dst, '_', ':')
+		return append(dst, t.Value...)
 	case Literal:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
+		dst = append(dst, '"')
+		dst = appendEscapedLiteral(dst, t.Value)
+		dst = append(dst, '"')
 		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
+			dst = append(dst, '@')
+			dst = append(dst, t.Lang...)
 		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
+			dst = append(dst, '^', '^', '<')
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
 		}
-		return b.String()
+		return dst
 	default:
-		return fmt.Sprintf("<invalid term kind %d>", t.Kind)
+		return fmt.Appendf(dst, "<invalid term kind %d>", t.Kind)
 	}
 }
 
@@ -130,31 +140,27 @@ func (t Term) Compare(o Term) int {
 	return strings.Compare(t.Lang, o.Lang)
 }
 
-// escapeLiteral escapes the characters that N-Triples requires escaping
-// inside string literals.
-func escapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
+// appendEscapedLiteral appends s with the characters N-Triples requires
+// escaping inside string literals escaped. It works bytewise, so any other
+// byte — including invalid UTF-8 — passes through unchanged.
+func appendEscapedLiteral(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '"':
-			b.WriteString(`\"`)
+			dst = append(dst, '\\', '"')
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, '\\', '\\')
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, '\\', 'n')
 		case '\r':
-			b.WriteString(`\r`)
+			dst = append(dst, '\\', 'r')
 		case '\t':
-			b.WriteString(`\t`)
+			dst = append(dst, '\\', 't')
 		default:
-			b.WriteRune(r)
+			dst = append(dst, c)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // Triple is one RDF statement.

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"io"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/cluster"
 	"repro/internal/dict"
@@ -12,45 +12,96 @@ import (
 	"repro/internal/obs"
 )
 
-// jsonString encodes s as a JSON string without HTML escaping (every IRI
-// rendering contains '<' and '>'; < soup helps nobody).
-func jsonString(s string) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(s); err != nil {
-		return nil, err
-	}
-	b := buf.Bytes()
-	return b[:len(b)-1], nil // Encode appends a newline; drop it
-}
-
-// Result encoders pull rows from the cursor and stream them straight to the
-// response writer: each id is decoded to its term rendering as it is
-// written, so neither the encoded result rows nor their decoded renderings
-// are ever materialized — per-request memory is O(cursor batch), and the
+// Result encoders pull blocks from the cursor and stream them straight to
+// the response writer. The dictionary stores every term as the N-Triples
+// rendering results are served in, so encoding a cell is an offset lookup
+// in a lock-free dictionary view plus a copy — no decoding, no per-response
+// memo, nothing allocated per row — and neither the encoded rows nor their
+// renderings are ever materialized: per-request memory is O(block), and the
 // first byte reaches the client while the join is still enumerating.
-// Renderings are memoized per response because RDF results repeat terms
-// heavily (a LUBM result column often has thousands of rows over a few
-// hundred distinct terms).
 
-// termRenderer decodes ids to term strings with per-response memoization.
-type termRenderer struct {
-	d    *dict.Dictionary
-	memo map[uint32]string
+// encodeFlushAt is how many buffered bytes make an encoder write to the
+// response.
+const encodeFlushAt = 32 << 10
+
+// blockSource is what an encoder drains: the cursor, fronted by the block
+// the handler pulled before committing the status code.
+type blockSource struct {
+	cur    engine.Cursor
+	blk    engine.Block
+	err    error     // what the last pull returned; nil while blk holds rows
+	execSp *obs.Span // counts the rows delivered to the encoder, per block
+	// probed marks a LIMIT 0 response: the handler's pull was evidence of
+	// whether any solution exists, not output.
+	probed, probedRow bool
 }
 
-func newTermRenderer(d *dict.Dictionary) *termRenderer {
-	return &termRenderer{d: d, memo: make(map[uint32]string, 64)}
-}
-
-func (tr *termRenderer) render(id uint32) string {
-	if s, ok := tr.memo[id]; ok {
-		return s
+// pull fetches the next block, counting its rows on the execute span.
+func (s *blockSource) pull() {
+	s.err = s.cur.NextBlock(&s.blk)
+	if s.err == nil {
+		s.execSp.AddRows(int64(s.blk.Len()))
 	}
-	s := tr.d.Decode(id).String()
-	tr.memo[id] = s
-	return s
+}
+
+// limitZero turns the pulled block into the LIMIT 0 answer: no rows, and
+// truncated exactly when the probe found one.
+func (s *blockSource) limitZero() {
+	s.probed, s.probedRow = true, s.err == nil
+	s.blk.Reset()
+	s.err = io.EOF
+	s.cur.Close()
+}
+
+// end reports how the stream ended, once a pull has failed.
+func (s *blockSource) end() (truncated bool, err error) {
+	if s.err != io.EOF {
+		return false, s.err
+	}
+	if s.probed {
+		return s.probedRow, nil
+	}
+	return s.cur.Truncated(), nil
+}
+
+// outBuf is the encoders' write side: they append to a buffer of their own
+// and hand it to write whenever it holds encodeFlushAt bytes (checked
+// between blocks, so it holds at most that plus one block's rows). The
+// first write error sticks, and ends the encoding loop.
+type outBuf struct {
+	w   io.Writer
+	err error
+}
+
+// write sends buf to the response and returns it emptied for reuse.
+func (o *outBuf) write(buf []byte) []byte {
+	if o.err == nil && len(buf) > 0 {
+		_, o.err = o.w.Write(buf)
+	}
+	return buf[:0]
+}
+
+// drain runs the encoding loop both formats share, starting with the block
+// the handler already pulled: encodeRows appends one block's rows to buf
+// (rowsBefore is how many rows precede them), the span counts them, and buf
+// is written out whenever it is full. What is left in buf is returned for
+// the caller to finish and write.
+func (o *outBuf) drain(src *blockSource, encSp *obs.Span, buf []byte, encodeRows func(buf []byte, b *engine.Block, rowsBefore int) []byte) (encodeResult, []byte) {
+	res := encodeResult{}
+	for src.err == nil {
+		buf = encodeRows(buf, &src.blk, res.rows)
+		res.rows += src.blk.Len()
+		if len(buf) >= encodeFlushAt {
+			if buf = o.write(buf); o.err != nil {
+				res.err = o.err
+				return res, buf
+			}
+		}
+		encSp.AddRows(int64(src.blk.Len()))
+		src.pull()
+	}
+	res.truncated, res.err = src.end()
+	return res, buf
 }
 
 // queryMeta is the non-row metadata included in JSON responses.
@@ -87,118 +138,86 @@ type encodeResult struct {
 // under degradation), lists the shards whose rows may be incomplete.
 // trace, when the trace callback is non-nil (?explain=1), is the query's
 // span tree — the callback runs after the last row, once every stage has
-// finished, and receives the encoded row count.
-func writeJSON(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary, meta queryMeta, tookMs func() float64, partial func() []cluster.PartialShard, trace func(rows int) *obs.TraceSnapshot) encodeResult {
-	bw := bufio.NewWriterSize(w, 32<<10)
-	tr := newTermRenderer(d)
-	// Distinct JSON-escaped term strings are memoized separately from the
-	// raw renderings so escaping is also paid once per distinct term.
-	jsonMemo := make(map[uint32][]byte, 64)
-	renderJSON := func(id uint32) ([]byte, error) {
-		if b, ok := jsonMemo[id]; ok {
-			return b, nil
-		}
-		b, err := jsonString(tr.render(id))
-		if err != nil {
-			return nil, err
-		}
-		jsonMemo[id] = b
-		return b, nil
-	}
+// finished. encSp counts the rows as each block is encoded, so its
+// first_row_us is the time the first block took to get written.
+func writeJSON(w io.Writer, vars []string, src *blockSource, d *dict.Dictionary, meta queryMeta, encSp *obs.Span, tookMs func() float64, partial func() []cluster.PartialShard, trace func() *obs.TraceSnapshot) encodeResult {
+	o := &outBuf{w: w}
+	view := d.View()
 
-	bw.WriteString(`{"vars":[`)
+	buf := make([]byte, 0, encodeFlushAt+encodeFlushAt/4)
+	buf = append(buf, `{"vars":[`...)
 	for i, v := range vars {
 		if i > 0 {
-			bw.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		vb, err := jsonString(v)
-		if err != nil {
-			return encodeResult{err: err}
-		}
-		bw.Write(vb)
+		buf = appendJSONString(buf, []byte(v))
 	}
-	bw.WriteString(`]`)
+	buf = append(buf, ']')
 	if meta.QueryID != "" {
-		bw.WriteString(`,"id":"`)
-		bw.WriteString(meta.QueryID) // NextQueryID emits [a-z0-9]+ only
-		bw.WriteString(`"`)
+		buf = append(buf, `,"id":"`...)
+		buf = append(buf, meta.QueryID...) // NextQueryID emits [a-z0-9]+ only
+		buf = append(buf, '"')
 	}
-	bw.WriteString(`,"engine":`)
-	eb, err := jsonString(meta.Engine)
-	if err != nil {
-		return encodeResult{err: err}
-	}
-	bw.Write(eb)
-	bw.WriteString(`,"cache":"`)
-	bw.WriteString(meta.Cache)
-	bw.WriteString(`","rows":[`)
+	buf = append(buf, `,"engine":`...)
+	buf = appendJSONString(buf, []byte(meta.Engine))
+	buf = append(buf, `,"cache":"`...)
+	buf = append(buf, meta.Cache...)
+	buf = append(buf, `","rows":[`...)
 
-	res := encodeResult{}
-	for {
-		row, err := cur.Next()
-		if err == io.EOF {
-			res.truncated = cur.Truncated()
-			break
-		}
-		if err != nil {
-			res.err = err
-			break
-		}
-		if res.rows > 0 {
-			bw.WriteByte(',')
-		}
-		bw.WriteByte('[')
-		for j, id := range row {
-			if j > 0 {
-				bw.WriteByte(',')
+	res, buf := o.drain(src, encSp, buf, func(buf []byte, b *engine.Block, rowsBefore int) []byte {
+		for i, n := 0, b.Len(); i < n; i++ {
+			if rowsBefore+i > 0 {
+				buf = append(buf, ',')
 			}
-			b, err := renderJSON(id)
-			if err != nil {
-				res.err = err
-				return res
+			buf = append(buf, '[')
+			for j, id := range b.Row(i) {
+				if j > 0 {
+					buf = append(buf, ',')
+				}
+				if term, plain := view.Render(id); plain {
+					buf = append(buf, '"')
+					buf = append(buf, term...)
+					buf = append(buf, '"')
+				} else {
+					buf = appendJSONString(buf, term)
+				}
 			}
-			bw.Write(b)
+			buf = append(buf, ']')
 		}
-		bw.WriteByte(']')
-		res.rows++
-	}
+		return buf
+	})
 
-	bw.WriteString(`],"count":`)
-	cb, _ := json.Marshal(res.rows)
-	bw.Write(cb)
+	buf = append(buf, `],"count":`...)
+	buf = strconv.AppendInt(buf, int64(res.rows), 10)
 	if res.truncated {
-		bw.WriteString(`,"truncated":true`)
+		buf = append(buf, `,"truncated":true`...)
 	}
-	bw.WriteString(`,"took_ms":`)
+	buf = append(buf, `,"took_ms":`...)
 	tb, _ := json.Marshal(tookMs())
-	bw.Write(tb)
+	buf = append(buf, tb...)
 	if res.err != nil {
-		bw.WriteString(`,"error":`)
-		if msg, jerr := jsonString(res.err.Error()); jerr == nil {
-			bw.Write(msg)
-		} else {
-			bw.WriteString(`"encoding error"`)
-		}
+		buf = append(buf, `,"error":`...)
+		buf = appendJSONString(buf, []byte(res.err.Error()))
 	}
 	if partial != nil {
 		if miss := partial(); len(miss) > 0 {
 			if pb, perr := json.Marshal(miss); perr == nil {
-				bw.WriteString(`,"partial":`)
-				bw.Write(pb)
+				buf = append(buf, `,"partial":`...)
+				buf = append(buf, pb...)
 			}
 		}
 	}
 	if trace != nil {
-		if snap := trace(res.rows); snap != nil {
+		if snap := trace(); snap != nil {
 			if sb, serr := json.Marshal(snap); serr == nil {
-				bw.WriteString(`,"trace":`)
-				bw.Write(sb)
+				buf = append(buf, `,"trace":`...)
+				buf = append(buf, sb...)
 			}
 		}
 	}
-	bw.WriteString("}\n")
-	if ferr := bw.Flush(); ferr != nil && res.err == nil {
-		res.err = ferr
+	o.write(append(buf, "}\n"...))
+	if o.err != nil && res.err == nil {
+		res.err = o.err
 	}
 	return res
 }
@@ -207,39 +226,89 @@ func writeJSON(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary
 // followed by one line per row of N-Triples term renderings (whose escaping
 // already keeps tabs and newlines out of the raw text). A mid-stream error
 // simply ends the body; the X-Error HTTP trailer carries the cause.
-func writeTSV(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary) encodeResult {
-	bw := bufio.NewWriterSize(w, 32<<10)
-	tr := newTermRenderer(d)
+func writeTSV(w io.Writer, vars []string, src *blockSource, d *dict.Dictionary, encSp *obs.Span) encodeResult {
+	o := &outBuf{w: w}
+	view := d.View()
+	buf := make([]byte, 0, encodeFlushAt+encodeFlushAt/4)
 	for i, v := range vars {
 		if i > 0 {
-			bw.WriteByte('\t')
+			buf = append(buf, '\t')
 		}
-		bw.WriteByte('?')
-		bw.WriteString(v)
+		buf = append(buf, '?')
+		buf = append(buf, v...)
 	}
-	bw.WriteByte('\n')
-	res := encodeResult{}
-	for {
-		row, err := cur.Next()
-		if err == io.EOF {
-			res.truncated = cur.Truncated()
-			break
-		}
-		if err != nil {
-			res.err = err
-			break
-		}
-		for j, id := range row {
-			if j > 0 {
-				bw.WriteByte('\t')
+	buf = append(buf, '\n')
+	res, buf := o.drain(src, encSp, buf, func(buf []byte, b *engine.Block, _ int) []byte {
+		for i, n := 0, b.Len(); i < n; i++ {
+			for j, id := range b.Row(i) {
+				if j > 0 {
+					buf = append(buf, '\t')
+				}
+				term, _ := view.Render(id)
+				buf = append(buf, term...)
 			}
-			bw.WriteString(tr.render(id))
+			buf = append(buf, '\n')
 		}
-		bw.WriteByte('\n')
-		res.rows++
-	}
-	if ferr := bw.Flush(); ferr != nil && res.err == nil {
-		res.err = ferr
+		return buf
+	})
+	o.write(buf)
+	if o.err != nil && res.err == nil {
+		res.err = o.err
 	}
 	return res
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string, quotes included. Its output
+// is byte-identical to encoding/json with SetEscapeHTML(false): '"' and
+// '\\' are backslash-escaped, control bytes use \b \f \n \r \t or \u00XX,
+// U+2028 and U+2029 are \u-escaped, invalid UTF-8 becomes \ufffd, and
+// everything else — '<', '>' and '&' included — is copied verbatim.
+func appendJSONString(dst, s []byte) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRune(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -173,21 +172,4 @@ func annotatePlanSpan(sp *obs.Span, pq *preparedQuery, hit bool) {
 			sp.SetAttr("cost_"+c.String(), pq.costs[c.String()])
 		}
 	}
-}
-
-// countingCursor wraps the response cursor so the execute span counts the
-// rows actually delivered to the encoder and stamps time-to-first-row. The
-// span is never nil here (the wrapper is only installed on traced
-// requests), but AddRows is nil-safe regardless.
-type countingCursor struct {
-	engine.Cursor
-	span *obs.Span
-}
-
-func (c *countingCursor) Next() ([]uint32, error) {
-	row, err := c.Cursor.Next()
-	if err == nil {
-		c.span.AddRows(1)
-	}
-	return row, err
 }

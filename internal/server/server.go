@@ -804,27 +804,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cur.Close()
-	if tr != nil {
-		cur = &countingCursor{Cursor: cur, span: execSp}
-	}
 
-	// Pull the first row before committing the response status, so
+	// Pull the first block before committing the response status, so
 	// failures during the pre-enumeration phases (GHD materialization,
 	// pairwise pipelines, deadlines that fire before any output) still map
 	// to proper HTTP errors. Errors after this point arrive mid-stream and
 	// are reported in-band.
-	first, firstErr := cur.Next()
-	if firstErr != nil && firstErr != io.EOF {
+	src := &blockSource{cur: cur, execSp: execSp}
+	src.pull()
+	if src.err != nil && src.err != io.EOF {
 		execDur = time.Since(execStart)
 		execSp.End()
-		s.failExec(w, ctx, firstErr, tailSnap())
-		finish(true, errors.Is(firstErr, context.DeadlineExceeded))
+		s.failExec(w, ctx, src.err, tailSnap())
+		finish(true, errors.Is(src.err, context.DeadlineExceeded))
 		return
 	}
-	var pc engine.Cursor = &peekedCursor{inner: cur, row: first, eof: firstErr == io.EOF}
 	if limitZero {
 		// LIMIT 0: the probed row is evidence, not output.
-		pc = &limitZeroCursor{inner: cur, hadRow: firstErr == nil}
+		src.limitZero()
 	}
 
 	// Present the caller's variable names: normalization renamed them, but
@@ -842,13 +839,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// (the JSON body also carries them in trailing fields).
 	w.Header().Set("Trailer", "X-Truncated, X-Error, X-Partial")
 	encSp := root.Child("encode")
-	var traceFn func(rows int) *obs.TraceSnapshot
+	var traceFn func() *obs.TraceSnapshot
 	if isExplain {
 		// The trace rides in the JSON tail; by the time the encoder asks for
 		// it every row has been pulled, so the execute and encode spans can
 		// close and the tree snapshot.
-		traceFn = func(rows int) *obs.TraceSnapshot {
-			encSp.AddRows(int64(rows))
+		traceFn = func() *obs.TraceSnapshot {
 			execSp.End()
 			encSp.End()
 			return takeSnap()
@@ -870,15 +866,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case "tsv":
 		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
 		encSp.SetAttr("format", "tsv")
-		enc = writeTSV(w, q.Select, pc, s.ls.Dict())
+		enc = writeTSV(w, q.Select, src, s.ls.Dict(), encSp)
 		tookMs()
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		encSp.SetAttr("format", "json")
-		enc = writeJSON(w, q.Select, pc, s.ls.Dict(), meta, tookMs, partialFn, traceFn)
-	}
-	if traceFn == nil {
-		encSp.AddRows(int64(enc.rows))
+		enc = writeJSON(w, q.Select, src, s.ls.Dict(), meta, encSp, tookMs, partialFn, traceFn)
 	}
 	execSp.End()
 	encSp.End()
@@ -909,46 +902,6 @@ func partialTrailer(miss []cluster.PartialShard) string {
 	}
 	return b.String()
 }
-
-// peekedCursor replays the row the handler pulled for status-code purposes,
-// then delegates to the real cursor.
-type peekedCursor struct {
-	inner engine.Cursor
-	row   []uint32
-	eof   bool
-	used  bool
-}
-
-func (p *peekedCursor) Vars() []string { return p.inner.Vars() }
-
-func (p *peekedCursor) Next() ([]uint32, error) {
-	if !p.used {
-		p.used = true
-		if p.eof {
-			return nil, io.EOF
-		}
-		return p.row, nil
-	}
-	if p.eof {
-		return nil, io.EOF
-	}
-	return p.inner.Next()
-}
-
-func (p *peekedCursor) Truncated() bool { return p.inner.Truncated() }
-func (p *peekedCursor) Close() error    { return p.inner.Close() }
-
-// limitZeroCursor serves SPARQL "LIMIT 0": no rows, with Truncated still
-// exact — the handler's one-row probe tells whether any solution existed.
-type limitZeroCursor struct {
-	inner  engine.Cursor
-	hadRow bool
-}
-
-func (l *limitZeroCursor) Vars() []string          { return l.inner.Vars() }
-func (l *limitZeroCursor) Next() ([]uint32, error) { return nil, io.EOF }
-func (l *limitZeroCursor) Truncated() bool         { return l.hadRow }
-func (l *limitZeroCursor) Close() error            { return l.inner.Close() }
 
 // failCtx maps a done context to 504 (deadline) or 503 (client cancelled).
 // snap, when non-nil (?explain=1), rides in the error body so a timed-out

@@ -193,8 +193,9 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		return // client gone; nothing sensible left to send
 	}
 	kept, sent := 0, 0
+	var blk engine.Block
 	for {
-		row, err := cur.Next()
+		err := cur.NextBlock(&blk)
 		if err == io.EOF {
 			sw.Finish("")
 			return
@@ -205,20 +206,23 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 			sw.Finish(err.Error())
 			return
 		}
-		if owner >= 0 && shard.ShardOf(row[root], n) != owner {
-			continue
-		}
-		kept++
-		if kept <= skip {
-			continue
-		}
-		if err := sw.Row(row); err != nil {
-			return // client gone
-		}
-		sent++
-		if rowCap > 0 && sent >= rowCap {
-			sw.Finish("")
-			return
+		for i := 0; i < blk.Len(); i++ {
+			row := blk.Row(i)
+			if owner >= 0 && shard.ShardOf(row[root], n) != owner {
+				continue
+			}
+			kept++
+			if kept <= skip {
+				continue
+			}
+			if err := sw.Row(row); err != nil {
+				return // client gone
+			}
+			sent++
+			if rowCap > 0 && sent >= rowCap {
+				sw.Finish("")
+				return
+			}
 		}
 	}
 }

@@ -58,6 +58,8 @@ func (c *fakeCursor) Next() ([]uint32, error) {
 	return []uint32{uint32(c.emitted)}, nil
 }
 
+func (c *fakeCursor) NextBlock(b *engine.Block) error { return engine.FillBlock(b, c.Next) }
+
 func (c *fakeCursor) Truncated() bool { return false }
 func (c *fakeCursor) Close() error    { c.closed.Store(true); return nil }
 
@@ -103,7 +105,7 @@ func TestMergeCursorShardFailure(t *testing.T) {
 			return cursors[2], nil
 		},
 	}
-	cur := gather(context.Background(), []string{"x"}, nil, opens, nil, false, 0, nil)
+	cur := engine.WithNext(gather(context.Background(), []string{"x"}, nil, opens, nil, false, 0, nil))
 	var err error
 	rows := 0
 	for {
@@ -150,7 +152,7 @@ func TestMergeCursorEarlyCloseUnderLoad(t *testing.T) {
 			return c, nil
 		}
 	}
-	cur := gather(context.Background(), []string{"x"}, nil, opens, nil, false, 0, nil)
+	cur := engine.WithNext(gather(context.Background(), []string{"x"}, nil, opens, nil, false, 0, nil))
 	for i := 0; i < 50; i++ {
 		if _, err := cur.Next(); err != nil {
 			t.Fatalf("row %d: %v", i, err)
@@ -181,7 +183,7 @@ func TestMergeCursorOpenFailure(t *testing.T) {
 		},
 		func(ctx context.Context) (engineCursor, error) { return nil, errOpen },
 	}
-	cur := gather(context.Background(), []string{"x"}, nil, opens, nil, false, 0, nil)
+	cur := engine.WithNext(gather(context.Background(), []string{"x"}, nil, opens, nil, false, 0, nil))
 	var err error
 	for {
 		if _, err = cur.Next(); err != nil {
@@ -208,7 +210,7 @@ func TestMergeCursorCallerCancel(t *testing.T) {
 			return &fakeCursor{ctx: c, total: 1 << 30, failAfter: -1}, nil
 		},
 	}
-	cur := gather(ctx, []string{"x"}, nil, opens, nil, false, 0, nil)
+	cur := engine.WithNext(gather(ctx, []string{"x"}, nil, opens, nil, false, 0, nil))
 	for i := 0; i < 20; i++ {
 		if _, err := cur.Next(); err != nil {
 			t.Fatalf("row %d: %v", i, err)

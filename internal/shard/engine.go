@@ -291,21 +291,21 @@ func (e *Engine) counting(shard int, c engine.Cursor, err error) (engine.Cursor,
 	if err != nil {
 		return nil, err
 	}
-	return &countCursor{Cursor: c, part: e.part, shard: shard}, nil
+	return engine.WithNext(&countCursor{BlockCursor: c, part: e.part, shard: shard}), nil
 }
 
 type countCursor struct {
-	engine.Cursor
+	engine.BlockCursor
 	part  *Partitioned
 	shard int
 }
 
-func (c *countCursor) Next() ([]uint32, error) {
-	row, err := c.Cursor.Next()
+func (c *countCursor) NextBlock(b *engine.Block) error {
+	err := c.BlockCursor.NextBlock(b)
 	if err == nil {
-		c.part.delivered[c.shard].Add(1)
+		c.part.delivered[c.shard].Add(int64(b.Len()))
 	}
-	return row, err
+	return err
 }
 
 // openSingle executes a query fully covered by one root group, per its
@@ -356,7 +356,7 @@ func (e *Engine) openSingle(sp *singlePlan, opts engine.ExecOpts) (engine.Cursor
 	}
 
 	keep := func(sh int, row []uint32) bool { return ShardOf(row[sp.rootIdx], n) == sh }
-	var cur engine.Cursor
+	var cur engine.BlockCursor
 	if len(sp.shards) == 1 {
 		// One surviving shard: filter in place, no fan-in goroutines.
 		sh := sp.shards[0]
@@ -378,7 +378,7 @@ func (e *Engine) openSingle(sp *singlePlan, opts engine.ExecOpts) (engine.Cursor
 // (all of the group's variables, no DISTINCT) — the building block of the
 // merge-layer join. Group solutions are sets at full projection, so joining
 // them reconstructs the whole query's solution set exactly.
-func (e *Engine) openGroup(ctx context.Context, gp groupPlan, workers int) (engine.Cursor, error) {
+func (e *Engine) openGroup(ctx context.Context, gp groupPlan, workers int) (engine.BlockCursor, error) {
 	n := len(e.engs)
 	if gp.rootIdx < 0 {
 		// Constant root: the owner shard alone answers the group.
@@ -427,7 +427,7 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 		capRows = opts.Offset + opts.MaxRows + 1
 	}
 
-	raw := engine.NewGenerator(opts.Ctx, q.Select, func(gctx context.Context, emit func([]uint32) error) error {
+	raw := engine.NewGenerator(opts.Ctx, q.Select, func(gctx context.Context, out *engine.Emitter) error {
 		// Build phase: materialize every non-probe group, each on its own
 		// goroutine — the groups' scatter work is independent, so running
 		// them back to back would serialize exactly the per-shard execution
@@ -470,7 +470,10 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 					defer cur.Close()
 					tab := newBuildTable(len(w.rowKeyIx))
 					for {
-						row, err := cur.Next()
+						// The table keeps the rows, so every block is a
+						// fresh one the cursor never gets back.
+						var blk engine.Block
+						err := cur.NextBlock(&blk)
 						if err == io.EOF {
 							break
 						}
@@ -479,7 +482,9 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 							bcancel()
 							return
 						}
-						tab.add(w.rowKeyIx, row)
+						for r := 0; r < blk.Len(); r++ {
+							tab.add(w.rowKeyIx, blk.Row(r))
+						}
 					}
 					tabs[i] = tab
 				}(i)
@@ -500,11 +505,11 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 		var expand func(depth int, accRow []uint32) error
 		expand = func(depth int, accRow []uint32) error {
 			if depth == len(jp.builds) {
-				out := make([]uint32, len(jp.selIx))
+				row := out.Slot()
 				for i, j := range jp.selIx {
-					out[i] = accRow[j]
+					row[i] = accRow[j]
 				}
-				if err := emit(out); err != nil {
+				if err := out.Push(); err != nil {
 					return err
 				}
 				emitted++
@@ -530,28 +535,31 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 			return nil
 		}
 		tick := engine.NewTicker(gctx)
+		var blk engine.Block
 		for {
-			row, err := probe.Next()
+			err := probe.NextBlock(&blk)
 			if err == io.EOF {
 				return nil
 			}
 			if err != nil {
 				return err
 			}
-			if err := tick.Check(); err != nil {
-				return err
-			}
-			if err := expand(0, row); err != nil {
-				if err == errJoinCap {
-					// Cap satisfied: stop cleanly; probe.Close (deferred)
-					// cancels the shard drains under the probe stream.
-					return nil
+			for r := 0; r < blk.Len(); r++ {
+				if err := tick.Check(); err != nil {
+					return err
 				}
-				return err
+				if err := expand(0, blk.Row(r)); err != nil {
+					if err == errJoinCap {
+						// Cap satisfied: stop cleanly; probe.Close (deferred)
+						// cancels the shard drains under the probe stream.
+						return nil
+					}
+					return err
+				}
 			}
 		}
 	})
-	cur := raw
+	var cur engine.BlockCursor = raw
 	if q.Distinct {
 		cur = newDedup(cur)
 	}
@@ -559,7 +567,7 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 }
 
 // rowKey encodes the selected columns of a row into a map key, using the
-// repository-wide row-key encoding (engine.RowKey and friends).
+// repository-wide row-key encoding (engine.AppendRowKey and friends).
 func rowKey(row []uint32, idx []int) string {
 	b := make([]byte, 0, len(idx)*4)
 	for _, i := range idx {
@@ -571,41 +579,32 @@ func rowKey(row []uint32, idx []int) string {
 // dedupCursor streams only the first occurrence of each row — the merge
 // layer's DISTINCT: shards deduplicate locally, but rows replicated across
 // shards (and rows collapsing once the root column is stripped) must dedup
-// here.
+// here. Duplicates are compacted out of each block in place.
 type dedupCursor struct {
-	inner engine.Cursor
-	seen  map[string]struct{}
+	engine.BlockCursor
+	seen engine.RowSet
 }
 
-func newDedup(c engine.Cursor) engine.Cursor {
-	return &dedupCursor{inner: c, seen: make(map[string]struct{})}
-}
+func newDedup(c engine.BlockCursor) engine.BlockCursor { return &dedupCursor{BlockCursor: c} }
 
-func (d *dedupCursor) Vars() []string { return d.inner.Vars() }
-
-func (d *dedupCursor) Next() ([]uint32, error) {
+func (d *dedupCursor) NextBlock(b *engine.Block) error {
 	for {
-		row, err := d.inner.Next()
-		if err != nil {
-			return nil, err
+		if err := d.BlockCursor.NextBlock(b); err != nil {
+			return err
 		}
-		k := engine.RowKey(row)
-		if _, dup := d.seen[k]; dup {
-			continue
+		b.Filter(d.seen.Add)
+		if b.Len() > 0 {
+			return nil
 		}
-		d.seen[k] = struct{}{}
-		return row, nil
 	}
 }
-
-func (d *dedupCursor) Truncated() bool { return d.inner.Truncated() }
-func (d *dedupCursor) Close() error    { return d.inner.Close() }
 
 // emptyCursor is the empty result (unknown constants, failed existence
 // filters, all scatter targets pruned).
 type emptyCursor struct{ vars []string }
 
-func (c emptyCursor) Vars() []string          { return c.vars }
-func (c emptyCursor) Next() ([]uint32, error) { return nil, io.EOF }
-func (c emptyCursor) Truncated() bool         { return false }
-func (c emptyCursor) Close() error            { return nil }
+func (c emptyCursor) Vars() []string                  { return c.vars }
+func (c emptyCursor) NextBlock(b *engine.Block) error { b.Reset(); return io.EOF }
+func (c emptyCursor) Next() ([]uint32, error)         { return nil, io.EOF }
+func (c emptyCursor) Truncated() bool                 { return false }
+func (c emptyCursor) Close() error                    { return nil }

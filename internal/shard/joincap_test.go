@@ -40,20 +40,20 @@ func (e *tallyEngine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, e
 	if len(q.Select) >= 3 {
 		ctr = e.wide
 	}
-	return &tallyCursor{Cursor: cur, ctr: ctr}, nil
+	return engine.WithNext(&tallyCursor{BlockCursor: cur, ctr: ctr}), nil
 }
 
 type tallyCursor struct {
-	engine.Cursor
+	engine.BlockCursor
 	ctr *atomic.Int64
 }
 
-func (c *tallyCursor) Next() ([]uint32, error) {
-	row, err := c.Cursor.Next()
+func (c *tallyCursor) NextBlock(b *engine.Block) error {
+	err := c.BlockCursor.NextBlock(b)
 	if err == nil {
-		c.ctr.Add(1)
+		c.ctr.Add(int64(b.Len()))
 	}
-	return row, err
+	return err
 }
 
 // TestJoinRowCapBoundsProbeDrain: on a two-group join, MaxRows stops the

@@ -1,14 +1,14 @@
 package shard
 
 // merge.go is the gather side of scatter-gather: one drain goroutine per
-// surviving shard hands row batches through a single fan-in channel to the
-// merge cursor, which iterates batches in place. Transport is
-// batch-granular end to end — the ownership filter, root strip, and drain
-// cap are applied inside the drain as it batches, and the consumer never
-// crosses a channel per row. (An earlier shape piped the fan-in channel
-// through engine.NewGenerator, re-batching every row through a second
-// goroutine and channel; at LUBM scale that double hop was the single
-// largest term in the 18× sharded q2 regression.)
+// surviving shard forwards its shard cursor's blocks through a single
+// fan-in channel to the merge cursor, which hands them on as they are.
+// Transport is block-granular end to end — the ownership filter, root
+// strip, and drain cap compact each block in place inside the drain, and
+// the consumer never crosses a channel per row. (An earlier shape piped the
+// fan-in channel through engine.NewGenerator, re-batching every row through
+// a second goroutine and channel; at LUBM scale that double hop was the
+// single largest term in the 18× sharded q2 regression.)
 
 import (
 	"context"
@@ -34,21 +34,9 @@ func drainSpan(ctx context.Context, shard int, inline bool) *obs.Span {
 	return sp
 }
 
-// gatherBatch is how many rows a shard drain accumulates before handing
-// them to the merge cursor — per-row channel sends were measured as too
-// expensive at this seam once before (see genBatchRows in
-// internal/engine/cursor.go); the merge fan-in amortizes the same way.
-const gatherBatch = 64
-
-// gatherFlushMin is the smallest partial batch a drain flushes
-// opportunistically (non-blocking, at power-of-two sizes), keeping
-// first-row latency low for trickling shards without degenerating into
-// per-row sends.
-const gatherFlushMin = 8
-
-// gatherBuf is the fan-in channel depth in batches: enough to keep shards
-// busy while the consumer works through a batch, small enough that an
-// abandoned merge strands O(shards · gatherBatch) rows.
+// gatherBuf is the fan-in channel depth in blocks: enough to keep shards
+// busy while the consumer works through a block, small enough that an
+// abandoned merge strands O(gatherBuf · engine.BlockRows) rows.
 const gatherBuf = 8
 
 // openFunc opens one shard's sub-query cursor under the merge's context —
@@ -57,7 +45,7 @@ type openFunc func(context.Context) (engine.Cursor, error)
 
 // gather is the Engine's scatter entry point: it opens sub on every
 // surviving shard and returns the merged union cursor.
-func (e *Engine) gather(ctx context.Context, vars []string, sub *query.BGP, shards []int, keep func(shard int, row []uint32) bool, strip bool, perShardCap int, rootIdx int, workers int) engine.Cursor {
+func (e *Engine) gather(ctx context.Context, vars []string, sub *query.BGP, shards []int, keep func(shard int, row []uint32) bool, strip bool, perShardCap int, rootIdx int, workers int) engine.BlockCursor {
 	opens := make([]openFunc, len(shards))
 	for i, sh := range shards {
 		sh := sh
@@ -78,7 +66,7 @@ func (e *Engine) gather(ctx context.Context, vars []string, sub *query.BGP, shar
 // any one shard contributes (0 = unbounded). A failing shard cancels its
 // siblings and surfaces its error; closing the merge cursor cancels every
 // shard.
-func gather(ctx context.Context, vars []string, shards []int, opens []openFunc, keep func(shard int, row []uint32) bool, strip bool, perShardCap int, part *Partitioned) engine.Cursor {
+func gather(ctx context.Context, vars []string, shards []int, opens []openFunc, keep func(shard int, row []uint32) bool, strip bool, perShardCap int, part *Partitioned) engine.BlockCursor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -87,7 +75,7 @@ func gather(ctx context.Context, vars []string, shards []int, opens []openFunc, 
 		vars:   vars,
 		ctx:    ctx,
 		cancel: scancel,
-		rows:   make(chan [][]uint32, gatherBuf),
+		blocks: make(chan engine.Block, gatherBuf),
 		errs:   make(chan error, len(opens)),
 	}
 	var wg sync.WaitGroup
@@ -109,7 +97,7 @@ func gather(ctx context.Context, vars []string, shards []int, opens []openFunc, 
 						err = fmt.Errorf("shard %d: drain panicked: %v", sh, rec)
 					}
 				}()
-				return drainShard(obs.WithSpan(sctx, span), sh, open, keep, strip, perShardCap, part, m.rows, span)
+				return drainShard(obs.WithSpan(sctx, span), sh, open, keep, strip, perShardCap, part, m.blocks, span)
 			}()
 			if err != nil {
 				span.SetAttr("error", err.Error())
@@ -121,59 +109,52 @@ func gather(ctx context.Context, vars []string, shards []int, opens []openFunc, 
 	}
 	go func() {
 		wg.Wait()
-		close(m.rows)
+		close(m.blocks)
 	}()
 	return m
 }
 
-// mergeCursor is the consumer end of the fan-in channel: it pulls batches
-// and yields their rows in place. It owns the scatter's child context —
-// Close cancels every drain and unblocks parked senders by draining the
-// channel to close.
+// mergeCursor is the consumer end of the fan-in channel: it forwards the
+// drains' blocks. It owns the scatter's child context — Close cancels every
+// drain and unblocks parked senders by draining the channel to close.
 type mergeCursor struct {
 	vars   []string
 	ctx    context.Context // parent: attributes cancellation when no shard reported
 	cancel context.CancelFunc
-	rows   chan [][]uint32
+	blocks chan engine.Block
 	errs   chan error
 
-	batch [][]uint32
-	idx   int
-	done  bool
-	err   error
+	done bool
+	err  error
 }
 
 func (m *mergeCursor) Vars() []string { return m.vars }
 
-func (m *mergeCursor) Next() ([]uint32, error) {
-	for {
-		if m.idx < len(m.batch) {
-			row := m.batch[m.idx]
-			m.idx++
-			return row, nil
-		}
-		if m.done {
-			return nil, m.err
-		}
-		b, ok := <-m.rows
-		if !ok {
-			m.done = true
-			select {
-			case err := <-m.errs:
-				m.err = err
-			default:
-				// A drainer parked on a send can exit on cancellation
-				// without seeing its cursor's context error; report the
-				// cause here.
-				m.err = m.ctx.Err()
-			}
-			if m.err == nil {
-				m.err = io.EOF
-			}
-			return nil, m.err
-		}
-		m.batch, m.idx = b, 0
+func (m *mergeCursor) NextBlock(b *engine.Block) error {
+	if m.done {
+		b.Reset()
+		return m.err
 	}
+	nb, ok := <-m.blocks
+	if !ok {
+		*b = engine.Block{}
+		m.done = true
+		select {
+		case err := <-m.errs:
+			m.err = err
+		default:
+			// A drainer parked on a send can exit on cancellation
+			// without seeing its cursor's context error; report the
+			// cause here.
+			m.err = m.ctx.Err()
+		}
+		if m.err == nil {
+			m.err = io.EOF
+		}
+		return m.err
+	}
+	*b = nb
+	return nil
 }
 
 // Truncated is always false for the bare merge: caps are applied by the
@@ -188,87 +169,91 @@ func (m *mergeCursor) Close() error {
 	m.cancel()
 	// Drain so drains parked on a full channel observe the cancel and exit;
 	// the channel closes once every drain has.
-	for range m.rows {
+	for range m.blocks {
 	}
 	m.done = true
 	if m.err == nil {
 		m.err = io.EOF
 	}
-	m.batch, m.idx = nil, 0
 	return nil
 }
 
-// drainShard opens and drains one shard's cursor into the fan-in channel
-// in batches, applying the ownership filter, root stripping, and the
-// per-shard cap. Rows accumulated before a cursor error are still flushed
-// (rows before an error stand, mirroring the generator's contract). span,
-// when non-nil, collects the drain's row/batch counters; all observation is
-// batch-granular, so the per-row loop stays free of atomics and locks.
-func drainShard(ctx context.Context, shard int, open openFunc, keep func(int, []uint32) bool, strip bool, perShardCap int, part *Partitioned, out chan<- [][]uint32, span *obs.Span) error {
+// shardFilter is what a scatter applies to one shard's blocks, in place:
+// the ownership filter, the root strip, then the per-shard cap. Both the
+// fan-in drains and the single-survivor fast path run it.
+type shardFilter struct {
+	keep  func(row []uint32) bool // nil keeps every row
+	strip bool
+	cap   int // rows this shard may deliver; 0 = unbounded
+
+	delivered int
+}
+
+func newShardFilter(shard int, keep func(int, []uint32) bool, strip bool, perShardCap int) shardFilter {
+	f := shardFilter{strip: strip, cap: perShardCap}
+	if keep != nil {
+		f.keep = func(row []uint32) bool { return keep(shard, row) }
+	}
+	return f
+}
+
+// apply filters b and reports whether the shard has hit its cap (b then
+// holds the last rows it may deliver).
+func (f *shardFilter) apply(b *engine.Block) (capped bool) {
+	if f.keep != nil {
+		b.Filter(f.keep)
+	}
+	if f.strip {
+		b.DropLastColumn()
+	}
+	if f.cap > 0 && f.delivered+b.Len() >= f.cap {
+		b.Truncate(f.cap - f.delivered)
+		capped = true
+	}
+	f.delivered += b.Len()
+	return capped
+}
+
+// drainShard opens and drains one shard's cursor into the fan-in channel a
+// block at a time, applying the ownership filter, root stripping, and the
+// per-shard cap in place. Blocks delivered before a cursor error stand
+// (mirroring the generator's contract). span, when non-nil, collects the
+// drain's row/block counters; all observation is block-granular, so the
+// per-row loop stays free of atomics and locks.
+func drainShard(ctx context.Context, shard int, open openFunc, keep func(int, []uint32) bool, strip bool, perShardCap int, part *Partitioned, out chan<- engine.Block, span *obs.Span) error {
 	cur, err := open(ctx)
 	if err != nil {
 		return err
 	}
 	defer cur.Close()
-	delivered := 0
-	var batch [][]uint32
-	// flush hands the batch over; non-blocking when block is false (the
-	// batch is kept on a full channel). Returns false once ctx is done —
-	// cancelled by a sibling's failure, the merge closing, or the caller's
-	// context; the merge cursor reports the cause.
-	flush := func(block bool) bool {
-		if len(batch) == 0 {
-			return true
-		}
-		if block {
-			select {
-			case out <- batch:
-			case <-ctx.Done():
-				return false
-			}
-		} else {
-			select {
-			case out <- batch:
-			default:
-				return true // channel busy: keep accumulating
-			}
-		}
-		if part != nil {
-			part.delivered[shard].Add(int64(len(batch)))
-			part.batchRows.Observe(float64(len(batch)))
-		}
-		span.AddBatch(len(batch))
-		delivered += len(batch)
-		batch = nil
-		return true
-	}
+	f := newShardFilter(shard, keep, strip, perShardCap)
 	for {
-		row, err := cur.Next()
-		if err == io.EOF {
-			flush(true)
-			return nil
-		}
-		if err != nil {
-			flush(true)
-			return err
-		}
-		if keep != nil && !keep(shard, row) {
-			continue
-		}
-		if strip {
-			row = row[:len(row)-1]
-		}
-		batch = append(batch, row)
-		if perShardCap > 0 && delivered+len(batch) >= perShardCap {
-			flush(true)
-			return nil
-		}
-		if n := len(batch); n >= gatherBatch {
-			if !flush(true) {
+		// Each block goes to the consumer for good, so every pull starts
+		// from a fresh one.
+		var blk engine.Block
+		if err := cur.NextBlock(&blk); err != nil {
+			if err == io.EOF {
 				return nil
 			}
-		} else if n >= gatherFlushMin && n&(n-1) == 0 {
-			flush(false)
+			return err
+		}
+		capped := f.apply(&blk)
+		if blk.Len() > 0 {
+			select {
+			case out <- blk:
+			case <-ctx.Done():
+				// Cancelled by a sibling's failure, the merge closing, or
+				// the caller's context; the merge cursor reports the cause.
+				return nil
+			}
+			if part != nil {
+				part.delivered[shard].Add(int64(blk.Len()))
+				part.batchRows.Observe(float64(blk.Len()))
+			}
+			span.AddBatch(blk.Len())
+		}
+		if capped {
+			return nil
 		}
 	}
 }
@@ -278,28 +263,23 @@ func drainShard(ctx context.Context, shard int, open openFunc, keep func(int, []
 // filter, root strip, drain cap, and delivered counter are applied inline
 // on the caller's goroutine — no channel, no drain goroutine.
 type filterCursor struct {
-	inner engine.Cursor
+	inner engine.BlockCursor
 	vars  []string
+	f     shardFilter
 	shard int
-	keep  func(int, []uint32) bool
-	strip bool
-	cap   int
 	part  *Partitioned
 	span  *obs.Span
 
-	delivered int
-	done      bool
-	err       error
+	done bool
+	err  error
 }
 
-func newFilter(inner engine.Cursor, vars []string, shard int, keep func(int, []uint32) bool, strip bool, perShardCap int, part *Partitioned, span *obs.Span) engine.Cursor {
+func newFilter(inner engine.BlockCursor, vars []string, shard int, keep func(int, []uint32) bool, strip bool, perShardCap int, part *Partitioned, span *obs.Span) engine.BlockCursor {
 	return &filterCursor{
 		inner: inner,
 		vars:  vars,
+		f:     newShardFilter(shard, keep, strip, perShardCap),
 		shard: shard,
-		keep:  keep,
-		strip: strip,
-		cap:   perShardCap,
 		part:  part,
 		span:  span,
 	}
@@ -307,38 +287,34 @@ func newFilter(inner engine.Cursor, vars []string, shard int, keep func(int, []u
 
 func (f *filterCursor) Vars() []string { return f.vars }
 
-func (f *filterCursor) Next() ([]uint32, error) {
-	if f.done {
-		return nil, f.err
+func (f *filterCursor) NextBlock(b *engine.Block) error {
+	for !f.done {
+		if err := f.inner.NextBlock(b); err != nil {
+			f.finish(err)
+			break
+		}
+		capped := f.f.apply(b)
+		if n := int64(b.Len()); n > 0 {
+			if f.part != nil {
+				f.part.delivered[f.shard].Add(n)
+			}
+			f.span.AddRows(n)
+		}
+		if capped {
+			f.finish(io.EOF)
+		}
+		if b.Len() > 0 {
+			return nil
+		}
 	}
-	if f.cap > 0 && f.delivered >= f.cap {
-		return f.finish(io.EOF)
-	}
-	for {
-		row, err := f.inner.Next()
-		if err != nil {
-			return f.finish(err)
-		}
-		if f.keep != nil && !f.keep(f.shard, row) {
-			continue
-		}
-		if f.strip {
-			row = row[:len(row)-1]
-		}
-		f.delivered++
-		if f.part != nil {
-			f.part.delivered[f.shard].Add(1)
-		}
-		f.span.AddRows(1)
-		return row, nil
-	}
+	b.Reset()
+	return f.err
 }
 
-func (f *filterCursor) finish(err error) ([]uint32, error) {
+func (f *filterCursor) finish(err error) {
 	f.done = true
 	f.err = err
 	f.span.End()
-	return nil, err
 }
 
 func (f *filterCursor) Truncated() bool { return f.inner.Truncated() }

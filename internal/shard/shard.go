@@ -120,7 +120,7 @@ func Partition(st *store.Store, n int) (*Partitioned, error) {
 		owned:      owned,
 		replicated: replicated,
 		delivered:  make([]atomic.Int64, n),
-		// Bounds 1..128 cover gatherBatch (64) with headroom; pruned counts
+		// Bounds 1..128 cover a block (engine.BlockRows); pruned counts
 		// get an explicit 0 bucket so "query pruned nothing" is
 		// distinguishable from "query pruned one target".
 		batchRows:      obs.NewHist(obs.SizeBuckets(8)),

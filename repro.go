@@ -44,9 +44,12 @@ import (
 type Engine = engine.Engine
 
 // Cursor streams a query's dictionary-encoded rows incrementally; see
-// engine.Cursor for the contract (Next until io.EOF, exact Truncated,
-// Close to abandon early).
+// engine.Cursor for the contract (NextBlock — or the per-row Next — until
+// io.EOF, exact Truncated, Close to abandon early).
 type Cursor = engine.Cursor
+
+// Block is the reusable row-major batch a Cursor's NextBlock fills.
+type Block = engine.Block
 
 // ExecOpts bundles per-execution knobs: context cancellation, exact row
 // caps, offsets, and intra-query parallelism.
