@@ -142,8 +142,9 @@ func BenchmarkAblationGHD(b *testing.B) {
 
 // BenchmarkAblationPipelining isolates §III-C on Q8 with GHD pushdown
 // disabled, which is the configuration where the root-child pair
-// materializes a large intermediate unless pipelined (see EXPERIMENTS.md
-// for why the fully optimized plan subsumes this effect).
+// materializes a large intermediate unless pipelined (the fully optimized
+// plan subsumes this effect: compare the rows of `go run ./cmd/benchtables
+// -table 1`, README "Benchmarks").
 func BenchmarkAblationPipelining(b *testing.B) {
 	d := dataset(b)
 	q := repro.MustParse(repro.LUBMQuery(8, benchScale))

@@ -5,8 +5,8 @@
 //	benchtables -table 2 -scale 5 -reps 7   # Table II: five-engine comparison
 //
 // Absolute times depend on the machine and scale; the comparison shape
-// (who wins, by roughly what factor) is what reproduces the paper. See
-// EXPERIMENTS.md for recorded runs.
+// (who wins, by roughly what factor) is what reproduces the paper. Runs are
+// not recorded in the repository; README "Benchmarks" says how to make one.
 package main
 
 import (

@@ -34,7 +34,8 @@ import (
 // conformanceOverlay builds a complete-digraph live store where part of the
 // graph arrives via delta inserts and part of the base is tombstoned: the
 // triangle query exercises joins that cross base and delta triples in every
-// combination.
+// combination. The delta also carries a predicate the base has never seen
+// and one base triple that is tombstoned and then re-inserted.
 func conformanceOverlay(t *testing.T, n, shards int) *live.Store {
 	t.Helper()
 	p := rdf.NewIRI("http://c/p")
@@ -58,11 +59,16 @@ func conformanceOverlay(t *testing.T, n, shards int) *live.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := rdf.NewIRI("http://c/q")
+	held = append(held, rdf.Triple{S: node(0), P: q, O: node(1)}, rdf.Triple{S: node(1), P: q, O: node(1)})
 	if _, err := ls.Insert(held); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ls.Delete(dead); err != nil {
 		t.Fatal(err)
+	}
+	if n, err := ls.Insert(dead[:1]); err != nil || n != 1 { // n1 p n1 comes back
+		t.Fatalf("re-inserting a tombstoned triple: inserted=%d err=%v", n, err)
 	}
 	if ins, del := ls.DeltaSize(); ins == 0 || del == 0 {
 		t.Fatalf("conformance overlay needs a two-sided delta, got ins=%d del=%d", ins, del)
@@ -88,7 +94,9 @@ func shardCounts() []int { return []int{1, 3} }
 
 // TestOverlayConformanceShapes: star, path, object-object, triangle, and
 // variable-predicate shapes over a base+delta graph must match the rebuilt
-// store for every engine, sharded and unsharded.
+// store for every engine, sharded and unsharded — as must a repeated
+// variable, a constant no triple holds, a predicate only the delta holds and
+// a triple deleted and re-inserted within one delta.
 func TestOverlayConformanceShapes(t *testing.T) {
 	queries := []string{
 		`SELECT ?a ?b WHERE { ?a <http://c/p> ?b }`,
@@ -98,6 +106,12 @@ func TestOverlayConformanceShapes(t *testing.T) {
 		overlayTriangle,
 		`SELECT DISTINCT ?y WHERE { ?x <http://c/p> ?y . ?y <http://c/p> ?x }`,
 		`SELECT ?s ?o WHERE { ?s ?pr ?o . ?o <http://c/p> <http://c/n0> }`,
+		`SELECT ?s ?pr ?o WHERE { ?s ?pr ?o }`,
+		`SELECT ?pr ?o WHERE { <http://c/n1> ?pr ?o }`,
+		`SELECT ?x WHERE { ?x <http://c/p> ?x }`,
+		`SELECT ?a WHERE { ?a <http://c/p> <http://c/absent> }`,
+		`SELECT ?a ?b WHERE { ?a <http://c/q> ?b . ?b <http://c/p> ?a }`,
+		`SELECT ?o WHERE { <http://c/n1> <http://c/p> ?o }`,
 	}
 	for _, shards := range shardCounts() {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -3,41 +3,43 @@ package live
 import (
 	"repro/internal/dict"
 	"repro/internal/rdf"
+	"repro/internal/set"
 	"repro/internal/store"
 )
 
+// layout is the one set-layout policy live reads tries under — the policy
+// the serving engine queries with and segment files store, so a trie live
+// descends is the cached one a query or a segment write already built.
+const layout = set.PolicyAdaptive
+
 // delta is one immutable snapshot of the mutable overlay relative to a base
-// store, kept in fully netted form:
+// store, kept in fully netted form as two small stores over the shared
+// dictionary:
 //
 //   - ins holds triples present in the overlay but absent from the base;
 //   - del holds base triples currently deleted (tombstones).
 //
 // The two are disjoint by construction (a tombstoned triple is in the base,
 // an inserted one is not), so the overlay is exactly (base \ del) ∪ ins and
-// re-inserting a tombstoned triple just clears its tombstone. Writers build
-// a new delta per applied patch under the live store's writer lock; readers
-// share snapshots freely and never see a half-applied patch.
+// re-inserting a tombstoned triple just clears its tombstone. Being stores,
+// they are indexed the way the base is — by the lazily built, cached tries
+// of store.Relation and store.TripleTrie — and nothing else indexes them:
+// membership is Store.Has, enumeration is the overlay evaluator's scan, and
+// Triples() keeps the operations in arrival order. Writers build a new delta
+// per applied patch under the live store's writer lock; readers share
+// snapshots freely and never see a half-applied patch.
 type delta struct {
-	ins, del []store.Triple
-	insSet   map[store.Triple]struct{}
-	delSet   map[store.Triple]struct{}
-	insIdx   *tripleIndex
-	delIdx   *tripleIndex
+	ins, del *store.Store
 }
 
-func emptyDelta() *delta {
-	return &delta{
-		insSet: map[store.Triple]struct{}{},
-		delSet: map[store.Triple]struct{}{},
-		insIdx: indexTriples(nil),
-		delIdx: indexTriples(nil),
-	}
+func newDelta(dc *dict.Dictionary, ins, del []store.Triple) *delta {
+	return &delta{ins: store.FromEncoded(dc, ins), del: store.FromEncoded(dc, del)}
 }
 
-func (d *delta) empty() bool { return len(d.ins) == 0 && len(d.del) == 0 }
+func (d *delta) empty() bool { return d.size() == 0 }
 
 // size returns the number of pending operations (inserts + tombstones).
-func (d *delta) size() int { return len(d.ins) + len(d.del) }
+func (d *delta) size() int { return d.ins.NumTriples() + d.del.NumTriples() }
 
 // ApplyResult reports one patch's effect. Counts are per operation, in
 // order: an insert-then-delete of the same absent triple within one batch
@@ -58,19 +60,14 @@ type ApplyResult struct {
 	Epoch uint64
 }
 
-// apply nets patch into a fresh delta snapshot. baseHas answers membership
-// in the immutable base. Encoding new terms goes through d's (concurrency-
-// safe) dictionary; deletes resolve terms with Lookup only, so deleting
-// never grows the dictionary.
-func (d *delta) apply(patch Patch, dc *dict.Dictionary, baseHas func(store.Triple) bool) (*delta, ApplyResult) {
-	ins := make(map[store.Triple]struct{}, len(d.insSet)+len(patch.Ops))
-	for t := range d.insSet {
-		ins[t] = struct{}{}
-	}
-	del := make(map[store.Triple]struct{}, len(d.delSet)+len(patch.Ops))
-	for t := range d.delSet {
-		del[t] = struct{}{}
-	}
+// apply nets patch into a fresh delta snapshot over the immutable base; a
+// patch without effect returns d itself. Encoding new terms goes through
+// base's (concurrency-safe) dictionary; deletes resolve terms with Lookup
+// only, so deleting never grows the dictionary.
+func (d *delta) apply(patch Patch, base *store.Store) (*delta, ApplyResult) {
+	dc := base.Dict()
+	ins := workingSet(d.ins.Triples(), len(patch.Ops))
+	del := workingSet(d.del.Triples(), len(patch.Ops))
 	var res ApplyResult
 	var addedIns, addedDel []store.Triple
 	for _, op := range patch.Ops {
@@ -85,7 +82,7 @@ func (d *delta) apply(patch Patch, dc *dict.Dictionary, baseHas func(store.Tripl
 				res.Deleted++
 				continue
 			}
-			if _, dead := del[t]; !dead && baseHas(t) {
+			if _, dead := del[t]; !dead && base.Has(t, layout) {
 				del[t] = struct{}{}
 				addedDel = append(addedDel, t)
 				res.Deleted++
@@ -101,7 +98,7 @@ func (d *delta) apply(patch Patch, dc *dict.Dictionary, baseHas func(store.Tripl
 			res.Inserted++
 			continue
 		}
-		if baseHas(t) {
+		if base.Has(t, layout) {
 			res.Noops++ // present in the base and not tombstoned
 			continue
 		}
@@ -113,17 +110,23 @@ func (d *delta) apply(patch Patch, dc *dict.Dictionary, baseHas func(store.Tripl
 		addedIns = append(addedIns, t)
 		res.Inserted++
 	}
-	nd := &delta{
-		ins:    keepOrder(d.ins, ins, addedIns),
-		del:    keepOrder(d.del, del, addedDel),
-		insSet: ins,
-		delSet: del,
+	nd := d
+	if res.Inserted+res.Deleted > 0 {
+		nd = newDelta(dc, keepOrder(d.ins.Triples(), ins, addedIns), keepOrder(d.del.Triples(), del, addedDel))
 	}
-	nd.insIdx = indexTriples(nd.ins)
-	nd.delIdx = indexTriples(nd.del)
-	res.DeltaInserts = len(nd.ins)
-	res.DeltaTombstones = len(nd.del)
+	res.DeltaInserts = nd.ins.NumTriples()
+	res.DeltaTombstones = nd.del.NumTriples()
 	return nd, res
+}
+
+// workingSet is apply's mutable copy of one side of the delta, sized for
+// extra additions.
+func workingSet(ts []store.Triple, extra int) map[store.Triple]struct{} {
+	m := make(map[store.Triple]struct{}, len(ts)+extra)
+	for _, t := range ts {
+		m[t] = struct{}{}
+	}
+	return m
 }
 
 // keepOrder rebuilds a delta slice deterministically: survivors of the old
@@ -169,53 +172,4 @@ func lookupTriple(dc *dict.Dictionary, t rdf.Triple) (store.Triple, bool) {
 		return store.Triple{}, false
 	}
 	return store.Triple{S: s, P: p, O: o}, true
-}
-
-// tripleIndex is a small hash index over an encoded triple slice: the
-// overlay evaluator's scan structure for delta slices and (lazily, once per
-// epoch) the base table. It mirrors the naive engine's candidate indexes —
-// the overlay correction terms always touch at least one delta-sized list,
-// so obviously-correct hash scans are fast enough.
-type tripleIndex struct {
-	all []store.Triple
-	byS map[uint32][]store.Triple
-	byP map[uint32][]store.Triple
-	byO map[uint32][]store.Triple
-}
-
-func indexTriples(ts []store.Triple) *tripleIndex {
-	idx := &tripleIndex{
-		all: ts,
-		byS: make(map[uint32][]store.Triple),
-		byP: make(map[uint32][]store.Triple),
-		byO: make(map[uint32][]store.Triple),
-	}
-	for _, t := range ts {
-		idx.byS[t.S] = append(idx.byS[t.S], t)
-		idx.byP[t.P] = append(idx.byP[t.P], t)
-		idx.byO[t.O] = append(idx.byO[t.O], t)
-	}
-	return idx
-}
-
-// pick returns the cheapest candidate list for a pattern whose bound
-// positions are given (value + bound flag per position).
-func (idx *tripleIndex) pick(v [3]uint32, bound [3]bool) []store.Triple {
-	best := idx.all
-	if bound[0] {
-		if l := idx.byS[v[0]]; len(l) < len(best) {
-			best = l
-		}
-	}
-	if bound[1] {
-		if l := idx.byP[v[1]]; len(l) < len(best) {
-			best = l
-		}
-	}
-	if bound[2] {
-		if l := idx.byO[v[2]]; len(l) < len(best) {
-			best = l
-		}
-	}
-	return best
 }

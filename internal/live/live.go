@@ -15,6 +15,15 @@
 // writer lock and publish it with one pointer store; readers never block
 // and never observe a half-applied patch.
 //
+// Tries are the only index. The inserts and the tombstones are themselves
+// two small stores over the shared dictionary, and this package reads all
+// three — base, inserts, tombstones — through the cached tries of
+// store.Relation and Store.TripleTrie alone: membership on the write path
+// is a trie descent (Store.Has), and the overlay evaluator enumerates
+// candidates from trie nodes. The base's tries are the ones the wrapped
+// engine queries and segment files store, so live keeps no structure sized
+// by the base and rebuilds none per epoch.
+//
 // Engine wraps any registered engine so the full Open(q, ExecOpts) → Cursor
 // contract works over the overlay: while the delta is empty, queries pass
 // straight through to the base engine (zero overhead); otherwise the base
@@ -111,20 +120,15 @@ type state struct {
 }
 
 // baseRef is one base store plus everything derived from it: the optional
-// shard partition, lazily built engines (shared by every delta snapshot
-// over this base — applying a patch must not rebuild rdf3x's six indexes),
-// and the overlay evaluator's lazy structures.
+// shard partition and the lazily built engines (shared by every delta
+// snapshot over this base — applying a patch must not rebuild rdf3x's six
+// indexes). The write path and the overlay evaluator index the base through
+// st's own cached tries; nothing here is sized by it.
 type baseRef struct {
 	st   *store.Store
 	part *shard.Partitioned // non-nil when sharded
 
 	pins atomic.Int64 // in-flight cursors over this base
-
-	idxOnce sync.Once
-	idx     *tripleIndex // hash index over the base table, for corrections
-
-	setOnce sync.Once
-	set     map[store.Triple]struct{} // base membership, for the write path
 
 	engMu      sync.Mutex
 	engines    map[string]*engineSlot
@@ -166,26 +170,6 @@ func (b *baseRef) engine(name string, build BuildFunc) (engine.Engine, error) {
 	return sl.eng, sl.err
 }
 
-// index returns the base table's hash index, building it once per epoch on
-// first overlay query.
-func (b *baseRef) index() *tripleIndex {
-	b.idxOnce.Do(func() { b.idx = indexTriples(b.st.Triples()) })
-	return b.idx
-}
-
-// tripleSet returns base membership, building it once per epoch on first
-// write.
-func (b *baseRef) tripleSet() map[store.Triple]struct{} {
-	b.setOnce.Do(func() {
-		ts := b.st.Triples()
-		b.set = make(map[store.Triple]struct{}, len(ts))
-		for _, t := range ts {
-			b.set[t] = struct{}{}
-		}
-	})
-	return b.set
-}
-
 // NewStore wraps base in a live overlay store. The base's dictionary
 // becomes the shared, append-only dictionary for all future writes and
 // epochs.
@@ -195,7 +179,7 @@ func NewStore(base *store.Store, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("live: %w", err)
 	}
 	ls := &Store{opts: opts, dict: base.Dict()}
-	ls.cur.Store(&state{epoch: 0, base: ref, delta: emptyDelta()})
+	ls.cur.Store(&state{epoch: 0, base: ref, delta: newDelta(ls.dict, nil, nil)})
 	return ls, nil
 }
 
@@ -233,14 +217,14 @@ func (ls *Store) Shards() int {
 // DeltaSize returns the netted delta sizes: pending inserts and tombstones.
 func (ls *Store) DeltaSize() (inserts, tombstones int) {
 	d := ls.cur.Load().delta
-	return len(d.ins), len(d.del)
+	return d.ins.NumTriples(), d.del.NumTriples()
 }
 
 // NumTriples returns the overlay's triple count: base minus tombstones plus
 // inserts.
 func (ls *Store) NumTriples() int {
 	s := ls.cur.Load()
-	return s.base.st.NumTriples() - len(s.delta.del) + len(s.delta.ins)
+	return s.base.st.NumTriples() - s.delta.del.NumTriples() + s.delta.ins.NumTriples()
 }
 
 // SetDurability attaches a durable backend: every subsequent effective
@@ -263,15 +247,15 @@ func (ls *Store) Apply(p Patch) (ApplyResult, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	s := ls.cur.Load()
-	set := s.base.tripleSet()
-	nd, res := s.delta.apply(p, ls.dict, func(t store.Triple) bool {
-		_, ok := set[t]
-		return ok
-	})
+	nd, res := s.delta.apply(p, s.base.st)
 	res.Epoch = s.epoch
-	if ls.dur != nil && res.Inserted+res.Deleted > 0 {
-		// Log before publish — write-ahead. All-noop patches skip the log:
-		// they change nothing, so replay does not need them.
+	if nd == s.delta {
+		// An all-noop patch changes nothing: no log record (replay does not
+		// need it) and no new state.
+		return res, nil
+	}
+	if ls.dur != nil {
+		// Log before publish — write-ahead.
 		if err := ls.dur.LogPatch(p); err != nil {
 			return ApplyResult{}, fmt.Errorf("live: logging patch: %w", err)
 		}
@@ -331,7 +315,7 @@ func (ls *Store) Compact() (CompactStats, error) {
 		return CompactStats{}, fmt.Errorf("live: compact: %w", err)
 	}
 	drained := s.delta.size()
-	ls.cur.Store(&state{epoch: s.epoch + 1, base: ref, delta: emptyDelta()})
+	ls.cur.Store(&state{epoch: s.epoch + 1, base: ref, delta: newDelta(ls.dict, nil, nil)})
 	dur := time.Since(start)
 	ls.compactions.Add(1)
 	ls.lastCompactNanos.Store(int64(dur))
@@ -385,18 +369,18 @@ func (ls *Store) SetShards(n int) error {
 // (the base table is, tombstones only remove, inserts are disjoint from the
 // surviving base).
 func overlayTriples(s *state) []store.Triple {
-	base := s.base.st.Triples()
-	out := make([]store.Triple, 0, len(base)-len(s.delta.del)+len(s.delta.ins))
-	if len(s.delta.del) == 0 {
+	base, d := s.base.st.Triples(), s.delta
+	out := make([]store.Triple, 0, len(base)-d.del.NumTriples()+d.ins.NumTriples())
+	if d.del.NumTriples() == 0 {
 		out = append(out, base...)
 	} else {
 		for _, t := range base {
-			if _, dead := s.delta.delSet[t]; !dead {
+			if !d.del.Has(t, layout) {
 				out = append(out, t)
 			}
 		}
 	}
-	return append(out, s.delta.ins...)
+	return append(out, d.ins.Triples()...)
 }
 
 // WriteSnapshot serializes the current overlay (pending delta included) in
@@ -479,9 +463,9 @@ func (ls *Store) Stats() StoreStats {
 	return StoreStats{
 		Epoch:               s.epoch,
 		BaseTriples:         s.base.st.NumTriples(),
-		DeltaInserts:        len(s.delta.ins),
-		DeltaTombstones:     len(s.delta.del),
-		OverlayTriples:      s.base.st.NumTriples() - len(s.delta.del) + len(s.delta.ins),
+		DeltaInserts:        s.delta.ins.NumTriples(),
+		DeltaTombstones:     s.delta.del.NumTriples(),
+		OverlayTriples:      s.base.st.NumTriples() - s.delta.del.NumTriples() + s.delta.ins.NumTriples(),
 		Terms:               ls.dict.Size(),
 		Shards:              shards,
 		PinnedReaders:       s.base.pins.Load(),

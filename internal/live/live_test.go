@@ -3,6 +3,7 @@ package live_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/query"
 	"repro/internal/rdf"
+	"repro/internal/set"
 	"repro/internal/store"
 )
 
@@ -279,4 +281,72 @@ func TestOverlayMatchesRebuiltSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	overlayEquals(t, ls, queries...)
+}
+
+// TestPendingDeltaAllocatesNothingBaseSized pins that the base is indexed
+// once, by its tries: after a compaction, with those tries built (a query
+// or a segment write does that), applying a small patch and answering a
+// constant-rooted query over the pending delta must allocate a small
+// constant — no per-epoch copy of the base table on either path.
+func TestPendingDeltaAllocatesNothingBaseSized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals mean nothing under the race detector")
+	}
+	const n = 200_000
+	base := make([]rdf.Triple, 0, n)
+	for i := 0; i < n; i++ {
+		base = append(base, tr(fmt.Sprintf("s%d", i), fmt.Sprintf("p%d", i%4), fmt.Sprintf("s%d", (i*7+1)%n)))
+	}
+	ls, err := live.NewStore(store.FromTriples(base), live.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	le, err := engines.NewLive("emptyheaded", ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// s4 -p0-> s29 -p1-> s204, and the patch hangs more off both hops.
+	q := query.MustParseSPARQL(`SELECT ?b ?c WHERE { <http://x/s4> <http://x/p0> ?b . ?b <http://x/p1> ?c }`)
+	run := func() int {
+		t.Helper()
+		res, err := engine.Collect(le.Open(q, engine.ExecOpts{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Len()
+	}
+	if _, err := ls.Insert([]rdf.Triple{tr("s4", "p0", "s33")}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := ls.Compact(); err != nil || !st.Swapped {
+		t.Fatalf("compact: %+v, %v", st, err)
+	}
+	for _, p := range ls.Base().Predicates() {
+		ls.Base().Relation(p).TrieSO(set.PolicyAdaptive)
+		ls.Base().Relation(p).TrieOS(set.PolicyAdaptive)
+	}
+	if got := run(); got != 2 {
+		t.Fatalf("compacted base answers %d rows, want 2", got)
+	}
+
+	patch := live.Patch{Ops: []live.Op{
+		{Delete: true, Triple: tr("s4", "p0", "s33")},
+		{Delete: true, Triple: tr("s8", "p0", "s57")},
+	}}
+	for i := 0; i < 8; i++ {
+		patch.Ops = append(patch.Ops, live.Op{Triple: tr("s29", "p1", fmt.Sprintf("s%d", i))})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if res, err := ls.Apply(patch); err != nil || res.Inserted != 8 || res.Deleted != 2 {
+		t.Fatalf("apply: %+v, %v", res, err)
+	}
+	got := run()
+	runtime.ReadMemStats(&after)
+	if got != 9 {
+		t.Fatalf("overlay answers %d rows, want 9", got)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("a 10-op patch and one point query over a %d-triple base allocated %d bytes, want < 1 MB", n, alloc)
+	}
 }

@@ -3,11 +3,14 @@ package live
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/set"
 	"repro/internal/store"
+	"repro/internal/trie"
 )
 
 // The overlay evaluator implements the classic incremental-view-maintenance
@@ -20,36 +23,27 @@ import (
 //	Q(B2) = Q(B1) + Σ_i Q[p_j<i ← B1, p_i ← I, p_j>i ← B2]
 //
 // Every correction term pins exactly one pattern to the (small) delta, so
-// its cost is delta-bounded. The base term Q(B) streams from the wrapped
-// engine's own cursor; the corrections are netted into a per-row count map
-// and merged against that stream: rows with negative net are dropped as
-// they pass, rows with positive net are appended. The merged multiset is
-// exactly Q over a store rebuilt from the patched triple set; DISTINCT is
-// applied after the merge (corrections need true multiplicities, so the
-// base cursor is opened without DISTINCT), then Offset/MaxRows, matching
-// the engine contract's ordering.
-
-// src tags which triple set a pattern scans in one correction term.
-type src uint8
-
-const (
-	srcBase     src = iota // B: the full base table
-	srcBaseLive            // B1 = B \ D
-	srcOverlay             // B2 = (B \ D) ∪ I
-	srcIns                 // I
-	srcDel                 // D
-)
+// its cost is delta-bounded. B, I and D are three stores over one
+// dictionary, and their tries are the only index the terms read: scan
+// descends the trie whose leading levels are a pattern's bound positions —
+// a relation's (S,O) or (O,S) trie when the predicate is known, a
+// full-table trie otherwise — and walks the levels below. B1 and B2 are not
+// materialized: they are B's candidates minus those D holds, followed (for
+// B2) by I's.
+//
+// The base term Q(B) streams from the wrapped engine's own cursor; the
+// corrections are netted into a per-row count map and merged against that
+// stream: rows with negative net are dropped as they pass, rows with
+// positive net are appended. The merged multiset is exactly Q over a store
+// rebuilt from the patched triple set; DISTINCT is applied after the merge
+// (corrections need true multiplicities, so the base cursor is opened
+// without DISTINCT), then Offset/MaxRows, matching the engine contract's
+// ordering.
 
 // corr is one projected row's net correction.
 type corr struct {
 	row []uint32
 	n   int
-}
-
-// evaluator computes correction terms over one pinned state.
-type evaluator struct {
-	s    *state
-	tick *engine.Ticker
 }
 
 // openOverlay returns the merged overlay cursor for q over the pinned state
@@ -125,8 +119,7 @@ func (c *overlayCursor) NextBlock(b *engine.Block) error {
 
 // open computes the corrections and starts the base stream.
 func (c *overlayCursor) open() error {
-	ev := &evaluator{s: c.s, tick: engine.NewTicker(c.opts.Ctx)}
-	net, err := ev.corrections(c.q)
+	net, err := corrections(c.s, c.q, engine.NewTicker(c.opts.Ctx))
 	if err != nil {
 		return err
 	}
@@ -233,223 +226,290 @@ func (b *baseRef) bareClone(q *query.BGP) *query.BGP {
 	return &c
 }
 
-// corrections nets every correction term for q into a per-row map keyed by
-// the projected row.
-func (ev *evaluator) corrections(q *query.BGP) (map[string]*corr, error) {
+// part is one store a pattern ranges over in a correction term, less the
+// triples minus holds (nil: none). B1 is {B less D}, B2 is {B less D, I}.
+type part struct {
+	st, minus *store.Store
+}
+
+// term is one pattern position: a variable's slot in the binding array, or
+// (slot < 0) a constant's id.
+type term struct {
+	slot int
+	id   uint32
+}
+
+// pat is one pattern of a correction term: its S, P, O positions and the
+// triple set it ranges over.
+type pat struct {
+	pos  [3]term
+	from []part
+}
+
+// evaluator enumerates correction terms over one pinned state. The query
+// is compiled once: constants resolved against the dictionary, variables
+// numbered into slots of val/bound.
+type evaluator struct {
+	tick  *engine.Ticker
+	pats  []pat
+	sel   []int // the slot of each projected variable
+	val   []uint32
+	bound []bool
+}
+
+// corrections nets every correction term for q over s into a per-row map
+// keyed by the projected row.
+func corrections(s *state, q *query.BGP, tick *engine.Ticker) (map[string]*corr, error) {
 	net := map[string]*corr{}
+	b, d := s.base.st, s.delta
+	ev := &evaluator{tick: tick}
+	slots := map[string]int{}
+	slot := func(v string) int {
+		if _, ok := slots[v]; !ok {
+			slots[v] = len(slots)
+		}
+		return slots[v]
+	}
+	for _, p := range q.Patterns {
+		var cp pat
+		for i, n := range [3]query.Node{p.S, p.P, p.O} {
+			if n.IsVar {
+				cp.pos[i] = term{slot: slot(n.Var)}
+				continue
+			}
+			id, ok := b.Dict().Lookup(n.Term)
+			if !ok {
+				// No triple, base or delta, holds a term the shared
+				// dictionary lacks: nothing to correct.
+				return net, nil
+			}
+			cp.pos[i] = term{slot: -1, id: id}
+		}
+		ev.pats = append(ev.pats, cp)
+	}
+	for _, v := range q.Select {
+		ev.sel = append(ev.sel, slots[v])
+	}
+	ev.val, ev.bound = make([]uint32, len(slots)), make([]bool, len(slots))
+
+	baseLive := []part{{st: b, minus: d.del}} // B1
+	row := make([]uint32, len(ev.sel))
 	var key []byte
-	d := ev.s.delta
-	k := len(q.Patterns)
-	accumulate := func(sign int) func(row []uint32) error {
-		return func(row []uint32) error {
-			key = engine.AppendRowKey(key[:0], row)
-			c := net[string(key)]
-			if c == nil {
-				c = &corr{row: row}
-				net[string(key)] = c
-			}
-			c.n += sign
-			return nil
-		}
-	}
-	if len(d.del) > 0 {
-		for i := 0; i < k; i++ {
-			srcs := make([]src, k)
-			for j := range srcs {
+	// terms enumerates Σ_i Q[p_j<i ← B1, p_i ← pinned, p_j>i ← after],
+	// adding sign per solution to its projected row's net.
+	terms := func(pinned, after []part, sign int) error {
+		for i := range ev.pats {
+			for j := range ev.pats {
 				switch {
 				case j < i:
-					srcs[j] = srcBaseLive
+					ev.pats[j].from = baseLive
 				case j == i:
-					srcs[j] = srcDel
+					ev.pats[j].from = pinned
 				default:
-					srcs[j] = srcBase
+					ev.pats[j].from = after
 				}
 			}
-			if err := ev.enumerate(q, srcs, accumulate(-1)); err != nil {
-				return nil, err
+			err := ev.solve(ev.pats, func() error {
+				for c, sl := range ev.sel {
+					row[c] = ev.val[sl]
+				}
+				key = engine.AppendRowKey(key[:0], row)
+				c := net[string(key)]
+				if c == nil {
+					c = &corr{row: slices.Clone(row)}
+					net[string(key)] = c
+				}
+				c.n += sign
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	if len(d.ins) > 0 {
-		for i := 0; i < k; i++ {
-			srcs := make([]src, k)
-			for j := range srcs {
-				switch {
-				case j < i:
-					srcs[j] = srcBaseLive
-				case j == i:
-					srcs[j] = srcIns
-				default:
-					srcs[j] = srcOverlay
-				}
-			}
-			if err := ev.enumerate(q, srcs, accumulate(+1)); err != nil {
-				return nil, err
-			}
-		}
+	if err := terms([]part{{st: d.del}}, []part{{st: b}}, -1); err != nil {
+		return nil, err
+	}
+	if err := terms([]part{{st: d.ins}}, []part{baseLive[0], {st: d.ins}}, +1); err != nil {
+		return nil, err
 	}
 	return net, nil
 }
 
-// patSrc is one pattern with its term's source assignment.
-type patSrc struct {
-	pat query.Pattern
-	src src
-}
-
-// enumerate backtracks over one correction term, yielding every projected
-// solution row (with multiplicity).
-func (ev *evaluator) enumerate(q *query.BGP, srcs []src, yield func(row []uint32) error) error {
-	ps := make([]patSrc, len(q.Patterns))
-	for i, p := range q.Patterns {
-		ps[i] = patSrc{pat: p, src: srcs[i]}
-	}
-	b := map[string]uint32{}
-	return ev.solve(ps, b, func() error {
-		row := make([]uint32, len(q.Select))
-		for i, v := range q.Select {
-			row[i] = b[v]
+// resolve returns p's positions under the current bindings: per position the
+// value and whether it is fixed.
+func (ev *evaluator) resolve(p pat) (v [3]uint32, bound [3]bool) {
+	for i, t := range p.pos {
+		switch {
+		case t.slot < 0:
+			v[i], bound[i] = t.id, true
+		case ev.bound[t.slot]:
+			v[i], bound[i] = ev.val[t.slot], true
 		}
-		return yield(row)
-	})
+	}
+	return v, bound
 }
 
-// candList is one candidate slice; skipDel filters tombstoned triples out
-// (the B1/B2 views of the base table).
-type candList struct {
-	ts      []store.Triple
-	skipDel bool
+// The trie orders scan reads, as the triple position (0=S, 1=P, 2=O) each
+// level holds: subject-led ones serve patterns with nothing or the subject
+// bound, object-led ones the object or both.
+var (
+	colsSO  = []int{0, 2}
+	colsOS  = []int{2, 0}
+	colsSPO = []int{0, 1, 2}
+	colsOSP = []int{2, 0, 1}
+)
+
+// cands is what one pattern can match in one store under the current
+// bindings: the trie node reached by descending with the bound positions,
+// and the positions the levels from there down bind.
+type cands struct {
+	node trie.Node
+	free []int // empty: the pattern is fully bound and its one triple is present
+	size int   // candidates: exact one level above the leaves, a lower bound higher up
 }
 
-// resolved is a pattern's three positions resolved under current bindings:
-// per position the fixed value (when bound) and, overall, whether a
-// constant term failed dictionary lookup (no match possible).
-type resolved struct {
-	v     [3]uint32
-	bound [3]bool
-	ok    bool
-}
-
-func (ev *evaluator) resolve(p query.Pattern, b map[string]uint32) resolved {
-	var r resolved
-	r.ok = true
-	for i, n := range [3]query.Node{p.S, p.P, p.O} {
-		if n.IsVar {
-			if v, bound := b[n.Var]; bound {
-				r.v[i], r.bound[i] = v, true
-			}
-			continue
+// scan finds a pattern's candidates in st; ok is false when there are none.
+// With open false only size is asked for, and a pattern with neither subject
+// nor object bound — which would walk its whole trie, so is expanded last if
+// ever — reports the relation's row count without fetching (and so possibly
+// building) that trie.
+func scan(st *store.Store, v [3]uint32, bound [3]bool, open bool) (c cands, ok bool) {
+	var rel *store.Relation
+	total := st.NumTriples()
+	if bound[1] {
+		if rel = st.Relation(v[1]); rel == nil {
+			return cands{}, false
 		}
-		id, ok := ev.s.base.st.Dict().Lookup(n.Term)
-		if !ok {
-			r.ok = false
-			return r
-		}
-		r.v[i], r.bound[i] = id, true
+		total = rel.Len()
 	}
-	return r
+	if total == 0 {
+		return cands{}, false
+	}
+	if !open && !bound[0] && !bound[2] {
+		return cands{size: total}, true
+	}
+	var t *trie.Trie
+	var cols []int
+	switch {
+	case rel != nil && bound[2]:
+		t, cols = rel.TrieOS(layout), colsOS
+	case rel != nil:
+		t, cols = rel.TrieSO(layout), colsSO
+	case bound[2]:
+		t, cols = st.TripleTrie([3]int(colsOSP), layout), colsOSP
+	default:
+		t, cols = st.TripleTrie([3]int(colsSPO), layout), colsSPO
+	}
+	n, depth := t.Root(), 0
+	for depth < len(cols) && bound[cols[depth]] {
+		if n, ok = n.ChildByValue(v[cols[depth]]); !ok {
+			return cands{}, false
+		}
+		depth++
+	}
+	c = cands{node: n, free: cols[depth:], size: total}
+	if depth == len(cols) {
+		c.size = 1
+	} else if depth > 0 {
+		c.size = n.Set().Len()
+	}
+	return c, true
 }
 
-// candidates returns the candidate lists for one source-tagged pattern
-// under the current bindings, plus their summed length (an upper bound used
-// by the greedy pattern ordering). ok=false prunes the branch (a constant
-// is absent from the data).
-func (ev *evaluator) candidates(ps patSrc, b map[string]uint32) (lists []candList, size int, ok bool) {
-	r := ev.resolve(ps.pat, b)
-	if !r.ok {
-		return nil, 0, false
+// walk completes t at the positions free names with every tuple below n,
+// calling fn for each.
+func walk(n trie.Node, free []int, t *[3]uint32, fn func() error) error {
+	if len(free) == 0 {
+		return fn()
 	}
-	d := ev.s.delta
-	switch ps.src {
-	case srcBase:
-		lists = []candList{{ts: ev.s.base.index().pick(r.v, r.bound)}}
-	case srcBaseLive:
-		lists = []candList{{ts: ev.s.base.index().pick(r.v, r.bound), skipDel: true}}
-	case srcOverlay:
-		lists = []candList{
-			{ts: ev.s.base.index().pick(r.v, r.bound), skipDel: true},
-			{ts: d.insIdx.pick(r.v, r.bound)},
+	var it set.Iter
+	for it.Reset(n.Set()); !it.Done(); it.Next() {
+		t[free[0]] = it.Cur()
+		child := n
+		if len(free) > 1 {
+			child = n.Child(it.Pos())
 		}
-	case srcIns:
-		lists = []candList{{ts: d.insIdx.pick(r.v, r.bound)}}
-	case srcDel:
-		lists = []candList{{ts: d.delIdx.pick(r.v, r.bound)}}
+		if err := walk(child, free[1:], t, fn); err != nil {
+			return err
+		}
 	}
-	for _, l := range lists {
-		size += len(l.ts)
-	}
-	return lists, size, true
+	return nil
 }
 
 // solve expands the remaining patterns cheapest-first (the delta-pinned
-// pattern's list is tiny, so it naturally goes first), binding variables
-// with backtracking exactly like the naive oracle.
-func (ev *evaluator) solve(remaining []patSrc, b map[string]uint32, leaf func() error) error {
+// pattern's candidates are few, so it naturally goes first), binding
+// variables with backtracking.
+func (ev *evaluator) solve(remaining []pat, leaf func() error) error {
 	if len(remaining) == 0 {
 		return leaf()
 	}
-	bestIdx := -1
-	var bestLists []candList
-	bestSize := 0
-	for i, ps := range remaining {
-		lists, size, ok := ev.candidates(ps, b)
-		if !ok || size == 0 {
+	best, bestSize := -1, 0
+	for i, p := range remaining {
+		v, bound := ev.resolve(p)
+		size := 0
+		for _, pt := range p.from {
+			if c, ok := scan(pt.st, v, bound, false); ok {
+				size += c.size
+			}
+		}
+		if size == 0 {
 			return nil // no matches down this branch
 		}
-		if bestIdx < 0 || size < bestSize {
-			bestIdx, bestLists, bestSize = i, lists, size
+		if best < 0 || size < bestSize {
+			best, bestSize = i, size
 		}
 	}
-	ps := remaining[bestIdx]
-	rest := make([]patSrc, 0, len(remaining)-1)
-	rest = append(rest, remaining[:bestIdx]...)
-	rest = append(rest, remaining[bestIdx+1:]...)
-	r := ev.resolve(ps.pat, b)
-	delSet := ev.s.delta.delSet
-	for _, cl := range bestLists {
-		for _, t := range cl.ts {
+	// Expand the cheapest pattern from slot 0 and recurse on the rest; the
+	// swap is undone on the way out, so callers see their order unchanged.
+	remaining[0], remaining[best] = remaining[best], remaining[0]
+	err := ev.expand(remaining[0], remaining[1:], leaf)
+	remaining[0], remaining[best] = remaining[best], remaining[0]
+	return err
+}
+
+// expand binds p to each of its candidates in turn and solves the rest.
+func (ev *evaluator) expand(p pat, rest []pat, leaf func() error) error {
+	t, bound := ev.resolve(p)
+	for _, pt := range p.from {
+		c, ok := scan(pt.st, t, bound, true)
+		if !ok {
+			continue
+		}
+		err := walk(c.node, c.free, &t, func() error {
 			if err := ev.tick.Check(); err != nil {
 				return err
 			}
-			if cl.skipDel {
-				if _, dead := delSet[t]; dead {
-					continue
-				}
+			if pt.minus != nil && pt.minus.Has(store.Triple{S: t[0], P: t[1], O: t[2]}, layout) {
+				return nil
 			}
-			if r.bound[0] && t.S != r.v[0] || r.bound[1] && t.P != r.v[1] || r.bound[2] && t.O != r.v[2] {
-				continue
-			}
-			// Bind free variables, honouring repeated variables within the
-			// pattern (?x p ?x).
-			var undo []string
-			ok := true
-			for _, pos := range [3]struct {
-				n query.Node
-				v uint32
-			}{{ps.pat.S, t.S}, {ps.pat.P, t.P}, {ps.pat.O, t.O}} {
-				if !pos.n.IsVar {
-					continue
+			// Bind the pattern's free variables; one repeated within the
+			// pattern (?x p ?x) must meet the same value at both positions.
+			var undo [3]int
+			n, match := 0, true
+			for i, tm := range p.pos {
+				switch {
+				case tm.slot < 0:
+				case ev.bound[tm.slot]:
+					match = match && ev.val[tm.slot] == t[i]
+				default:
+					ev.val[tm.slot], ev.bound[tm.slot] = t[i], true
+					undo[n] = tm.slot
+					n++
 				}
-				if bound, exists := b[pos.n.Var]; exists {
-					if bound != pos.v {
-						ok = false
-						break
-					}
-					continue
-				}
-				b[pos.n.Var] = pos.v
-				undo = append(undo, pos.n.Var)
 			}
 			var err error
-			if ok {
-				err = ev.solve(rest, b, leaf)
+			if match {
+				err = ev.solve(rest, leaf)
 			}
-			for _, v := range undo {
-				delete(b, v)
+			for _, sl := range undo[:n] {
+				ev.bound[sl] = false
 			}
-			if err != nil {
-				return err
-			}
+			return err
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -11,9 +11,9 @@ import (
 )
 
 // TestGoldenCardinalitiesScale1 locks the deterministic result
-// cardinalities for LUBM(1) seed 0, which EXPERIMENTS.md records. If the
-// generator's random stream or profile changes, this fails and the recorded
-// experiments must be regenerated.
+// cardinalities for LUBM(1) seed 0. If the generator's random stream or
+// profile changes, this fails, and tables made earlier with cmd/benchtables
+// (README "Benchmarks") no longer describe the data it generates.
 func TestGoldenCardinalitiesScale1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -21,7 +21,7 @@ func TestGoldenCardinalitiesScale1(t *testing.T) {
 	triples := lubm.Generate(lubm.Config{Universities: 1, Seed: 0})
 	const wantTriples = 94620
 	if len(triples) != wantTriples {
-		t.Fatalf("LUBM(1) triple count = %d, want %d (EXPERIMENTS.md is stale)", len(triples), wantTriples)
+		t.Fatalf("LUBM(1) triple count = %d, want %d (the generator's stream changed)", len(triples), wantTriples)
 	}
 	st := store.FromTriples(triples)
 	eng := core.New(st, core.AllOptimizations)

@@ -2,8 +2,9 @@ package lubm
 
 // rng is a splitmix64 pseudo-random generator. We implement our own rather
 // than use math/rand so that generated datasets are bit-for-bit reproducible
-// across Go releases — the experiment records in EXPERIMENTS.md depend on
-// stable cardinalities per (scale, seed).
+// across Go releases — the golden cardinalities and any table regenerated
+// with cmd/benchtables (README "Benchmarks") depend on stable cardinalities
+// per (scale, seed).
 type rng struct {
 	state uint64
 }

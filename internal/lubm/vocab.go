@@ -6,7 +6,7 @@
 // benchmark queries keep their selectivity character; the absolute RNG draws
 // differ from the Java implementation, so absolute result cardinalities at a
 // given scale differ from the paper's (they are deterministic per seed and
-// recorded in EXPERIMENTS.md).
+// locked for scale 1 by TestGoldenCardinalitiesScale1).
 package lubm
 
 // Namespace holds the univ-bench ontology namespace prefix used by every

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/set"
@@ -55,6 +55,6 @@ func FromParts(d *dict.Dictionary, triples []Triple, rels []RelationData) *Store
 		st.relations[rd.Predicate] = rel
 		st.predicates = append(st.predicates, rd.Predicate)
 	}
-	sort.Slice(st.predicates, func(i, j int) bool { return st.predicates[i] < st.predicates[j] })
+	slices.Sort(st.predicates)
 	return st
 }

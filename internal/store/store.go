@@ -12,7 +12,7 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -236,7 +236,7 @@ func assemble(d *dict.Dictionary, triples []Triple) *Store {
 		rel.S = append(rel.S, t.S)
 		rel.O = append(rel.O, t.O)
 	}
-	sort.Slice(st.predicates, func(i, j int) bool { return st.predicates[i] < st.predicates[j] })
+	slices.Sort(st.predicates)
 	var scratch radix.Scratch
 	for _, rel := range st.relations {
 		rel.distinctS = scratch.CountDistinct(rel.S)
@@ -267,6 +267,18 @@ func (s *Store) Predicates() []dict.ID { return s.predicates }
 // Relation returns the vertically partitioned table for the predicate, or
 // nil if the predicate does not occur in the data.
 func (s *Store) Relation(p dict.ID) *Relation { return s.relations[p] }
+
+// Has reports whether t is in the store, by descending its predicate's
+// (subject, object) trie — the same cached index queries read, so a
+// membership probe never builds a structure of its own.
+func (s *Store) Has(t Triple, policy set.Policy) bool {
+	rel := s.relations[t.P]
+	if rel == nil {
+		return false
+	}
+	_, ok := rel.TrieSO(policy).Lookup(t.S, t.O)
+	return ok
+}
 
 // RelationByIRI looks the predicate up by IRI.
 func (s *Store) RelationByIRI(iri string) *Relation {
