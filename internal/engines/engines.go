@@ -55,7 +55,9 @@ func New(name string, st *store.Store) (engine.Engine, error) {
 // NewSharded builds one instance of the named engine over every shard of p
 // and returns the scatter-gather wrapper, which satisfies the same
 // engine.Engine contract. Engine construction runs once per shard, so the
-// same reuse advice as New applies, per shard set.
+// same reuse advice as New applies, per shard set. Queries the cost model
+// declines to scatter run on one more instance, built over p's parent
+// store when the first of them arrives.
 func NewSharded(name string, p *shard.Partitioned) (engine.Engine, error) {
 	return shard.NewEngine(p, name, func(st *store.Store) (engine.Engine, error) {
 		return New(name, st)

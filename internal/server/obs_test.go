@@ -76,6 +76,92 @@ func TestMetricsExposition(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /metrics status = %d, want 405", resp.StatusCode)
 	}
+
+	// A sharded server adds the scatter-planning families; LUBM q14 (one
+	// scan whose every row would cross the merge) is declined to the
+	// unsharded store and counted.
+	_, sts := newTestServer(t, lubmScale1(), Config{Shards: 4, MaxRows: -1})
+	if code, body := get(t, queryURL(sts.URL, lubm.Query(14, 1), nil)); code != http.StatusOK {
+		t.Fatalf("sharded query status = %d, body %.300s", code, body)
+	}
+	code, body = get(t, sts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("sharded /metrics status = %d", code)
+	}
+	if err := obs.CheckExposition(strings.NewReader(body)); err != nil {
+		t.Fatalf("invalid sharded exposition: %v", err)
+	}
+	for _, want := range []string{
+		"rdf_scatter_plans_compiled_total 1",
+		"# TYPE rdf_scatter_plans_declined_total counter",
+		"rdf_scatter_plans_declined_total 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("sharded /metrics missing %q", want)
+		}
+	}
+}
+
+// TestExplainDeclinedScatter: a query the cost model runs unsharded says so
+// on every surface — ?explain=plan carries kind "local" with both prices,
+// the ?explain=1 execute span is stamped scatter_plan=local with no shard
+// drains under it, and /stats counts the declined plan while no shard
+// delivers a row.
+func TestExplainDeclinedScatter(t *testing.T) {
+	s, ts := newTestServer(t, lubmScale1(), Config{Shards: 4, MaxRows: -1})
+	q := lubm.Query(14, 1)
+	code, body := get(t, queryURL(ts.URL, q, map[string]string{"explain": "plan"}))
+	if code != http.StatusOK {
+		t.Fatalf("explain=plan status = %d, body %s", code, body)
+	}
+	var plan struct {
+		Scatter *struct {
+			Kind        string  `json:"kind"`
+			LocalCost   float64 `json:"local_cost"`
+			ScatterCost float64 `json:"scatter_cost"`
+		} `json:"scatter"`
+	}
+	if err := json.Unmarshal([]byte(body), &plan); err != nil {
+		t.Fatalf("bad JSON %q: %v", body, err)
+	}
+	if sc := plan.Scatter; sc == nil || sc.Kind != "local" || sc.LocalCost <= 0 || sc.ScatterCost < sc.LocalCost {
+		t.Fatalf("q14 scatter plan = %+v, want kind local with scatter_cost >= local_cost > 0", plan.Scatter)
+	}
+
+	code, body = get(t, queryURL(ts.URL, q, map[string]string{"explain": "1"}))
+	if code != http.StatusOK {
+		t.Fatalf("explain=1 status = %d, body %.300s", code, body)
+	}
+	var out explainBody
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if out.Count == 0 || out.Trace == nil {
+		t.Fatalf("explain=1: count=%d trace=%v", out.Count, out.Trace)
+	}
+	exec := out.Trace.Root.Find("execute")
+	if exec == nil || exec.Attrs["scatter_plan"] != "local" {
+		t.Fatalf("execute span not stamped scatter_plan=local: %+v", exec)
+	}
+	if _, ok := exec.Attrs["local_cost"]; !ok {
+		t.Fatalf("execute span carries no local_cost: %v", exec.Attrs)
+	}
+	if exec.Find("shard_drain") != nil {
+		t.Fatal("declined query opened a shard drain")
+	}
+
+	st := s.Stats()
+	if st.Sharding == nil || st.Sharding.PlansDeclined != 1 {
+		t.Fatalf("sharding stats = %+v, want plans_declined 1", st.Sharding)
+	}
+	for i, n := range st.Sharding.MergeRowsDelivered {
+		if n != 0 {
+			t.Fatalf("shard %d delivered %d rows for a declined query", i, n)
+		}
+	}
+	if _, body := get(t, ts.URL+"/stats"); !strings.Contains(body, `"plans_declined":1`) {
+		t.Fatalf("/stats sharding section missing plans_declined: %.600s", body)
+	}
 }
 
 // TestExplainTraceSharded is the issue's acceptance query: ?explain=1 on a

@@ -82,6 +82,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Counter("rdf_scatter_groups_planned_total", "Root-covered groups compiled into scatter plans.", float64(sh.GroupsPlanned))
 		pw.Counter("rdf_scatter_plan_reuse_hits_total", "Opens served from a cached scatter plan.", float64(sh.PlanReuseHits))
 		pw.Counter("rdf_scatter_plans_compiled_total", "Scatter-plan cache misses.", float64(sh.PlansCompiled))
+		pw.Counter("rdf_scatter_plans_declined_total", "Compiled plans run on the unsharded store because scattering would cost more.", float64(sh.PlansDeclined))
 		if part := s.ls.Part(); part != nil {
 			pw.Histogram("rdf_merge_batch_rows", "Rows per flushed merge-transport batch.", part.BatchRowsHist())
 			pw.Histogram("rdf_shards_pruned_per_query", "Scatter targets pruned per compiled plan.", part.PrunedPerQueryHist())

@@ -1094,6 +1094,7 @@ func (s *Server) Stats() Stats {
 		sharding.GroupsPlanned = ps.GroupsPlanned
 		sharding.PlanReuseHits = ps.PlanReuseHits
 		sharding.PlansCompiled = ps.PlansCompiled
+		sharding.PlansDeclined = ps.PlansDeclined
 	}
 	var durability *DurabilityStats
 	if s.cfg.Durable != nil {

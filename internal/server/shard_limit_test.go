@@ -28,10 +28,16 @@ func collectTSV(t *testing.T, base, q, eng string) []string {
 	return rows
 }
 
+// scatteredPath is a 4-hop path over denseStore: its 8^5 rows make the
+// whole join dearer than shipping one 2-hop group against a memoized other,
+// so the cost model keeps it scattering (a merge-layer join) where the
+// smaller queries run unsharded.
+const scatteredPath = `SELECT ?a ?e WHERE { ?a <http://ex/p> ?b . ?b <http://ex/p> ?c . ?c <http://ex/p> ?d . ?d <http://ex/p> ?e }`
+
 // TestShardedServerMatchesUnsharded: the same queries against a sharded and
 // an unsharded server over the same store return identical row sets, for a
-// shard-local star, a replication-dependent path, and the merge-join
-// triangle.
+// shard-local star, a replication-dependent path, the triangle, and a path
+// the cost model scatters as a merge-layer join.
 func TestShardedServerMatchesUnsharded(t *testing.T) {
 	st := denseStore(8)
 	_, plain := newTestServer(t, st, Config{MaxRows: -1})
@@ -40,6 +46,10 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 		`SELECT ?a ?b WHERE { ?x <http://ex/p> ?a . ?x <http://ex/p> ?b }`,
 		`SELECT ?x ?z WHERE { ?x <http://ex/p> ?y . ?y <http://ex/p> ?z }`,
 		triangleQuery,
+		scatteredPath,
+	}
+	if code, body := get(t, queryURL(sharded.URL, scatteredPath, map[string]string{"explain": "plan"})); code != http.StatusOK || !strings.Contains(body, `"kind":"join"`) {
+		t.Fatalf("4-hop path not planned as a scattered join: %d %.400s", code, body)
 	}
 	// ?workers= is honoured (and accounted) for sharded core engines too:
 	// same rows, parallel per-shard enumeration.

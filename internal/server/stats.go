@@ -68,6 +68,10 @@ type ShardingStats struct {
 	PlanReuseHits int64 `json:"plan_reuse_hits"`
 	// PlansCompiled counts scatter-plan cache misses.
 	PlansCompiled int64 `json:"plans_compiled"`
+	// PlansDeclined counts compiled plans the cost model ran on the
+	// unsharded store instead of scattering: transport would have cost at
+	// least as much as the join.
+	PlansDeclined int64 `json:"plans_declined"`
 }
 
 // DurabilityStats reports the storage engine behind a durable server: the

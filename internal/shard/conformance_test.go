@@ -11,7 +11,13 @@ package shard_test
 //	    suite holds for the merge cursor too: pre-cancelled contexts fail
 //	    promptly, mid-enumeration cancellation stops within a bounded
 //	    number of rows, MaxRows/Offset are exact, and early Close stops the
-//	    producers.
+//	    producers, and
+//	(c) declining to scatter changes no result: the engine as the cost
+//	    model routes it, the same engine with scatter forced, and the naive
+//	    oracle agree as multisets, with and without a pending live delta.
+//
+// (a) and (b) force the scatter (shard.ForceScatter): on fixtures this
+// small the cost model would run most queries unsharded.
 
 import (
 	"context"
@@ -23,6 +29,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/engines"
+	"repro/internal/live"
 	"repro/internal/lubm"
 	"repro/internal/query"
 	"repro/internal/rdf"
@@ -35,20 +42,23 @@ var shardCounts = []int{1, 2, 7, 8}
 // conformanceStore is a complete digraph over n vertices under <http://c/p>
 // plus sparse <http://c/q> and <http://c/r> edges: the triangle query on p
 // yields n^3 rows, and q/r give the star query distinct predicates.
-func conformanceStore(n int) *store.Store {
-	b := store.NewBuilder()
+func conformanceStore(n int) *store.Store { return store.FromTriples(conformanceTriples(n)) }
+
+func conformanceTriples(n int) []rdf.Triple {
 	node := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://c/n%d", i)) }
 	p := rdf.NewIRI("http://c/p")
 	q := rdf.NewIRI("http://c/q")
 	r := rdf.NewIRI("http://c/r")
+	var ts []rdf.Triple
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			b.Add(rdf.Triple{S: node(i), P: p, O: node(j)})
+			ts = append(ts, rdf.Triple{S: node(i), P: p, O: node(j)})
 		}
-		b.Add(rdf.Triple{S: node(i), P: q, O: node((i + 1) % n)})
-		b.Add(rdf.Triple{S: node(i), P: r, O: node((i * 5) % n)})
+		ts = append(ts,
+			rdf.Triple{S: node(i), P: q, O: node((i + 1) % n)},
+			rdf.Triple{S: node(i), P: r, O: node((i * 5) % n)})
 	}
-	return b.Build()
+	return ts
 }
 
 const conformanceTriangle = `SELECT ?x ?y ?z WHERE { ?x <http://c/p> ?y . ?y <http://c/p> ?z . ?x <http://c/p> ?z }`
@@ -66,6 +76,7 @@ var shapeQueries = map[string]string{
 }
 
 // forEachSharded runs f once per (registered engine, shard count) over st.
+// The sharded engine always scatters (see the file comment).
 func forEachSharded(t *testing.T, st *store.Store, f func(t *testing.T, base, sh engine.Engine, n int)) {
 	t.Helper()
 	parts := map[int]*shard.Partitioned{}
@@ -86,6 +97,7 @@ func forEachSharded(t *testing.T, st *store.Store, f func(t *testing.T, base, sh
 			if err != nil {
 				t.Fatalf("engines.NewSharded(%s, %d): %v", name, n, err)
 			}
+			shard.ForceScatter(sh)
 			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) { f(t, base, sh, n) })
 		}
 	}
@@ -296,4 +308,144 @@ func TestShardConformanceEarlyCloseStopsProducer(t *testing.T) {
 			t.Fatalf("rerun after early close: %d rows, want %d", res.Len(), 12*12*12)
 		}
 	})
+}
+
+// pendingDelta derives a two-sided patch from a fixture: it tombstones
+// every 40th triple and inserts, for every 37th, the triple joining its
+// subject to the next such triple's object under its predicate — edges
+// between existing nodes, so joins cross base and delta.
+func pendingDelta(ts []rdf.Triple) (ins, del []rdf.Triple) {
+	for i := 0; i < len(ts); i += 40 {
+		del = append(del, ts[i])
+	}
+	for i := 0; i+37 < len(ts); i += 37 {
+		ins = append(ins, rdf.Triple{S: ts[i].S, P: ts[i].P, O: ts[i+37].O})
+	}
+	return ins, del
+}
+
+// patched returns (st \ del) ∪ ins as a fresh store over st's dictionary,
+// so its rows compare id for id with stores sharing that dictionary.
+func patched(st *store.Store, ins, del []rdf.Triple) *store.Store {
+	d := st.Dict()
+	enc := func(t rdf.Triple) store.Triple {
+		s, _ := d.Lookup(t.S)
+		p, _ := d.Lookup(t.P)
+		o, _ := d.Lookup(t.O)
+		return store.Triple{S: s, P: p, O: o}
+	}
+	keep := map[store.Triple]bool{}
+	for _, t := range st.Triples() {
+		keep[t] = true
+	}
+	for _, t := range del {
+		delete(keep, enc(t))
+	}
+	for _, t := range ins {
+		keep[enc(t)] = true
+	}
+	out := make([]store.Triple, 0, len(keep))
+	for t := range keep {
+		out = append(out, t)
+	}
+	return store.FromEncoded(d, out)
+}
+
+// TestDeclinedMatchesScatterAndNaive: for every conformance query and shard
+// count, the live "auto" engine as the cost model routes it and the same
+// engine with scatter forced return naive's multiset over the same triples
+// — with an empty delta, and with a pending delta, where the declined path
+// streams the unsharded base under the overlay. Some plans must actually
+// decline, or the check proves nothing.
+func TestDeclinedMatchesScatterAndNaive(t *testing.T) {
+	type fixture struct {
+		name    string
+		triples []rdf.Triple
+		queries []string
+	}
+	fixtures := []fixture{{name: "shapes", triples: conformanceTriples(12)}}
+	for _, text := range shapeQueries {
+		fixtures[0].queries = append(fixtures[0].queries, text)
+	}
+	if !testing.Short() {
+		lf := fixture{name: "lubm", triples: lubm.Generate(lubm.Config{Universities: 1})}
+		for _, qn := range lubm.QueryNumbers {
+			lf.queries = append(lf.queries, lubm.Query(qn, 1))
+		}
+		fixtures = append(fixtures, lf)
+	}
+	var declined int64
+	for _, fx := range fixtures {
+		// Every live store below shares st, and with it the dictionary the
+		// oracle's rows are compared in; the patch only reuses known terms.
+		st := store.FromTriples(fx.triples)
+		ins, del := pendingDelta(fx.triples)
+		for _, pending := range []bool{false, true} {
+			oracleStore := st
+			if pending {
+				oracleStore = patched(st, ins, del)
+			}
+			oracle, err := engines.New("naive", oracleStore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants := make([]string, len(fx.queries))
+			for i, text := range fx.queries {
+				res, err := engine.Collect(oracle.Open(query.MustParseSPARQL(text), engine.ExecOpts{}))
+				if err != nil {
+					t.Fatalf("%s naive: %v", fx.name, err)
+				}
+				wants[i] = res.Canonical()
+			}
+			for _, n := range shardCounts {
+				for _, forced := range []bool{false, true} {
+					if forced && n == 1 {
+						continue // an unpartitioned live store has no scatter to force
+					}
+					ls, err := live.NewStore(st, live.Options{Shards: n})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pending {
+						if _, err := ls.Delete(del); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := ls.Insert(ins); err != nil {
+							t.Fatal(err)
+						}
+					}
+					le, err := engines.NewLive("auto", ls)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if forced {
+						inner, err := le.Inner()
+						if err != nil {
+							t.Fatal(err)
+						}
+						shard.ForceScatter(inner)
+					}
+					for i, text := range fx.queries {
+						got, err := engine.Collect(le.Open(query.MustParseSPARQL(text), engine.ExecOpts{}))
+						if err != nil {
+							t.Fatalf("%s n=%d forced=%v pending=%v: %v", fx.name, n, forced, pending, err)
+						}
+						if got.Canonical() != wants[i] {
+							t.Errorf("%s n=%d forced=%v pending=%v: %d rows differ from naive\n%s", fx.name, n, forced, pending, got.Len(), text)
+						}
+					}
+					if p := ls.Part(); p != nil {
+						d := p.PlanStats().PlansDeclined
+						if forced && d != 0 {
+							t.Fatalf("%s n=%d: %d plans declined with scatter forced", fx.name, n, d)
+						}
+						declined += d
+					}
+				}
+			}
+		}
+	}
+	if declined == 0 {
+		t.Fatal("no plan declined to scatter; the routed path went unchecked")
+	}
 }

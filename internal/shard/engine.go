@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/set"
 	"repro/internal/store"
 )
 
@@ -22,19 +23,20 @@ import (
 // surviving shard concurrently, and streaming their merged rows:
 // cancellation, DISTINCT deduplication, Offset, and the exact MaxRows cap
 // are all enforced once at the merge cursor, with row caps propagated down
-// to the shard drains as per-shard hints.
+// to the shard drains as per-shard hints. A query the cost model says
+// would lose by scattering runs unchanged on one engine over the unsharded
+// parent store instead.
 type Engine struct {
-	part *Partitioned
-	base string
-	engs []engine.Engine
+	part  *Partitioned
+	base  string
+	engs  []engine.Engine
+	build func(*store.Store) (engine.Engine, error)
 
-	// constSeen memoizes fully-constant-pattern existence checks: the
-	// partition is immutable, and the check otherwise scans one predicate's
-	// relation per compile. Capped at constSeenCap entries (one arbitrary
-	// entry evicted when full) so an adversarial stream of distinct constant
-	// patterns cannot grow server memory without bound.
-	constMu   sync.Mutex
-	constSeen map[store.Triple]bool
+	// local is the engine over the unsharded parent store that declined
+	// plans run on, built on first use (see localEngine).
+	localOnce sync.Once
+	local     engine.Engine
+	localErr  error
 
 	// qplans caches compiled scatter plans per query pointer (see planFor);
 	// the server's plan cache interns normalized queries to stable pointers,
@@ -43,20 +45,17 @@ type Engine struct {
 	qplans map[*query.BGP]*queryPlan
 
 	// noPrune disables statistics pruning — the property-test oracle proving
-	// pruned and unpruned scatter agree. Never set in production paths.
-	noPrune bool
+	// pruned and unpruned scatter agree. noDecline forces every plan to
+	// scatter, so the scatter path stays tested on fixtures the cost model
+	// would run unsharded. Never set in production paths.
+	noPrune   bool
+	noDecline bool
 
 	// remote, when set, routes every per-shard sub-query open across the
 	// process boundary (see remote.go). Planning still runs locally against
 	// the partition's statistics; only execution fans out.
 	remote RemoteOpener
 }
-
-// constSeenCap bounds the existence-check memo. Eviction is one arbitrary
-// entry per insert (map iteration order), not a wholesale reset: dropping
-// the full map made every memoized constant pattern rescan its relation at
-// once — a periodic thundering herd under an adversarial constant stream.
-const constSeenCap = 1 << 14
 
 // NewEngine builds one instance of a base engine over every shard of p
 // (via build, typically the engine registry) and returns the scatter-gather
@@ -65,7 +64,8 @@ const constSeenCap = 1 << 14
 // also parallelize across shards in wall-clock terms when the caller
 // shards a large dataset. Passing the "auto" engine gives every shard its
 // own cost-model router, so each shard picks its plan class from its own
-// statistics.
+// statistics. build is kept to construct the engine over p's parent store
+// the first time a query declines to scatter.
 func NewEngine(p *Partitioned, name string, build func(*store.Store) (engine.Engine, error)) (*Engine, error) {
 	engs := make([]engine.Engine, p.NumShards())
 	for i := range engs {
@@ -76,12 +76,20 @@ func NewEngine(p *Partitioned, name string, build func(*store.Store) (engine.Eng
 		engs[i] = e
 	}
 	return &Engine{
-		part:      p,
-		base:      name,
-		engs:      engs,
-		constSeen: map[store.Triple]bool{},
-		qplans:    map[*query.BGP]*queryPlan{},
+		part:   p,
+		base:   name,
+		engs:   engs,
+		build:  build,
+		qplans: map[*query.BGP]*queryPlan{},
 	}, nil
+}
+
+// localEngine returns the engine over the unsharded parent store, building
+// it on first use. The Engine lives for one epoch, so this is once per
+// epoch; a server whose queries all scatter never builds it.
+func (e *Engine) localEngine() (engine.Engine, error) {
+	e.localOnce.Do(func() { e.local, e.localErr = e.build(e.part.base) })
+	return e.local, e.localErr
 }
 
 // Name identifies the engine and its shard count in benchmark output.
@@ -98,7 +106,8 @@ func (e *Engine) ShardEngine(i int) engine.Engine { return e.engs[i] }
 // Open starts the sharded execution of q under its cached scatter plan. A
 // single root-covered group scatters to the plan's surviving shards and
 // streams the merged union; multiple groups additionally join their
-// streams at the merge layer.
+// streams at the merge layer. A declined plan opens q, with opts as given,
+// on the engine over the unsharded parent store.
 func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -129,12 +138,25 @@ func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error)
 		// skip" answer. Untraced queries skip this block on the nil check.
 		sp.SetAttr("scatter_plan", qp.explain.Kind)
 		sp.SetAttr("shards_total", qp.explain.Shards)
-		sp.SetAttr("target_shards", qp.explain.TargetShards())
-		sp.SetAttr("pruned_shards", qp.explain.PrunedShards())
-		sp.SetAttr("groups", len(qp.explain.Groups))
+		if qp.local {
+			// No shard is touched; the two prices say why.
+			sp.SetAttr("local_cost", qp.explain.LocalCost)
+			sp.SetAttr("scatter_cost", qp.explain.ScatterCost)
+		} else {
+			sp.SetAttr("target_shards", qp.explain.TargetShards())
+			sp.SetAttr("pruned_shards", qp.explain.PrunedShards())
+			sp.SetAttr("groups", len(qp.explain.Groups))
+		}
 	}
 	if qp.empty {
 		return emptyCursor{vars: q.Select}, nil
+	}
+	if qp.local {
+		loc, err := e.localEngine()
+		if err != nil {
+			return nil, err
+		}
+		return loc.Open(q, opts)
 	}
 	if qp.single != nil {
 		return e.openSingle(qp.single, opts)
@@ -160,11 +182,10 @@ func (e *Engine) splitConstant(pats []query.Pattern) (rest []query.Pattern, ok b
 }
 
 // hasTriple reports whether the fully-constant pattern's triple exists. The
-// subject's owner shard holds it if anyone does. The relation scan runs at
-// most once per distinct constant triple (results are memoized — the
-// partition is immutable).
+// subject's owner shard holds it if anyone does; the check is one descent
+// of that shard's (subject, object) trie.
 func (e *Engine) hasTriple(p query.Pattern) bool {
-	d := e.part.dict
+	d := e.part.Dict()
 	s, ok := d.Lookup(p.S.Term)
 	if !ok {
 		return false
@@ -177,36 +198,7 @@ func (e *Engine) hasTriple(p query.Pattern) bool {
 	if !ok {
 		return false
 	}
-	key := store.Triple{S: s, P: pid, O: o}
-	e.constMu.Lock()
-	found, cached := e.constSeen[key]
-	e.constMu.Unlock()
-	if cached {
-		return found
-	}
-	found = false
-	if rel := e.part.shards[ShardOf(s, len(e.engs))].Relation(pid); rel != nil {
-		for i := range rel.S {
-			if rel.S[i] == s && rel.O[i] == o {
-				found = true
-				break
-			}
-		}
-	}
-	e.constMu.Lock()
-	if len(e.constSeen) >= constSeenCap {
-		// Evict one arbitrary entry. A full reset here would forget every
-		// memoized pattern at once and rescan them all on their next
-		// appearance; single-entry eviction caps the damage at one rescan
-		// per newly inserted pattern.
-		for k := range e.constSeen {
-			delete(e.constSeen, k)
-			break
-		}
-	}
-	e.constSeen[key] = found
-	e.constMu.Unlock()
-	return found
+	return e.part.shards[ShardOf(s, len(e.engs))].Has(store.Triple{S: s, P: pid, O: o}, set.PolicyAdaptive)
 }
 
 // group is one root-covered unit of scatter-gather: the root node appears

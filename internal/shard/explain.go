@@ -1,16 +1,17 @@
 package shard
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/query"
 )
 
 // explain.go is the EXPLAIN surface of the scatter planner: a serializable
 // summary of the compiled plan — decomposition, per-group scatter targets
-// and pruned shards, probe-side choice — built once at compile time and
-// retained on the cached plan, so explaining a query costs one plan-cache
-// lookup and never re-plans or executes anything.
+// and pruned shards, probe-side choice, the prices behind declining to
+// scatter — built once at compile time and retained on the cached plan, so
+// explaining a query costs one plan-cache lookup and never re-plans or
+// executes anything.
 
 // ExplainGroup describes one root-covered group of a scatter plan.
 type ExplainGroup struct {
@@ -35,16 +36,26 @@ type ExplainGroup struct {
 type ExplainPlan struct {
 	// Kind is the execution shape: "passthrough" (one shard holds the whole
 	// dataset), "empty" (statically proven empty), "single" (one
-	// root-covered group, scatter-gather), or "join" (multiple groups joined
-	// at the merge layer).
+	// root-covered group, scatter-gather), "join" (multiple groups joined
+	// at the merge layer), or "local" (declined to scatter: the query runs
+	// on one engine over the unsharded parent store).
 	Kind string `json:"kind"`
 	// Shards is the partition's total shard count.
 	Shards int `json:"shards"`
-	// Groups lists the root-covered groups in decomposition order.
+	// Groups lists the root-covered groups in decomposition order. For Kind
+	// "local" they are the scatter that was priced and declined.
 	Groups []ExplainGroup `json:"groups,omitempty"`
 	// Probe indexes Groups: the group chosen to stream as the probe side of
 	// the merge join. Meaningful only for Kind "join".
 	Probe int `json:"probe,omitempty"`
+	// LocalCost is the cost model's price for the whole query on the
+	// unsharded parent store; ScatterCost is the price of the rows the
+	// merge carries plus a fixed cost per opened shard drain. The query
+	// runs "local" when ScatterCost >= LocalCost. Both are zero when the
+	// planner did not price the choice (cluster coordinators always
+	// scatter).
+	LocalCost   float64 `json:"local_cost,omitempty"`
+	ScatterCost float64 `json:"scatter_cost,omitempty"`
 }
 
 // TargetShards returns the union of the groups' surviving scatter targets,
@@ -72,7 +83,7 @@ func unionShards(groups []ExplainGroup, pruned bool) []int {
 	for sh := range seen {
 		out = append(out, sh)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 

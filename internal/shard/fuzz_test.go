@@ -82,10 +82,16 @@ func FuzzShardRouting(f *testing.F) {
 		}
 		// Replicated data dedups in the merge: compare sharded vs unsharded
 		// on a replication-heavy shape (object-subject chain: single
-		// object-rooted group) and a join shape (two chains).
-		sh, err := NewEngine(p, "naive", func(s *store.Store) (engine.Engine, error) {
-			return naive.New(s), nil
-		})
+		// object-rooted group) and a join shape (two chains). The scatter is
+		// forced (fuzzed stores are tiny, so the cost model would decline
+		// it); the engine as the cost model routes it must agree too.
+		build := func(s *store.Store) (engine.Engine, error) { return naive.New(s), nil }
+		sh, err := NewEngine(p, "naive", build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.noDecline = true
+		routed, err := NewEngine(p, "naive", build)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,12 +106,14 @@ func FuzzShardRouting(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := engine.Collect(sh.Open(q, engine.ExecOpts{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Canonical() != want.Canonical() {
-				t.Fatalf("n=%d %s: sharded %d rows != unsharded %d rows", n, text, got.Len(), want.Len())
+			for _, e := range []*Engine{sh, routed} {
+				got, err := engine.Collect(e.Open(q, engine.ExecOpts{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Canonical() != want.Canonical() {
+					t.Fatalf("n=%d forced=%v %s: sharded %d rows != unsharded %d rows", n, e.noDecline, text, got.Len(), want.Len())
+				}
 			}
 		}
 	})

@@ -1,11 +1,13 @@
 package shard
 
-// White-box tests for the statistics-pruned scatter planner: the constSeen
-// memo's eviction policy, deterministic pruning of shards that provably
-// cannot contribute (absent predicates, missing constants, empty owner
-// shards), and a randomized property test proving pruned and unpruned
+// White-box tests for the statistics-pruned scatter planner: the
+// fully-constant existence check, deterministic pruning of shards that
+// provably cannot contribute (absent predicates, missing constants, empty
+// owner shards), and a randomized property test proving pruned and unpruned
 // scatter agree — the two engines share one Partitioned, so the oracle runs
-// over the exact partition the pruned engine plans against.
+// over the exact partition the pruned engine plans against. These fixtures
+// are small enough that the cost model would run them unsharded, so the
+// engines here force the scatter (noDecline).
 
 import (
 	"fmt"
@@ -21,6 +23,8 @@ import (
 )
 
 // naiveSharded partitions st and wraps naive engines in the scatter layer.
+// The engine declines to scatter as in production; tests that exercise the
+// scatter set noDecline.
 func naiveSharded(t *testing.T, st *store.Store, n int) (*Partitioned, *Engine) {
 	t.Helper()
 	p, err := Partition(st, n)
@@ -36,54 +40,61 @@ func naiveSharded(t *testing.T, st *store.Store, n int) (*Partitioned, *Engine) 
 	return p, e
 }
 
-// TestConstSeenEvictionKeepsMemo is the regression test for the memo
-// eviction fix: at capacity, inserting a new constant-pattern result must
-// evict exactly one entry, not drop the whole map (the old behaviour, which
-// made every memoized pattern rescan its relation at once).
-func TestConstSeenEvictionKeepsMemo(t *testing.T) {
-	b := store.NewBuilder()
-	s := rdf.NewIRI("http://e/s")
-	p := rdf.NewIRI("http://e/p")
-	o := rdf.NewIRI("http://e/o")
-	b.Add(rdf.Triple{S: s, P: p, O: o})
-	_, e := naiveSharded(t, b.Build(), 2)
-
-	// Fill the memo to capacity with synthetic keys (ids far above the
-	// dictionary's range, so the real pattern below cannot collide).
-	for i := 0; i < constSeenCap; i++ {
-		e.constSeen[store.Triple{S: uint32(1<<24 + i), P: 1, O: 2}] = false
+// TestFullyConstantExistenceCheck: a fully-constant pattern is one trie
+// descent on its subject's owner shard. Present triples are found, absent
+// ones — all three terms known, or one missing from the dictionary — are
+// not, and a query carrying an absent one compiles to the empty plan
+// without opening a shard.
+func TestFullyConstantExistenceCheck(t *testing.T) {
+	st := pruneStore(64)
+	p, e := naiveSharded(t, st, 8)
+	pat := func(s, pr, o string) query.Pattern {
+		return query.Pattern{
+			S: query.Node{Term: rdf.NewIRI(s)},
+			P: query.Node{Term: rdf.NewIRI(pr)},
+			O: query.Node{Term: rdf.NewIRI(o)},
+		}
+	}
+	cases := []struct {
+		name string
+		pat  query.Pattern
+		want bool
+	}{
+		{"present", pat("http://z/n0", "http://z/rare", "http://z/n3"), true},
+		{"present-common", pat("http://z/n63", "http://z/common", "http://z/n0"), true},
+		{"absent-known-terms", pat("http://z/n3", "http://z/rare", "http://z/n0"), false},
+		{"absent-wrong-predicate", pat("http://z/n0", "http://z/common", "http://z/n3"), false},
+		{"unknown-term", pat("http://z/n0", "http://z/rare", "http://z/missing"), false},
+	}
+	for _, c := range cases {
+		if got := e.hasTriple(c.pat); got != c.want {
+			t.Errorf("%s: hasTriple = %v, want %v", c.name, got, c.want)
+		}
 	}
 
-	pat := query.Pattern{
-		S: query.Node{Term: s},
-		P: query.Node{Term: p},
-		O: query.Node{Term: o},
+	// Through a query: the filter passes or empties the whole result.
+	e.noDecline = true
+	hit := query.MustParseSPARQL(`SELECT ?a WHERE { <http://z/n0> <http://z/rare> <http://z/n3> . ?a <http://z/rare> ?b }`)
+	got, err := engine.Collect(e.Open(hit, engine.ExecOpts{}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !e.hasTriple(pat) {
-		t.Fatal("existing triple not found")
+	if got.Len() != 2 {
+		t.Fatalf("present filter: %d rows, want 2", got.Len())
 	}
-	if got := len(e.constSeen); got != constSeenCap {
-		t.Fatalf("memo size after insert-at-capacity = %d, want %d (single-entry eviction, not a reset)", got, constSeenCap)
+	miss := query.MustParseSPARQL(`SELECT ?a WHERE { <http://z/n3> <http://z/rare> <http://z/n0> . ?a <http://z/rare> ?b }`)
+	if ep, err := e.Explain(miss); err != nil || ep.Kind != "empty" {
+		t.Fatalf("absent filter: plan %+v err %v, want kind empty", ep, err)
 	}
-	// The fresh result itself is memoized and stable across eviction churn.
-	if !e.hasTriple(pat) {
-		t.Fatal("memoized triple lookup flipped to false")
+	before := p.Stats()
+	got, err = engine.Collect(e.Open(miss, engine.ExecOpts{}))
+	if err != nil || got.Len() != 0 {
+		t.Fatalf("absent filter: rows=%d err=%v, want 0/nil", got.Len(), err)
 	}
-	if got := len(e.constSeen); got != constSeenCap {
-		t.Fatalf("memo size after hit = %d, want %d", got, constSeenCap)
-	}
-
-	// A miss is memoized too (false entries are results, not absences).
-	absent := query.Pattern{
-		S: query.Node{Term: o},
-		P: query.Node{Term: p},
-		O: query.Node{Term: s},
-	}
-	if e.hasTriple(absent) {
-		t.Fatal("absent triple reported present")
-	}
-	if got := len(e.constSeen); got != constSeenCap {
-		t.Fatalf("memo size after miss insert = %d, want %d", got, constSeenCap)
+	for i, s := range p.Stats() {
+		if s.Delivered != before[i].Delivered {
+			t.Fatalf("absent filter: shard %d delivered rows", i)
+		}
 	}
 }
 
@@ -109,6 +120,7 @@ func pruneStore(subjects int) *store.Store {
 func TestPrunedScatterSkipsEmptyShards(t *testing.T) {
 	st := pruneStore(64)
 	p, e := naiveSharded(t, st, 8)
+	e.noDecline = true
 	base := naive.New(st)
 
 	q := query.MustParseSPARQL(`SELECT ?a ?b WHERE { ?a <http://z/rare> ?b }`)
@@ -215,6 +227,7 @@ func TestPrunePropertyRandomStores(t *testing.T) {
 				t.Fatal(err)
 			}
 			unpruned.noPrune = true
+			pruned.noDecline, unpruned.noDecline = true, true
 
 			for _, text := range shapes {
 				q := query.MustParseSPARQL(text)

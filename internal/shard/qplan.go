@@ -3,7 +3,8 @@ package shard
 // qplan.go is the scatter planner: it turns a BGP into a cached, reusable
 // scatter plan — the root-group decomposition, per-group statistics-pruned
 // shard target lists, cardinality estimates for the merge join's probe-side
-// choice, and the interned per-shard sub-queries. Interning matters beyond
+// choice, and the interned per-shard sub-queries — or the decision, priced
+// by the same cost model, not to scatter it at all. Interning matters beyond
 // avoiding re-decomposition: downstream engines cache their own compiled
 // plans per *query.BGP pointer (core's GHD plans, the auto router's class
 // decisions), so handing every shard the same sub-query pointer on every
@@ -26,12 +27,15 @@ import (
 const planCacheCap = 1 << 12
 
 // queryPlan is one compiled scatter plan. Exactly one of single/join is set
-// unless empty is.
+// unless empty or local is.
 type queryPlan struct {
 	// empty marks queries statically proven empty: a fully-constant pattern
 	// absent from the data, a constant missing from the dictionary, or a
 	// group whose every shard was pruned.
-	empty  bool
+	empty bool
+	// local marks a query the cost model declined to scatter: it runs on
+	// the engine over the unsharded parent store.
+	local  bool
 	single *singlePlan
 	join   *joinPlan
 	// explain is the plan's serializable summary, assembled at compile time
@@ -200,7 +204,11 @@ func (e *Engine) planFor(q *query.BGP) *queryPlan {
 
 // compile builds the scatter plan: verify constant patterns, decompose into
 // root groups, prune and estimate each group's shard targets, and pick the
-// probe side for multi-group joins.
+// probe side for multi-group joins. Then it prices the plan against running
+// q whole on the unsharded parent store and declines to scatter when the
+// scatter costs at least as much (see declineScatter). Cluster coordinators
+// always scatter: their transport is a network hop this model does not
+// price.
 func (e *Engine) compile(q *query.BGP) *queryPlan {
 	n := len(e.engs)
 	exp := &ExplainPlan{Shards: n}
@@ -238,14 +246,59 @@ func (e *Engine) compile(q *query.BGP) *queryPlan {
 		gps[i] = gp
 	}
 	record()
+	qp := &queryPlan{explain: exp}
+	streamed := gps // the streamed group first, as declineScatter expects
 	if len(groups) == 1 {
 		exp.Kind = "single"
-		return &queryPlan{single: planSingle(q, groups[0], gps[0]), explain: exp}
+		qp.single = planSingle(q, groups[0], gps[0])
+	} else {
+		exp.Kind = "join"
+		qp.join, exp.Probe = planJoin(q, gps)
+		streamed = qp.join.groups
 	}
-	jp, probe := planJoin(q, gps)
-	exp.Kind = "join"
-	exp.Probe = probe
-	return &queryPlan{join: jp, explain: exp}
+	if e.remote != nil || e.noDecline {
+		return qp
+	}
+	prof, err := plan.ProfileQuery(q, e.part.base)
+	if err != nil {
+		return qp
+	}
+	_, exp.LocalCost = prof.ChooseClass()
+	var decline bool
+	if exp.ScatterCost, decline = declineScatter(streamed, exp.LocalCost); !decline {
+		return qp
+	}
+	e.part.plansDeclined.Add(1)
+	exp.Kind, exp.Probe = "local", 0
+	return &queryPlan{local: true, explain: exp}
+}
+
+// drainOpenCost is the scatter's fixed price per opened shard drain, in the
+// cost model's units (set elements touched): a shard cursor open, its drain
+// goroutine and the fan-in hand-off. decline_test.go records the
+// measurement it was fitted to.
+const drainOpenCost = 2000
+
+// declineScatter prices one execution of a scatter over gps — the streamed
+// group first (a single plan's only group, a join's probe), build groups
+// after — and reports whether it costs at least localCost, the cost model's
+// price for the whole query on the unsharded parent store. The price is the
+// rows the merge carries plus drainOpenCost per opened shard drain. Build
+// groups count only when their estimates exceed buildCacheMaxRows: below it
+// their tables are memoized on the plan and ship once, not per execution.
+func declineScatter(gps []groupPlan, localCost float64) (scatterCost float64, decline bool) {
+	ship := func(gp groupPlan) float64 { return gp.est + drainOpenCost*float64(len(gp.shards)) }
+	scatterCost = ship(gps[0])
+	var builds float64
+	for _, gp := range gps[1:] {
+		builds += gp.est
+	}
+	if builds > buildCacheMaxRows {
+		for _, gp := range gps[1:] {
+			scatterCost += ship(gp)
+		}
+	}
+	return scatterCost, scatterCost >= localCost
 }
 
 // planGroup resolves one group's shard targets and cardinality estimate;
@@ -269,7 +322,7 @@ func (e *Engine) planGroup(g group) (groupPlan, bool) {
 	gp.sub = &query.BGP{Select: gp.vars, Patterns: g.pats}
 
 	if !g.root.IsVar {
-		id, ok := e.part.dict.Lookup(g.root.Term)
+		id, ok := e.part.Dict().Lookup(g.root.Term)
 		if !ok {
 			return gp, false
 		}

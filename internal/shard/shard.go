@@ -33,6 +33,12 @@
 // (build-side groups are materialized into hash tables, the largest group
 // streams through as the probe side). That is the broadcast phase of
 // classic scatter-gather engines, landed at the coordinator.
+//
+// Scattering is not free: every opened shard drain and every row the merge
+// carries costs work a single engine would not do. When the cost model
+// prices that transport at or above the whole query's join work on the
+// unsharded parent store, the planner declines to scatter and the query
+// runs on one engine over the parent instead (see Engine.compile).
 package shard
 
 import (
@@ -67,7 +73,11 @@ func mix32(x uint32) uint32 {
 // parent's dictionary. It is immutable after Partition apart from the
 // delivered counters, which merge cursors bump as they drain shards.
 type Partitioned struct {
-	dict       *dict.Dictionary
+	// base is the unsharded parent store: its dictionary is every shard's,
+	// and queries the scatter planner declines run over it (see
+	// Engine.compile). Callers partition a store they keep resident anyway,
+	// so holding it costs nothing.
+	base       *store.Store
 	shards     []*store.Store
 	owned      []int
 	replicated []int
@@ -85,6 +95,7 @@ type Partitioned struct {
 	groupsPlanned atomic.Int64 // root-covered groups compiled
 	planReuseHits atomic.Int64 // Opens served from a cached scatter plan
 	plansCompiled atomic.Int64 // scatter plans compiled (cache misses)
+	plansDeclined atomic.Int64 // compiled plans run on the unsharded base
 
 	// batchRows distributes the merge transport's flushed batch sizes
 	// (observed once per batch, not per row — the drain hot loop stays
@@ -115,7 +126,7 @@ func Partition(st *store.Store, n int) (*Partitioned, error) {
 		}
 	}
 	p := &Partitioned{
-		dict:       st.Dict(),
+		base:       st,
 		shards:     make([]*store.Store, n),
 		owned:      owned,
 		replicated: replicated,
@@ -139,7 +150,7 @@ func (p *Partitioned) NumShards() int { return len(p.shards) }
 func (p *Partitioned) Shard(i int) *store.Store { return p.shards[i] }
 
 // Dict returns the dictionary shared by the parent and every shard.
-func (p *Partitioned) Dict() *dict.Dictionary { return p.dict }
+func (p *Partitioned) Dict() *dict.Dictionary { return p.base.Dict() }
 
 // ShardStat describes one shard for observability.
 type ShardStat struct {
@@ -168,6 +179,9 @@ type PlanStats struct {
 	PlanReuseHits int64
 	// PlansCompiled counts scatter-plan cache misses.
 	PlansCompiled int64
+	// PlansDeclined counts compiled plans the cost model sent to the
+	// unsharded base instead of scattering (ExplainPlan kind "local").
+	PlansDeclined int64
 }
 
 // PlanStats snapshots the scatter-planning counters.
@@ -177,6 +191,7 @@ func (p *Partitioned) PlanStats() PlanStats {
 		GroupsPlanned: p.groupsPlanned.Load(),
 		PlanReuseHits: p.planReuseHits.Load(),
 		PlansCompiled: p.plansCompiled.Load(),
+		PlansDeclined: p.plansDeclined.Load(),
 	}
 }
 

@@ -126,25 +126,10 @@ func TestDecomposeShapes(t *testing.T) {
 	}
 }
 
-// newNaiveSharded wraps the naive engine over a partition.
-func newNaiveSharded(t *testing.T, st *store.Store, n int) *Engine {
-	t.Helper()
-	p, err := Partition(st, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(p, "naive", func(s *store.Store) (engine.Engine, error) {
-		return naive.New(s), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 // TestShardedMatchesUnshardedNaive is the in-package smoke check (the full
 // cross-engine suite lives in conformance_test.go): sharded naive equals
-// unsharded naive on representative query shapes at several shard counts.
+// unsharded naive on representative query shapes at several shard counts,
+// both scattered and as the cost model routes them.
 func TestShardedMatchesUnshardedNaive(t *testing.T) {
 	st := chainStore(60)
 	base := naive.New(st)
@@ -165,23 +150,29 @@ func TestShardedMatchesUnshardedNaive(t *testing.T) {
 			t.Fatalf("%s: unsharded: %v", text, err)
 		}
 		for _, n := range []int{1, 2, 5} {
-			sh := newNaiveSharded(t, st, n)
-			got, err := engine.Collect(sh.Open(q, engine.ExecOpts{}))
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", text, n, err)
-			}
-			if got.Canonical() != want.Canonical() {
-				t.Errorf("%s n=%d: %d rows, want %d", text, n, got.Len(), want.Len())
+			for _, forced := range []bool{false, true} {
+				_, sh := naiveSharded(t, st, n)
+				sh.noDecline = forced
+				got, err := engine.Collect(sh.Open(q, engine.ExecOpts{}))
+				if err != nil {
+					t.Fatalf("%s n=%d forced=%v: %v", text, n, forced, err)
+				}
+				if got.Canonical() != want.Canonical() {
+					t.Errorf("%s n=%d forced=%v: %d rows, want %d", text, n, forced, got.Len(), want.Len())
+				}
 			}
 		}
 	}
 }
 
 // TestConstantRootRoutesToOneShard: a query whose patterns all share a
-// constant subject runs on the owner shard only.
+// constant subject, when scattered, runs on the owner shard only. (On this
+// fixture the cost model would run it unsharded; noDecline forces the
+// scatter.)
 func TestConstantRootRoutesToOneShard(t *testing.T) {
 	st := chainStore(30)
-	sh := newNaiveSharded(t, st, 5)
+	_, sh := naiveSharded(t, st, 5)
+	sh.noDecline = true
 	q := query.MustParseSPARQL(`SELECT ?a ?b WHERE { <http://s/n7> <http://s/p> ?a . <http://s/n7> <http://s/q> ?b }`)
 	got, err := engine.Collect(sh.Open(q, engine.ExecOpts{}))
 	if err != nil {
@@ -211,19 +202,22 @@ func TestConstantRootRoutesToOneShard(t *testing.T) {
 // existence filter.
 func TestFullyConstantPatternFilters(t *testing.T) {
 	st := chainStore(10)
-	sh := newNaiveSharded(t, st, 3)
-	// n0 -p-> n3 exists (0*7+3 = 3).
-	hit := query.MustParseSPARQL(`SELECT ?a WHERE { <http://s/n0> <http://s/p> <http://s/n3> . ?x <http://s/q> ?a }`)
-	got, err := engine.Collect(sh.Open(hit, engine.ExecOpts{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 10 {
-		t.Fatalf("existing filter: rows=%d, want 10", got.Len())
-	}
-	miss := query.MustParseSPARQL(`SELECT ?a WHERE { <http://s/n0> <http://s/p> <http://s/n4> . ?x <http://s/q> ?a }`)
-	got, err = engine.Collect(sh.Open(miss, engine.ExecOpts{}))
-	if err != nil || got.Len() != 0 {
-		t.Fatalf("failing filter: rows=%d err=%v, want 0/nil", got.Len(), err)
+	for _, forced := range []bool{false, true} {
+		_, sh := naiveSharded(t, st, 3)
+		sh.noDecline = forced
+		// n0 -p-> n3 exists (0*7+3 = 3).
+		hit := query.MustParseSPARQL(`SELECT ?a WHERE { <http://s/n0> <http://s/p> <http://s/n3> . ?x <http://s/q> ?a }`)
+		got, err := engine.Collect(sh.Open(hit, engine.ExecOpts{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 10 {
+			t.Fatalf("forced=%v existing filter: rows=%d, want 10", forced, got.Len())
+		}
+		miss := query.MustParseSPARQL(`SELECT ?a WHERE { <http://s/n0> <http://s/p> <http://s/n4> . ?x <http://s/q> ?a }`)
+		got, err = engine.Collect(sh.Open(miss, engine.ExecOpts{}))
+		if err != nil || got.Len() != 0 {
+			t.Fatalf("forced=%v failing filter: rows=%d err=%v, want 0/nil", forced, got.Len(), err)
+		}
 	}
 }

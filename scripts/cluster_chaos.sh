@@ -105,8 +105,11 @@ done
 VICTIM_IDX=1
 VICTIM_PID=${PIDS[$VICTIM_IDX]}
 log "starting loadgen, then SIGKILLing worker $VICTIM_IDX (pid $VICTIM_PID) mid-run"
+# 4000 requests run for a few seconds (200 finished in ~0.15 s on a 2-core
+# Xeon, before the kill below), so the kill lands while requests are in
+# flight.
 "$TMP/rdfserved" -loadgen -url "http://127.0.0.1:$COORD_PORT" \
-  -clients 4 -requests 200 -lubm-queries 1,4,8 -scale $SCALE >"$TMP/loadgen.log" 2>&1 &
+  -clients 4 -requests 4000 -lubm-queries 1,4,8 -scale $SCALE >"$TMP/loadgen.log" 2>&1 &
 LG_PID=$!
 sleep 1
 kill -9 "$VICTIM_PID"
