@@ -17,8 +17,9 @@ import (
 // direct users can pass e.g. func(st, _) { return core.New(st, opts), nil }.
 type BuildFunc func(st *store.Store, part *shard.Partitioned) (engine.Engine, error)
 
-// planOpener matches engines that separate compilation from execution (the
-// core/EmptyHeaded engine) — structurally, so live does not import core.
+// planOpener matches engines that separate compilation from execution (core,
+// logicblox and the auto router) — structurally, so live imports none of
+// them.
 type planOpener interface {
 	engine.Engine
 	Plan(*query.BGP) (*plan.Plan, error)

@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -126,6 +127,82 @@ type Plan struct {
 	// Decomposition is the chosen GHD, kept for inspection and the ghdviz
 	// tool.
 	Decomposition *ghd.GHD
+	// Class is the engine class the plan was compiled for. The auto router
+	// (internal/engines) sets it so that opening the plan dispatches to the
+	// class's engine; plans compiled by a static engine leave it zero.
+	Class EngineClass
+}
+
+// Bind returns a copy of the template t with its selection constants taken
+// from q: every selection attribute, in node attribute lists and relation
+// level lists alike, gets the dictionary id of q's constant at that
+// attribute's (pattern, position). t must be non-empty and q must have its
+// constant-lifted shape (query.Shape). A constant absent from d makes the
+// result an empty plan, as compiling q would. t is not modified.
+//
+// Binding equals compiling q because compilation is value-independent:
+// constants are read only for their dictionary id and for absence, size
+// estimates use per-predicate statistics, and selection vertices are named
+// by position. TestBindEqualsCompile in internal/engines pins this.
+func Bind(t *Plan, q *query.BGP, d *dict.Dictionary) *Plan {
+	ids := make([][3]dict.ID, len(q.Patterns))
+	for i, pat := range q.Patterns {
+		for pos, n := range []query.Node{pat.S, pat.P, pat.O} {
+			if n.IsVar || pos == 1 {
+				continue // predicates are part of the shape, not bound
+			}
+			id, ok := d.Lookup(n.Term)
+			if !ok {
+				return &Plan{Empty: true, Select: t.Select, Distinct: t.Distinct, Class: t.Class}
+			}
+			ids[i][pos] = id
+		}
+	}
+	p := *t
+	p.Root = bindNode(t.Root, ids)
+	return &p
+}
+
+// bindNode copies n and its subtree, substituting selection values.
+func bindNode(n *Node, ids [][3]dict.ID) *Node {
+	c := *n
+	c.Rels = slices.Clone(n.Rels)
+	for i := range c.Rels {
+		r := &c.Rels[i]
+		r.Levels = slices.Clone(r.Levels)
+		for k := range r.Levels {
+			if r.Levels[k].IsSel {
+				r.Levels[k].Value = ids[r.PatternIdx][r.Levels[k].Pos]
+			}
+		}
+	}
+	// A node's selection attributes come from its own relations' levels;
+	// selection names are unique per (pattern, position).
+	c.Attrs = slices.Clone(n.Attrs)
+	for i := range c.Attrs {
+		if c.Attrs[i].IsSel {
+			c.Attrs[i].Value = selValue(c.Rels, c.Attrs[i].Name)
+		}
+	}
+	if n.Children != nil {
+		c.Children = make([]*Node, len(n.Children))
+		for i, child := range n.Children {
+			c.Children[i] = bindNode(child, ids)
+		}
+	}
+	return &c
+}
+
+// selValue returns the bound value of the named selection among rels.
+func selValue(rels []RelRef, name string) dict.ID {
+	for _, r := range rels {
+		for _, a := range r.Levels {
+			if a.IsSel && a.Name == name {
+				return a.Value
+			}
+		}
+	}
+	return 0
 }
 
 // Compile builds a physical plan for q over st.

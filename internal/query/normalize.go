@@ -50,11 +50,23 @@ func Normalize(q *BGP) (*BGP, string) {
 	for _, v := range q.Select {
 		norm.Select = append(norm.Select, mapVar(v))
 	}
-	return norm, normKey(norm)
+	return norm, normKey(norm, false)
 }
 
-// normKey renders a normalized BGP into its cache key.
-func normKey(q *BGP) string {
+// Shape renders a normalized BGP (see Normalize) into its constant-lifted
+// key: normKey with every subject and object constant replaced by the
+// position marker "$". Predicate constants and variables stay, so two
+// queries share a shape iff they differ only in their S/O constants. The
+// planner's choices (GHD, attribute order, trie level orders) depend on
+// which positions are bound and on predicate statistics, never on the
+// value a position is bound to, so one plan compiled per shape serves
+// every text of that shape once its constants are substituted
+// (plan.Bind).
+func Shape(norm *BGP) string { return normKey(norm, true) }
+
+// normKey renders a normalized BGP into its cache key; lift renders S/O
+// constants as "$", a token no term rendering or variable starts with.
+func normKey(q *BGP, lift bool) string {
 	var b strings.Builder
 	b.WriteString("SELECT")
 	if q.Distinct {
@@ -66,12 +78,15 @@ func normKey(q *BGP) string {
 	}
 	b.WriteString(" {")
 	for _, p := range q.Patterns {
-		for _, n := range []Node{p.S, p.P, p.O} {
+		for pos, n := range []Node{p.S, p.P, p.O} {
 			b.WriteByte(' ')
-			if n.IsVar {
+			switch {
+			case n.IsVar:
 				b.WriteString("?")
 				b.WriteString(n.Var)
-			} else {
+			case lift && pos != 1:
+				b.WriteString("$")
+			default:
 				b.WriteString(n.Term.Key())
 			}
 		}

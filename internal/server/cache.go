@@ -13,6 +13,10 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
+	// TemplateHits and TemplateMisses count template lookups, which happen
+	// only on text misses; Hits and Misses count text lookups alone.
+	TemplateHits   uint64 `json:"template_hits"`
+	TemplateMisses uint64 `json:"template_misses"`
 }
 
 // evictScan bounds how many least-recently-used entries the eviction pass
@@ -22,7 +26,10 @@ type CacheStats struct {
 const evictScan = 16
 
 // planCache is a concurrency-safe cache from normalized query keys to
-// prepared queries. Lookup order is LRU, but eviction is not pure recency:
+// prepared queries; plan templates (see Server.prepare) share it under
+// their own key prefix, capacity and eviction included, with their own
+// hit/miss counters, and a hit on a text entry also refreshes the template
+// its plan came from. Lookup order is LRU, but eviction is not pure recency:
 // among the evictScan least-recently-used entries, the victim is the one
 // with the lowest estimated-cost × use-count score — dropping a plan that
 // was expensive to compile-and-run and is hit often costs the most to
@@ -39,6 +46,9 @@ type planCache struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
+
+	templateHits   uint64
+	templateMisses uint64
 }
 
 type cacheEntry struct {
@@ -61,17 +71,35 @@ func newPlanCache(capacity int) *planCache {
 // get returns the cached prepared query for key, marking it most recently
 // used, and records a hit or miss.
 func (c *planCache) get(key string) (*preparedQuery, bool) {
+	return c.lookup(key, &c.hits, &c.misses)
+}
+
+// getTemplate is get for a template key, counted as a template lookup.
+func (c *planCache) getTemplate(key string) (*preparedQuery, bool) {
+	return c.lookup(key, &c.templateHits, &c.templateMisses)
+}
+
+// lookup is get with the counters to record into; they are fields of c,
+// guarded by c.mu.
+func (c *planCache) lookup(key string, hits, misses *uint64) (*preparedQuery, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
+		*misses++
 		return nil, false
 	}
-	c.hits++
+	*hits++
 	ent := el.Value.(*cacheEntry)
 	ent.uses++
 	c.ll.MoveToFront(el)
+	// A template is used whenever a plan of its shape is: refresh it with
+	// every hit on a text bound from it, or it ages out while its texts
+	// stay hot and is recompiled when one of them is next evicted.
+	if t, ok := c.items[ent.pq.template]; ok {
+		t.Value.(*cacheEntry).uses++
+		c.ll.MoveToFront(t)
+	}
 	return ent.pq, true
 }
 
@@ -118,5 +146,8 @@ func (c *planCache) stats() CacheStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
+
+		TemplateHits:   c.templateHits,
+		TemplateMisses: c.templateMisses,
 	}
 }

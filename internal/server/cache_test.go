@@ -72,3 +72,28 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*500)
 	}
 }
+
+// TestPlanCacheTextHitRefreshesTemplate: a template nobody looks up
+// survives a stream of one-off entries while a text bound from it stays
+// hot, and template lookups count apart from text lookups.
+func TestPlanCacheTextHitRefreshesTemplate(t *testing.T) {
+	c := newPlanCache(3)
+	c.add("t|shape", &preparedQuery{})
+	c.add("hot", &preparedQuery{template: "t|shape"})
+	for i := 0; i < 10; i++ {
+		c.add(fmt.Sprintf("once%d", i), &preparedQuery{})
+		if _, ok := c.get("hot"); !ok {
+			t.Fatalf("hot text evicted after %d one-offs", i)
+		}
+	}
+	if _, ok := c.getTemplate("t|shape"); !ok {
+		t.Fatal("template evicted although a text bound from it stayed hot")
+	}
+	if _, ok := c.getTemplate("t|other"); ok {
+		t.Fatal("unknown template found")
+	}
+	st := c.stats()
+	if st.Hits != 10 || st.Misses != 0 || st.TemplateHits != 1 || st.TemplateMisses != 1 {
+		t.Fatalf("stats = %+v, want 10 text hits, 1 template hit and 1 miss", st)
+	}
+}

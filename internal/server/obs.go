@@ -111,24 +111,29 @@ type explainResponse struct {
 	// and cached a compiled plan ("compiled"), or plans internally per
 	// execution ("per-execution").
 	Plan string `json:"plan"`
+	// Template reports, on a text-cache miss of a compiling engine, whether
+	// the plan was bound from the shape's template ("hit") or compiled
+	// ("miss"); empty otherwise.
+	Template string `json:"template,omitempty"`
 }
 
 // explainPlan answers ?explain=plan: resolve the plan-cache entry
 // (compiling on a miss — planning is the thing being explained) and report
 // the decisions without acquiring pool slots or opening any cursor.
 func (s *Server) explainPlan(w http.ResponseWriter, qid, engineName string, le *live.Engine, q *query.BGP) error {
-	pq, hit, err := s.prepare(engineName, le, q)
+	pq, hit, template, err := s.prepare(engineName, le, q)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "planning: %v", err)
 		return err
 	}
 	resp := explainResponse{
-		QueryID: qid,
-		Engine:  engineName,
-		Cache:   "miss",
-		Class:   pq.className(),
-		Costs:   pq.costs,
-		Plan:    "per-execution",
+		QueryID:  qid,
+		Engine:   engineName,
+		Cache:    "miss",
+		Class:    pq.className(),
+		Costs:    pq.costs,
+		Plan:     "per-execution",
+		Template: template,
 	}
 	if hit {
 		resp.Cache = "hit"
@@ -157,7 +162,7 @@ func (pq *preparedQuery) className() string {
 }
 
 // annotatePlanSpan records the planner's decisions on the plan span.
-func annotatePlanSpan(sp *obs.Span, pq *preparedQuery, hit bool) {
+func annotatePlanSpan(sp *obs.Span, pq *preparedQuery, hit bool, template string) {
 	if sp == nil {
 		return
 	}
@@ -165,6 +170,9 @@ func annotatePlanSpan(sp *obs.Span, pq *preparedQuery, hit bool) {
 		sp.SetAttr("cache", "hit")
 	} else {
 		sp.SetAttr("cache", "miss")
+	}
+	if template != "" {
+		sp.SetAttr("template", template)
 	}
 	if pq.profiled {
 		sp.SetAttr("engine_class", pq.class.String())

@@ -61,6 +61,9 @@ func TestMetricsExposition(t *testing.T) {
 		"rdf_query_latency_seconds_count 1",
 		"rdf_engine_exec_latency_seconds_bucket{engine=\"emptyheaded\"",
 		"rdf_plan_cache_misses_total 1",
+		"# TYPE rdf_plan_template_hits_total counter",
+		"rdf_plan_template_hits_total 0",
+		"rdf_plan_template_misses_total 1",
 		"rdf_traced_queries 1",
 	} {
 		if !strings.Contains(body, want) {

@@ -57,8 +57,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("rdf_plan_cache_entries", "Compiled plans currently cached.", float64(st.PlanCache.Size))
 	pw.Gauge("rdf_plan_cache_capacity", "Plan-cache capacity.", float64(st.PlanCache.Capacity))
 	pw.Counter("rdf_plan_cache_hits_total", "Plan-cache hits.", float64(st.PlanCache.Hits))
-	pw.Counter("rdf_plan_cache_misses_total", "Plan-cache misses (queries compiled).", float64(st.PlanCache.Misses))
+	pw.Counter("rdf_plan_cache_misses_total", "Plan-cache misses (queries bound from a template or compiled).", float64(st.PlanCache.Misses))
 	pw.Counter("rdf_plan_cache_evictions_total", "Plans evicted under capacity pressure.", float64(st.PlanCache.Evictions))
+	pw.Counter("rdf_plan_template_hits_total", "Plan-cache misses answered by binding constants into a cached shape template.", float64(st.PlanCache.TemplateHits))
+	pw.Counter("rdf_plan_template_misses_total", "Plan-cache misses whose shape had no template (query compiled).", float64(st.PlanCache.TemplateMisses))
 
 	ch := st.Chooser
 	pw.Gauge("rdf_layout_bitset_nodes", "Trie set nodes the 1-in-256 rule laid out as bitsets.", float64(ch.LayoutBitsetNodes))
@@ -67,8 +69,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, cls := range obs.SortedKeys(ch.EnginePicks) {
 		pw.Counter("rdf_engine_picks_total", "Cost-model engine-class choices, by class.", float64(ch.EnginePicks[cls]), "class", cls)
 	}
-	pw.Counter("rdf_cost_lookups_total", "Routing-decision cache lookups.", float64(ch.CostLookups))
-	pw.Counter("rdf_cost_hits_total", "Routing-decision cache hits.", float64(ch.CostHits))
+	pw.Counter("rdf_cost_lookups_total", "Auto-router routing-memo lookups on the direct Open path (shard engines, CLIs); served plans carry their class and skip the memo.", float64(ch.CostLookups))
+	pw.Counter("rdf_cost_hits_total", "Auto-router routing-memo hits on the direct Open path.", float64(ch.CostHits))
 
 	if sh := st.Sharding; sh != nil {
 		pw.Gauge("rdf_shards", "Configured shard count.", float64(sh.Shards))

@@ -19,7 +19,9 @@
 //     normalized query + engine + plan options, with hit/miss counters
 //     surfaced at /stats. The epoch in the key means a compaction can never
 //     serve a plan compiled against dropped statistics: post-swap requests
-//     miss and recompile against the new base.
+//     miss and recompile against the new base. A miss binds the query's
+//     constants into the plan template of its shape when one is cached,
+//     and compiles only new shapes (see prepare).
 //   - Execution is the engine.Cursor contract: every engine streams rows
 //     and honours context cancellation, so responses are encoded straight
 //     off the cursor — per-request memory is O(batch), first-byte latency
@@ -397,9 +399,10 @@ func engineSupportsWorkers(le *live.Engine) bool {
 }
 
 // preparedQuery is one plan-cache entry: the interned normalized BGP and,
-// for engines that separate compilation from execution (core/EmptyHeaded),
-// its compiled plan tagged with the epoch it was compiled at. All fields
-// are immutable and shared by concurrent executions.
+// for engines that separate compilation from execution (core, logicblox,
+// auto), its compiled plan tagged with the epoch it was compiled at. A
+// template entry holds only the plan, epoch and cost. All fields are
+// immutable and shared by concurrent executions.
 type preparedQuery struct {
 	bgp   *query.BGP
 	plan  *plan.Plan // nil for engines that plan internally per execution
@@ -413,6 +416,10 @@ type preparedQuery struct {
 	profiled bool
 	class    plan.EngineClass
 	costs    map[string]float64
+
+	// template is the key of the template the plan was bound from or
+	// became; "" when there is none.
+	template string
 }
 
 // prepare resolves q to a cache entry for engineName, compiling on miss.
@@ -426,20 +433,23 @@ type preparedQuery struct {
 // same sub-query pointers so the per-shard engines' plan caches hit too —
 // a repeated sharded query skips all per-shard planning, not just
 // parse+normalize (/stats sharding.plan_reuse_hits counts these).
-func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (*preparedQuery, bool, error) {
+//
+// On a text miss, an engine that compiles plans looks up a template: the
+// plan compiled for q's shape (query.Shape — S/O constants lifted) under
+// the same epoch, engine, options and cost-model class. The class is in
+// the key because routing is value-sensitive; the plan itself is not, so
+// binding q's constants into a copy of the template (plan.Bind) gives
+// exactly the plan compiling q would. A template miss compiles q and
+// stores the plan as the shape's template unless it is empty. template
+// reports "hit" or "miss", or "" when no template was consulted.
+func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (pq *preparedQuery, hit bool, template string, err error) {
 	norm, key := query.Normalize(q)
-	key = "e" + strconv.FormatUint(le.Epoch(), 10) + "|" + engineName + "|" + s.optionsKey(le) + "|" + key
-	if pq, ok := s.cache.get(key); ok {
-		return pq, true, nil
+	optsKey, compiles := planKey(le)
+	prefix := "e" + strconv.FormatUint(le.Epoch(), 10) + "|" + engineName + "|" + optsKey + "|"
+	if pq, ok := s.cache.get(prefix + key); ok {
+		return pq, true, "", nil
 	}
-	pq := &preparedQuery{bgp: norm}
-	p, epoch, ok, err := le.PlanFor(norm)
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		pq.plan, pq.epoch = p, epoch
-	}
+	pq = &preparedQuery{bgp: norm}
 	// Price the query for the eviction policy: expensive plans are the ones
 	// worth keeping when the cache is under pressure. A profiling error just
 	// leaves cost 0 (lowest keep-priority). The per-class estimates are
@@ -452,28 +462,56 @@ func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (*pre
 			pq.costs[c.String()] = prof.Cost(c)
 		}
 	}
-	s.cache.add(key, pq)
-	return pq, false, nil
+	var tkey string
+	if compiles && pq.profiled {
+		tkey = "t|" + prefix + pq.class.String() + "|" + query.Shape(norm)
+		if t, ok := s.cache.getTemplate(tkey); ok {
+			pq.plan, pq.epoch = plan.Bind(t.plan, norm, s.ls.Dict()), t.epoch
+			pq.template = tkey
+			template = "hit"
+		} else {
+			template = "miss"
+		}
+	}
+	if pq.plan == nil {
+		p, epoch, ok, err := le.PlanFor(norm)
+		if err != nil {
+			return nil, false, "", err
+		}
+		if ok {
+			pq.plan, pq.epoch = p, epoch
+			if tkey != "" && !p.Empty {
+				s.cache.add(tkey, &preparedQuery{plan: p, epoch: epoch, cost: pq.cost})
+				pq.template = tkey
+			}
+		}
+	}
+	s.cache.add(prefix+key, pq)
+	return pq, false, template, nil
 }
 
-// optionsKey renders the plan-relevant options of the wrapped engine into
-// the cache key, so engines with different optimization configurations
-// never share plans.
-func (s *Server) optionsKey(le *live.Engine) string {
+// planKey renders the plan-relevant options of the wrapped engine into the
+// cache key, so engines with different optimization configurations never
+// share plans, and reports whether the engine compiles plans apart from
+// executing them — only such engines have templates.
+func planKey(le *live.Engine) (key string, compiles bool) {
 	eng, err := le.Inner()
 	if err != nil {
-		return ""
+		return "", false
 	}
+	_, compiles = eng.(interface {
+		OpenPlan(*plan.Plan, engine.ExecOpts) (engine.Cursor, error)
+	})
 	if ce, ok := eng.(*core.Engine); ok {
 		o := ce.Options()
-		return plan.Options{
+		key = plan.Options{
 			Layout:           ce.Policy(),
 			AttributeReorder: o.AttributeReorder,
 			GHDPushdown:      o.GHDPushdown,
 			Pipelining:       o.Pipelining,
 		}.Key()
 	}
-	return ""
+	return key, compiles
 }
 
 // open starts the prepared query: the live engine reuses the cached plan
@@ -778,14 +816,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	plsp := root.Child("plan")
-	pq, hit, err := s.prepare(engineName, eng, q)
+	pq, hit, template, err := s.prepare(engineName, eng, q)
 	if err != nil {
 		plsp.End()
 		httpError(w, http.StatusInternalServerError, "planning: %v", err)
 		finish(true, false)
 		return
 	}
-	annotatePlanSpan(plsp, pq, hit)
+	annotatePlanSpan(plsp, pq, hit, template)
 	plsp.End()
 
 	execSp = root.Child("execute")

@@ -302,9 +302,10 @@ func TestEnginesShareCacheSeparately(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	// Same query text, three engines: three distinct cache entries.
-	if st.PlanCache.Misses != 3 || st.PlanCache.Size != 3 {
-		t.Fatalf("plan cache misses=%d size=%d, want 3/3", st.PlanCache.Misses, st.PlanCache.Size)
+	// Same query text, three engines: three distinct text entries, plus a
+	// shape template for each engine that compiles plans (naive does not).
+	if st.PlanCache.Misses != 3 || st.PlanCache.Size != 5 || st.PlanCache.TemplateMisses != 2 {
+		t.Fatalf("plan cache misses=%d size=%d template misses=%d, want 3/5/2", st.PlanCache.Misses, st.PlanCache.Size, st.PlanCache.TemplateMisses)
 	}
 }
 

@@ -125,8 +125,8 @@ func (c *Chooser) RecordLayout(bitset, uints, flips uint64) {
 	c.layoutFlips.Add(flips)
 }
 
-// RecordEnginePick notes that the auto router chose the named engine for a
-// query.
+// RecordEnginePick notes that the auto router ran a query on the named
+// engine class.
 func (c *Chooser) RecordEnginePick(engine string) {
 	c.mu.Lock()
 	if c.picks == nil {
@@ -136,7 +136,9 @@ func (c *Chooser) RecordEnginePick(engine string) {
 	c.mu.Unlock()
 }
 
-// RecordCostLookup notes one consultation of a cached cost-model decision.
+// RecordCostLookup notes one consultation of the auto router's routing
+// memo, which only its direct Open path uses: a served plan carries its
+// class.
 func (c *Chooser) RecordCostLookup(hit bool) {
 	c.costLookups.Add(1)
 	if hit {
