@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus the ablations DESIGN.md calls out. Run with:
+// plus ablations of the paper's §III optimizations. Run with:
 //
 //	go test -bench=. -benchmem
 //

@@ -52,15 +52,6 @@ func NewDataset(cfg Config) *store.Store {
 // without materializing rows, so the timing covers exactly the work the
 // serving layer pays: enumeration, not result buffering.
 func Measure(reps int, e engine.Engine, q *query.BGP) (time.Duration, int, error) {
-	d, _, rows, err := MeasureVar(reps, e, q)
-	return d, rows, err
-}
-
-// MeasureVar is Measure plus the observed spread of the retained runs as a
-// percentage of the reported mean ((max-min)/mean·100). The perf-regression
-// gate widens its threshold by this, so a genuinely noisy query can't fail a
-// build on scheduler jitter alone.
-func MeasureVar(reps int, e engine.Engine, q *query.BGP) (time.Duration, float64, int, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -73,7 +64,7 @@ func MeasureVar(reps int, e engine.Engine, q *query.BGP) (time.Duration, float64
 	// builds any lazy indexes outside the measurement.
 	runtime.GC()
 	if _, err := drain(e, q); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	times := make([]time.Duration, 0, reps)
 	rows := 0
@@ -81,7 +72,7 @@ func MeasureVar(reps int, e engine.Engine, q *query.BGP) (time.Duration, float64
 		start := time.Now()
 		n, err := drain(e, q)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		times = append(times, time.Since(start))
 		rows = n
@@ -94,12 +85,7 @@ func MeasureVar(reps int, e engine.Engine, q *query.BGP) (time.Duration, float64
 	for _, t := range times {
 		total += t
 	}
-	mean := total / time.Duration(len(times))
-	varPct := 0.0
-	if mean > 0 {
-		varPct = 100 * float64(times[len(times)-1]-times[0]) / float64(mean)
-	}
-	return mean, varPct, rows, nil
+	return total / time.Duration(len(times)), rows, nil
 }
 
 // drain opens a cursor for q on e and counts its rows.

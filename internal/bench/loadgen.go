@@ -6,12 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/server"
 )
 
 // LoadGenConfig parameterizes a load-generation run against a running query
@@ -157,22 +155,36 @@ func RunLoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenReport, error) 
 	if len(all) == 0 {
 		return report, nil
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	var sum time.Duration
 	for _, d := range all {
 		sum += d
 	}
 	report.MeanLat = sum / time.Duration(len(all))
-	// server.Quantile, not a local copy: loadgen percentiles must be
-	// computed exactly like the /stats ones they are compared against.
-	report.P50Lat = server.Quantile(all, 0.50)
-	report.P90Lat = server.Quantile(all, 0.90)
-	report.P99Lat = server.Quantile(all, 0.99)
+	report.P50Lat = quantile(all, 0.50)
+	report.P90Lat = quantile(all, 0.90)
+	report.P99Lat = quantile(all, 0.99)
 	report.MaxLat = all[len(all)-1]
 	if elapsed > 0 {
 		report.QPS = float64(len(all)) / elapsed.Seconds()
 	}
 	return report, nil
+}
+
+// quantile returns the p-quantile of sorted durations (nearest-rank
+// method).
+func quantile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(p*float64(len(sorted))+0.5) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
 }
 
 // String renders the report for terminal output.

@@ -102,6 +102,38 @@ func getBody(t *testing.T, url string) string {
 	return string(body)
 }
 
+// TestQuantile pins loadgen's nearest-rank percentile: the sample at rank
+// p·n rounded half up, clamped to [1, n], so p99 of 100 samples is the
+// 99th, not the max.
+func TestQuantile(t *testing.T) {
+	hundred := make([]time.Duration, 100)
+	for i := range hundred {
+		hundred[i] = time.Duration(i+1) * time.Millisecond
+	}
+	one := []time.Duration{7 * time.Millisecond}
+	for _, tc := range []struct {
+		name   string
+		sorted []time.Duration
+		p      float64
+		want   time.Duration
+	}{
+		{"empty", nil, 0.5, 0},
+		{"one/p0", one, 0, 7 * time.Millisecond},
+		{"one/p50", one, 0.5, 7 * time.Millisecond},
+		{"one/p99", one, 0.99, 7 * time.Millisecond},
+		{"one/p100", one, 1, 7 * time.Millisecond},
+		{"hundred/p0", hundred, 0, 1 * time.Millisecond},
+		{"hundred/p12.5", hundred, 0.125, 13 * time.Millisecond}, // rank 12.5 rounds up
+		{"hundred/p50", hundred, 0.5, 50 * time.Millisecond},
+		{"hundred/p99", hundred, 0.99, 99 * time.Millisecond},
+		{"hundred/p100", hundred, 1, 100 * time.Millisecond},
+	} {
+		if got := quantile(tc.sorted, tc.p); got != tc.want {
+			t.Errorf("%s: quantile(p=%v) = %v, want %v", tc.name, tc.p, got, tc.want)
+		}
+	}
+}
+
 func TestLoadGenConfigValidation(t *testing.T) {
 	if _, err := RunLoadGen(context.Background(), LoadGenConfig{}); err == nil {
 		t.Fatal("want error for missing URL")

@@ -98,7 +98,7 @@ func BenchmarkCursorMaxRows(b *testing.B) {
 // patterns sharing variables pairwise — every variable level leapfrogs over
 // multiple iterators) and star-shaped Q2 (one root variable intersected
 // across three relations). CI runs this once per PR so the inner loop stays
-// exercised; BENCH_5.json tracks the absolute numbers.
+// exercised; the benchmark's engine.drain_us row tracks served join cost.
 func BenchmarkLeapfrogJoin(b *testing.B) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
 	for _, tc := range []struct {

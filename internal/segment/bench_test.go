@@ -5,9 +5,8 @@ import (
 )
 
 // BenchmarkSegmentOpen measures the full cold-load path — open, checksum
-// verify, dict decode, set-header rebuild — at LUBM scale 1. This is the
-// number the cold-start trajectory in BENCH_6.json compares against parse
-// and snapshot boots.
+// verify, dict decode, set-header rebuild — at LUBM scale 1. The
+// benchmark's segment.open_ms row times the same path at its own scale.
 func BenchmarkSegmentOpen(b *testing.B) {
 	st := lubmStore(b, 1)
 	path := writeSegment(b, st)

@@ -431,22 +431,4 @@ func (m *metrics) histSnapshots() (global obs.HistSnapshot, byEngine map[string]
 	return m.lat.Snapshot(), byEngine
 }
 
-// Quantile returns the p-quantile of sorted durations (nearest-rank
-// method). It is exported so the load generator (internal/bench) reports
-// percentiles computed exactly like the server's own /stats — the two are
-// meant to be compared side by side.
-func Quantile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

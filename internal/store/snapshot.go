@@ -97,16 +97,6 @@ func WriteSnapshotData(w io.Writer, d *dict.Dictionary, triples []Triple) error 
 	return bw.Flush()
 }
 
-// WriteSnapshotFile persists the store's snapshot to path atomically: the
-// bytes go to a temporary file in the same directory, are fsynced, and only
-// then renamed over path. A crash mid-write (e.g. during a background
-// compaction under serving) therefore never truncates or corrupts the
-// snapshot a restarting server loads — path either holds the previous
-// complete snapshot or the new one.
-func (s *Store) WriteSnapshotFile(path string) error {
-	return AtomicWriteFile(path, s.WriteSnapshot)
-}
-
 // AtomicWriteFile writes a file via write-to-temp, fsync, rename. write
 // receives the temporary file; on any error the temporary is removed and
 // path is untouched.

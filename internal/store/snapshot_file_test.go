@@ -21,7 +21,7 @@ func snapshotFileStore() *Store {
 func TestWriteSnapshotFileRoundTrip(t *testing.T) {
 	st := snapshotFileStore()
 	path := filepath.Join(t.TempDir(), "s.snap")
-	if err := st.WriteSnapshotFile(path); err != nil {
+	if err := AtomicWriteFile(path, st.WriteSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

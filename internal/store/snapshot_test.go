@@ -94,8 +94,8 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 }
 
 // TestSnapshotFileRoundTrip covers the on-disk atomic write path end to
-// end: WriteSnapshotFile → ReadSnapshot through a real file, including the
-// rename-durability step (the parent-directory fsync inside
+// end: AtomicWriteFile(WriteSnapshot) → ReadSnapshot through a real file,
+// including the rename-durability step (the parent-directory fsync inside
 // AtomicWriteFile — its error is propagated, not swallowed; without it a
 // power loss can undo the rename after the call reported success).
 func TestSnapshotFileRoundTrip(t *testing.T) {
@@ -106,12 +106,12 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	})
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.snap")
-	if err := orig.WriteSnapshotFile(path); err != nil {
-		t.Fatalf("WriteSnapshotFile: %v", err)
+	if err := AtomicWriteFile(path, orig.WriteSnapshot); err != nil {
+		t.Fatalf("AtomicWriteFile: %v", err)
 	}
 	// Overwrite in place: the atomic rename must replace, never corrupt.
-	if err := orig.WriteSnapshotFile(path); err != nil {
-		t.Fatalf("second WriteSnapshotFile: %v", err)
+	if err := AtomicWriteFile(path, orig.WriteSnapshot); err != nil {
+		t.Fatalf("second AtomicWriteFile: %v", err)
 	}
 	// No temp-file litter may survive a successful write.
 	ents, err := os.ReadDir(dir)

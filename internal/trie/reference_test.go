@@ -1,11 +1,9 @@
-// reference.go preserves the pre-arena trie representation — one heap
+// reference_test.go preserves the pre-arena trie representation — one heap
 // object per node, children addressed through a pointer slice, built by a
 // comparison sort — as an executable specification. It exists for two
 // consumers only: the property tests assert the flat arena trie is
-// observationally identical to it on random inputs, and the perf suite
-// (internal/bench, BENCH_5.json) reports the flat builder's measured
-// speedup against it so the gain stays a number rather than a claim. It is
-// not used on any query path.
+// observationally identical to it on random inputs, and
+// BenchmarkTrieBuildPointer times it beside BenchmarkTrieBuildFlat.
 package trie
 
 import (

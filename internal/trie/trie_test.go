@@ -464,8 +464,8 @@ func BenchmarkTrieBuildFlat(b *testing.B) {
 }
 
 // BenchmarkTrieBuildPointer measures the retired pointer-per-node builder
-// on identical input; the flat/pointer ratio is the PR's headline number
-// (recorded in BENCH_5.json).
+// on identical input, so the flat/pointer ratio can be re-measured with
+// -bench TrieBuild.
 func BenchmarkTrieBuildPointer(b *testing.B) {
 	cols := benchCols(100000, 10000)
 	b.ResetTimer()
