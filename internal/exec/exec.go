@@ -9,6 +9,16 @@
 // node results (and with the raw relations of a pipelined child, §III-C) to
 // produce output tuples.
 //
+// Each generic join (join.go) binds one attribute at a time. Variable
+// attributes are intersected by leapfrog triejoin over the tries' seek
+// iterators, except the last attribute of the order: no descent follows a
+// match there, so when every participating trie is at its leaf level the
+// leaf sets are intersected whole by the layout-specialised kernels of
+// internal/set (§II-A2) — read straight from the trie's value arena where
+// the level is all uint arrays — and each result value is emitted. Pairs
+// the kernels would handle slower (a uint array several times the size of
+// the other side) stay with the leapfrog.
+//
 // The enumerator is a streaming generator: Open returns an engine.Cursor
 // that yields output rows as the final join produces them, so consumers
 // (the query server above all) hold O(batch) rows in memory, see their

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/set"
@@ -107,23 +108,37 @@ type lfIter struct {
 	in *input
 }
 
-// joiner runs Algorithm 1 with a leapfrog core: for each attribute in
-// order, intersect the current sets of all participating inputs by mutual
-// seeking (or probe the constant for selection attributes), bind, descend,
-// and recurse.
+// joiner runs Algorithm 1. For each attribute in order it intersects the
+// current sets of all participating inputs by leapfrog — mutual seeking,
+// one value at a time — (or probes the constant for selection attributes),
+// binds, descends, and recurses. The last attribute is the exception: when
+// every participating input is at its trie's leaf level nothing descends
+// after a match, so its sets are intersected whole by the layout-specialised
+// kernels of internal/set (§II-A2) and each result value is bound and
+// emitted (intersectLast).
 type joiner struct {
 	attrs   []plan.Attr
 	inputs  []*input
 	binding []uint32
 
-	// Per-depth scratch, reused across the recursion: selection actives,
-	// leapfrog iterator states, and descend counters. Everything the inner
-	// loop touches is preallocated here — no allocations and no closures
-	// per recursion step.
+	// Per-depth scratch, reused across the recursion: selection (and
+	// last-attribute) actives, leapfrog iterator states, and descend
+	// counters. Everything the inner loop touches is preallocated here — no
+	// allocations and no closures per recursion step.
 	active    [][]*input
 	lf        [][]lfIter
 	descended [][]int
 	emit      func([]uint32) error
+
+	// Last-attribute scratch, allocated on first use and reused: the
+	// leaves' set headers (read only when a leaf level holds bitset nodes
+	// or more than two inputs take part), the kernels' ping-pong buffers,
+	// and the result values. Allocating lazily keeps the joiner small — it
+	// often lives in its caller's frame on a generator's fresh goroutine
+	// stack — and costs queries that never reach these paths nothing.
+	sets []*set.Set
+	sc   *set.Scratch
+	vals []uint32
 
 	// Parallel partitioning: when filterMod is non-zero, values bound at
 	// attribute index filterAt are skipped unless v % filterMod ==
@@ -134,13 +149,15 @@ type joiner struct {
 	filterRes uint32
 
 	// Cancellation: when ctx is non-nil, ctx.Err is polled every
-	// cancelStride recursion steps via a countdown (one predictable
-	// decrement-and-branch on the hot path; no modulo).
+	// cancelStride recursion steps or last-attribute emissions via a
+	// countdown (tick: one predictable decrement-and-branch on the hot
+	// path; no modulo).
 	ctx      context.Context
 	cancelIn int
 }
 
-// cancelStride is how many recursion steps pass between context polls.
+// cancelStride is how many recursion steps (or values emitted by the
+// last-attribute kernel step) pass between context polls.
 const cancelStride = 4096
 
 func newJoiner(attrs []plan.Attr, inputs []*input) *joiner {
@@ -169,15 +186,32 @@ func (j *joiner) run(emit func([]uint32) error) error {
 	return j.recurse(0)
 }
 
+// tick counts one recursion step (or one value emitted at the last
+// attribute) against the cancellation countdown. It is small enough to
+// inline; the poll itself is out of line.
+func (j *joiner) tick() error {
+	j.cancelIn--
+	if j.cancelIn > 0 {
+		return nil
+	}
+	return j.poll()
+}
+
+// poll restarts the countdown and reports ctx's error, if any. Kept out of
+// line so that tick stays within the inlining budget.
+//
+//go:noinline
+func (j *joiner) poll() error {
+	j.cancelIn = cancelStride
+	if j.ctx == nil {
+		return nil
+	}
+	return j.ctx.Err()
+}
+
 func (j *joiner) recurse(idx int) error {
-	if j.ctx != nil {
-		j.cancelIn--
-		if j.cancelIn <= 0 {
-			j.cancelIn = cancelStride
-			if err := j.ctx.Err(); err != nil {
-				return err
-			}
-		}
+	if err := j.tick(); err != nil {
+		return err
 	}
 	if idx == len(j.attrs) {
 		return j.emit(j.binding)
@@ -214,6 +248,12 @@ func (j *joiner) recurse(idx int) error {
 			in.ascend(counts[i])
 		}
 		return err
+	}
+
+	if idx == len(j.attrs)-1 {
+		if done, err := j.intersectLast(idx, attr.Name); done {
+			return err
+		}
 	}
 
 	// Leapfrog multiway intersection (Veldhuizen's leapfrog triejoin,
@@ -297,4 +337,157 @@ func (j *joiner) recurse(idx int) error {
 			p = 0
 		}
 	}
+}
+
+// intersectLast is the kernel step at the last attribute of the join
+// order. When every input taking part there sits at its trie's leaf level,
+// no descent follows a match, so there is no reason to seek value by value:
+// the sets are intersected whole — the paper's layout-specialised kernels
+// (§II-A2) rather than LogicBlox-style leapfrog — and each result value is
+// filtered to this worker's partition, counted against the cancellation
+// countdown, bound and emitted. It reports false, having changed nothing,
+// when some participant still has levels below it (a repeated variable such
+// as ?x p ?x), when none takes part, or when leafIntersection leaves the
+// sets to the leapfrog; the leapfrog handles those.
+func (j *joiner) intersectLast(idx int, name string) (bool, error) {
+	active := j.active[idx][:0]
+	for _, in := range j.inputs {
+		if in.activeAt(name) {
+			if !in.stack[in.depth].IsLeaf() {
+				return false, nil
+			}
+			active = append(active, in)
+		}
+	}
+	if len(active) == 0 {
+		return false, nil
+	}
+	vals, ok := j.leafIntersection(active)
+	if !ok {
+		return false, nil
+	}
+	filter := j.filterMod != 0 && idx == j.filterAt
+	for _, v := range vals {
+		if filter && v%j.filterMod != j.filterRes {
+			continue
+		}
+		if err := j.tick(); err != nil {
+			return true, err
+		}
+		j.binding[idx] = v
+		if err := j.emit(j.binding); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
+}
+
+// leafIntersection returns the members common to the current sets of the
+// active inputs, all at leaf level, in ascending order — or false to leave
+// them to the leapfrog: where it intersects faster (leapfrogFaster), and
+// for a lone bitset leaf, which its iterator decodes as rows are taken
+// rather than all up front (a LIMIT may want only a few). The result may
+// alias a trie arena or the joiner's scratch; it is valid until the next
+// call.
+//
+// Leaves on uint-only levels are read straight from the value arena
+// (trie.Node.UintValues), so the common cases — one leaf, or two as in a
+// triangle's closing edge — never touch a set header. A singleton, the
+// leaf of a functional property such as memberOf, turns the intersection
+// into membership probes of its one value. Anything else goes through the
+// headers: two sets through set.IntersectValues, more through the
+// scratch's smallest-first fold.
+func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
+	if len(active) <= 2 {
+		a, aok := active[0].stack[active[0].depth].UintValues()
+		if len(active) == 1 {
+			if aok {
+				return a, true
+			}
+			s := active[0].currentSet()
+			return s.RawSortedValues(), s.Layout() == set.UintArray
+		}
+		b, bok := active[1].stack[active[1].depth].UintValues()
+		if aok && bok {
+			if len(b) < len(a) {
+				a, b = b, a
+			}
+			if len(a) == 1 {
+				if _, found := slices.BinarySearch(b, a[0]); !found {
+					return nil, true
+				}
+				return a, true
+			}
+			if leapfrogFaster(false, len(a), len(b)) {
+				return nil, false
+			}
+			j.vals = slices.Grow(j.vals[:0], len(a))[:len(a)]
+			return j.vals[:set.IntersectSorted(j.vals, a, b)], true
+		}
+	}
+	if cap(j.sets) < len(active) {
+		j.sets = make([]*set.Set, 0, len(j.inputs))
+	}
+	sets := j.sets[:0]
+	small := 0
+	for i, in := range active {
+		sets = append(sets, in.currentSet())
+		if sets[i].Len() < sets[small].Len() {
+			small = i
+		}
+	}
+	s1 := sets[small]
+	if s1.Len() == 1 {
+		v := s1.Min()
+		for _, s := range sets {
+			if !s.Contains(v) {
+				return nil, true
+			}
+		}
+		j.vals = append(j.vals[:0], v)
+		return j.vals, true
+	}
+	for _, s := range sets {
+		if s.Layout() == set.UintArray && s != s1 &&
+			leapfrogFaster(s1.Layout() == set.Bitset, s1.Len(), s.Len()) {
+			return nil, false
+		}
+	}
+	if len(sets) == 2 {
+		j.vals = set.IntersectValues(j.vals[:0], sets[0], sets[1])
+		return j.vals, true
+	}
+	if j.sc == nil {
+		j.sc = new(set.Scratch)
+	}
+	res := j.sc.IntersectMany(sets)
+	if res.Layout() == set.UintArray {
+		return res.RawSortedValues(), true
+	}
+	j.vals = res.AppendValues(j.vals[:0])
+	return j.vals, true
+}
+
+// Size ratios from which the leapfrog beats the kernels. Below
+// set.GallopRatio the uint×uint kernel is a branch-free merge, a chain of
+// dependent loads that costs about 4 ns per member of either side; the
+// uint×bitset kernel probes every member of the array, about 2 ns each.
+// The leapfrog pays a set-up per call and then seeks from the smaller
+// side. On a 2-core Xeon, intersecting LUBM q2's and q12's leaves under
+// both layout policies, the leapfrog wins once the array is mergeSkew
+// times the other side in a merge and probeSkew times it in a probe, while
+// the knows triangle's ten-member pairs stay with the merge.
+const (
+	mergeSkew = 4
+	probeSkew = 16
+)
+
+// leapfrogFaster reports whether intersecting a uint array of large members
+// with a set of small ≤ large members is faster by leapfrog than by the
+// kernels; smallIsBitset gives the smaller set's layout.
+func leapfrogFaster(smallIsBitset bool, small, large int) bool {
+	if smallIsBitset {
+		return large >= probeSkew*small
+	}
+	return large >= mergeSkew*small && large < set.GallopRatio*small
 }

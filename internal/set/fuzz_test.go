@@ -1,6 +1,7 @@
 package set_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -21,7 +22,7 @@ func fuzzVals(data []byte, stride uint32) []uint32 {
 			vals = append(vals, v)
 		}
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	return vals
 }
 
@@ -55,9 +56,10 @@ func sameVals(t *testing.T, label string, got *set.Set, want []uint32) {
 
 // FuzzIntersectKernels drives every intersection kernel — merge (4-lane
 // interleaved), gallop (4-wide probe), uint×bitset, bitset×bitset word-AND,
-// the scratch-buffer IntersectInto path, and the ping-pong IntersectMany
-// fold — against the map-membership reference, across all layout pairings
-// the policies can produce.
+// the bare-slice IntersectSorted entry the join's last attribute calls, the
+// scratch-buffer IntersectInto path, and the ping-pong IntersectMany fold —
+// against the map-membership reference, across all layout pairings the
+// policies can produce.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3}, []byte{0, 2, 0, 3, 0, 4}, byte(0))
 	f.Add([]byte{0, 1, 1, 0}, []byte{0, 1, 2, 0}, byte(9))
@@ -66,6 +68,13 @@ func FuzzIntersectKernels(f *testing.F) {
 		av := fuzzVals(aRaw, uint32(stride))
 		bv := fuzzVals(bRaw, uint32(stride)%3)
 		want := refIntersect(av, bv)
+		dst := make([]uint32, min(len(av), len(bv)))
+		if got := dst[:set.IntersectSorted(dst, av, bv)]; !slices.Equal(got, want) {
+			t.Fatalf("IntersectSorted: got %v, want %v", got, want)
+		}
+		if got := dst[:set.IntersectSorted(dst, bv, av)]; !slices.Equal(got, want) {
+			t.Fatalf("IntersectSorted(rev): got %v, want %v", got, want)
+		}
 		policies := []set.Policy{set.PolicyAuto, set.PolicyUintOnly, set.PolicyAdaptive}
 		var sc set.Scratch
 		for _, pa := range policies {

@@ -27,9 +27,9 @@ import (
 // multiway intersections (IntersectMany, exec's materialization steps)
 // never allocate per step.
 
-// gallopRatio is the size ratio beyond which uint×uint intersection switches
+// GallopRatio is the size ratio beyond which uint×uint intersection switches
 // from a linear merge to galloping search.
-const gallopRatio = 32
+const GallopRatio = 32
 
 // b2i converts a comparison to 0/1 without a branch (the compiler lowers
 // this idiom to SETcc).
@@ -224,13 +224,23 @@ func IntersectValues(dst []uint32, a, b *Set) []uint32 {
 	}
 }
 
+// IntersectSorted writes a ∩ b into dst and returns the output count. a and
+// b must be sorted and duplicate-free, and dst must hold at least
+// min(len(a), len(b)) values. It is the uint×uint kernel on bare slices —
+// branch-free merge, or galloping once one side is GallopRatio times the
+// other — for callers that hold a set's members without its header (the
+// join's last attribute reads them straight out of a trie's value arena).
+func IntersectSorted(dst, a, b []uint32) int {
+	return intersectUintUint(dst, a, b)
+}
+
 // intersectUintUint writes a ∩ b into dst (which must hold at least
 // min(len(a), len(b)) values) and returns the output count.
 func intersectUintUint(dst []uint32, a, b []uint32) int {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	if len(b) >= gallopRatio*len(a) {
+	if len(b) >= GallopRatio*len(a) {
 		return intersectGallop(dst, a, b)
 	}
 	return intersectMerge(dst, a, b)

@@ -12,6 +12,7 @@ package set
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -199,7 +200,7 @@ func FromValues(vals []uint32, policy Policy) *Set {
 	}
 	cp := make([]uint32, len(vals))
 	copy(cp, vals)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	slices.Sort(cp)
 	cp = dedupSorted(cp)
 	return FromSorted(cp, policy)
 }

@@ -275,7 +275,7 @@ func TestGallopPath(t *testing.T) {
 	if !reflect.DeepEqual(got2, []uint32{1998}) {
 		t.Errorf("gallop with misses = %v", got2)
 	}
-	// Via the public API: ratio 1000/3 > gallopRatio triggers gallop.
+	// Via the public API: ratio 1000/3 > GallopRatio triggers gallop.
 	sa := FromSorted(small, PolicyUintOnly)
 	sb := FromSorted(large, PolicyUintOnly)
 	if !reflect.DeepEqual(Intersect(sa, sb).Values(), []uint32{0, 998, 1998}) {

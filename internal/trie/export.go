@@ -89,6 +89,10 @@ func FromLevels(tuples int, levels []LevelData) (*Trie, error) {
 		if nodes < 0 {
 			return nil, fmt.Errorf("trie: level %d has empty start arena", l)
 		}
+		if ld.Start[0] != 0 {
+			// Node n's uint members sit at Vals[Start[n]:] (Node.UintValues).
+			return nil, fmt.Errorf("trie: level %d start arena does not begin at 0", l)
+		}
 		lv := &t.levels[l]
 		*lv = level{start: ld.Start, vals: ld.Vals, words: ld.Words, ranks: ld.Ranks,
 			sets: make([]set.Set, nodes)}

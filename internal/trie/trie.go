@@ -34,6 +34,7 @@ package trie
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/radix"
 	"repro/internal/set"
@@ -112,6 +113,21 @@ type Node struct {
 // Set returns the values present at this node's level. The returned set is
 // a view into the trie's arenas; it must not be mutated.
 func (n Node) Set() *set.Set { return &n.t.levels[n.level].sets[n.node] }
+
+// UintValues returns the node's members, sorted, straight from its level's
+// value arena as vals[start[n]:start[n+1]] — valid when no node at the
+// level uses the bitset layout, since the arena then holds every node's
+// members in node order and the CSR offsets index it directly. The set
+// header is never read. It reports false when the level holds a bitset
+// node; use Set then. The slice must not be mutated.
+func (n Node) UintValues() ([]uint32, bool) {
+	lv := &n.t.levels[n.level]
+	if len(lv.words) != 0 {
+		return nil, false
+	}
+	lo, hi := lv.start[n.node], lv.start[n.node+1]
+	return lv.vals[lo:hi:hi], true
+}
 
 // IsLeaf reports whether this node is at the last level of its trie.
 func (n Node) IsLeaf() bool { return int(n.level) == len(n.t.levels)-1 }
@@ -406,9 +422,8 @@ func (t *Trie) Lookup(prefix ...uint32) (Node, bool) {
 	return n, true
 }
 
-// setHeaderBytes approximates the in-arena footprint of one set.Set header
-// (layout byte + three slice headers + base + card on a 64-bit platform).
-const setHeaderBytes = 88
+// setHeaderBytes is the in-arena footprint of one set.Set header.
+const setHeaderBytes = int(unsafe.Sizeof(set.Set{}))
 
 // MemoryBytes estimates the heap footprint of the trie's arenas: values,
 // bit words, rank directories, CSR offsets, and set headers. Subtree views

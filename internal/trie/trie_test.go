@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/set"
 )
@@ -179,6 +180,83 @@ func TestDenseLevelsUseBitsets(t *testing.T) {
 	}
 	if forced.MemoryBytes() <= 0 || auto.MemoryBytes() <= 0 {
 		t.Errorf("MemoryBytes should be positive")
+	}
+}
+
+// TestMemoryBytesCountsSetHeaders pins the per-node header charge to the
+// real size of a set.Set: 120 bytes on a 64-bit platform since the uint
+// seek directory joined the header (an older constant said 88).
+func TestMemoryBytesCountsSetHeaders(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && setHeaderBytes != 120 {
+		t.Fatalf("setHeaderBytes = %d, want 120 on a 64-bit platform", setHeaderBytes)
+	}
+	// Level 0 is one node {0, 2}; level 1 is two nodes {1, 3} and {1}.
+	tr := BuildFromRows([][]uint32{{0, 3}, {0, 1}, {2, 1}}, 2, set.PolicyUintOnly)
+	vals, starts, headers := 2+3, 2+3, 1+2
+	if got, want := tr.MemoryBytes(), 4*vals+4*starts+setHeaderBytes*headers; got != want {
+		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	}
+}
+
+// TestFromLevelsRejectsOffsetStart: Node.UintValues indexes a level's
+// value arena by its CSR offsets, so a loaded level whose offsets do not
+// begin at 0 is refused instead of read from the wrong place.
+func TestFromLevelsRejectsOffsetStart(t *testing.T) {
+	tr := BuildFromRows([][]uint32{{0, 3}, {0, 1}, {2, 1}}, 2, set.PolicyUintOnly)
+	levels := tr.Export()
+	if _, err := FromLevels(tr.Len(), levels); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	shifted := make([]int32, len(levels[1].Start))
+	for i, s := range levels[1].Start {
+		shifted[i] = s + 1
+	}
+	levels[1].Start = shifted
+	if _, err := FromLevels(tr.Len(), levels); err == nil {
+		t.Fatal("FromLevels accepted a start arena beginning at 1")
+	}
+}
+
+// TestUintValuesMatchesSet checks Node.UintValues against the node's set
+// on every node of random tries under each policy: it answers exactly on
+// the levels that hold no bitset node, and then with the set's members.
+func TestUintValuesMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var levels [2]int // levels without, with a bitset node
+	for trial := 0; trial < 30; trial++ {
+		rows := make([][]uint32, 1+rng.Intn(3000))
+		span := uint32(50 + rng.Intn(5000))
+		for i := range rows {
+			rows[i] = []uint32{uint32(rng.Intn(8)), rng.Uint32() % span, rng.Uint32() % span}
+		}
+		for _, policy := range []set.Policy{set.PolicyAuto, set.PolicyUintOnly, set.PolicyAdaptive} {
+			tr := BuildFromRows(rows, 3, policy)
+			for l := range tr.levels {
+				lv := &tr.levels[l]
+				hasBitset := false
+				for i := range lv.sets {
+					hasBitset = hasBitset || lv.sets[i].Layout() == set.Bitset
+				}
+				if hasBitset {
+					levels[1]++
+				} else {
+					levels[0]++
+				}
+				for i := range lv.sets {
+					n := Node{t: tr, level: int32(l), node: int32(i)}
+					vals, ok := n.UintValues()
+					if ok == hasBitset {
+						t.Fatalf("policy %d level %d: UintValues ok=%v on a level with bitsets=%v", policy, l, ok, hasBitset)
+					}
+					if ok && !reflect.DeepEqual(vals, n.Set().AppendValues(nil)) {
+						t.Fatalf("policy %d level %d node %d: UintValues = %v, want %v", policy, l, i, vals, n.Set().AppendValues(nil))
+					}
+				}
+			}
+		}
+	}
+	if levels[0] == 0 || levels[1] == 0 {
+		t.Fatalf("levels without/with bitset nodes: %v; the trials cover one case only", levels)
 	}
 }
 
