@@ -17,7 +17,13 @@
 // internal/set (§II-A2) — read straight from the trie's value arena where
 // the level is all uint arrays — and each result value is emitted. Pairs
 // the kernels would handle slower (a uint array several times the size of
-// the other side) stay with the leapfrog.
+// the other side) stay with the leapfrog. A leaf there whose parent level
+// is bound before the penultimate attribute is the same node for a whole
+// enclosing loop (the triangle's ?x in-neighbours while ?y varies), so the
+// joiner marks it once in a pooled bitmap (set.Marks) and probes the other
+// leaf into it instead of merging: §III-A's choice of layout by how a set
+// is used, for a set intersected over and over. Trie levels are matched to
+// attributes by index, resolved once per join, not by name.
 //
 // The enumerator is a streaming generator: Open returns an engine.Cursor
 // that yields output rows as the final join produces them, so consumers
@@ -107,48 +113,8 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, ou
 		return nil
 	}
 	e := &executor{st: st, policy: opts.Policy, ctx: ctx}
-
-	// The root is streamed (its generic join feeds the output enumeration
-	// directly) when no top-down pass is necessary — single-node plans,
-	// plans whose root bag covers every query variable (children act as
-	// pure semijoin filters; §II-C: "if necessary, we traverse the GHD
-	// top-down") — and when a pipelined child exists (§III-C). Otherwise
-	// the root's result is materialized like any other node, which is the
-	// paper's default two-phase execution.
-	hasPipelined := false
-	for _, child := range p.Root.Children {
-		if child.Pipelined {
-			hasPipelined = true
-		}
-	}
-	streamRoot := len(p.Root.Children) == 0 || hasPipelined || rootCoversAllVars(p)
-
-	// Bottom-up pass: materialize every non-pipelined node.
-	for _, child := range p.Root.Children {
-		if child.Pipelined {
-			continue
-		}
-		if _, err := e.materialize(child); err != nil {
-			return err
-		}
-		if e.dead {
-			return nil
-		}
-	}
-	if !streamRoot {
-		if _, err := e.materialize(p.Root); err != nil {
-			return err
-		}
-		if e.dead {
-			return nil
-		}
-	}
-
-	// Final pass: join the root (its raw relations when streaming, its
-	// materialized result otherwise) with every materialized node result
-	// and the pipelined child's raw relations.
-	inputs, attrs, err := e.finalInputs(p, streamRoot)
-	if err != nil {
+	inputs, attrs, err := e.prepare(p)
+	if err != nil || e.dead {
 		return err
 	}
 	attrIdx := map[string]int{}
@@ -202,7 +168,9 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, ou
 	// workers enumerate concurrently while earlier ones drain, running at
 	// most a generator's channel depth ahead. Each worker gets private
 	// descent state over the shared immutable tries (resolved here, before
-	// the goroutines start, so the lazy trie caches are not raced).
+	// the goroutines start, so the lazy trie caches are not raced); the
+	// clones share the level indices resolved once here.
+	indexLevels(attrs, inputs)
 	curs := make([]engine.Cursor, workers)
 	for w := range curs {
 		j := newJoiner(attrs, cloneInputs(inputs))
@@ -240,6 +208,52 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, ou
 		}
 	}
 	return nil
+}
+
+// prepare runs the bottom-up pass and assembles the final enumeration's
+// inputs and attribute order. When it leaves e.dead set, a fully constant
+// node failed to match: the result is empty and nothing is returned.
+func (e *executor) prepare(p *plan.Plan) ([]*input, []plan.Attr, error) {
+	// The root is streamed (its generic join feeds the output enumeration
+	// directly) when no top-down pass is necessary — single-node plans,
+	// plans whose root bag covers every query variable (children act as
+	// pure semijoin filters; §II-C: "if necessary, we traverse the GHD
+	// top-down") — and when a pipelined child exists (§III-C). Otherwise
+	// the root's result is materialized like any other node, which is the
+	// paper's default two-phase execution.
+	hasPipelined := false
+	for _, child := range p.Root.Children {
+		if child.Pipelined {
+			hasPipelined = true
+		}
+	}
+	streamRoot := len(p.Root.Children) == 0 || hasPipelined || rootCoversAllVars(p)
+
+	// Bottom-up pass: materialize every non-pipelined node.
+	for _, child := range p.Root.Children {
+		if child.Pipelined {
+			continue
+		}
+		if _, err := e.materialize(child); err != nil {
+			return nil, nil, err
+		}
+		if e.dead {
+			return nil, nil, nil
+		}
+	}
+	if !streamRoot {
+		if _, err := e.materialize(p.Root); err != nil {
+			return nil, nil, err
+		}
+		if e.dead {
+			return nil, nil, nil
+		}
+	}
+
+	// Final pass: join the root (its raw relations when streaming, its
+	// materialized result otherwise) with every materialized node result
+	// and the pipelined child's raw relations.
+	return e.finalInputs(p, streamRoot)
 }
 
 // firstVarIdx returns the index of the first non-selection attribute, or -1.

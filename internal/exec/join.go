@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/plan"
 	"repro/internal/set"
@@ -14,9 +15,11 @@ import (
 // current descent state. The trie's level order must be a subsequence of
 // the join's attribute order (the planner guarantees this). Nodes are
 // values (flat-trie handles), so the stack is a flat array with no pointer
-// chasing.
+// chasing. Levels are identified by their index in the join's attribute
+// order (at), so the hot loop compares ints, never names.
 type input struct {
 	levels []plan.Attr
+	at     []int32     // at[d] = index in the joiner's attrs of levels[d]; -1 if absent
 	stack  []trie.Node // stack[d] = node after descending d levels
 	depth  int
 }
@@ -28,21 +31,43 @@ func newInput(t *trie.Trie, levels []plan.Attr) *input {
 }
 
 // cloneInputs duplicates the descent state of every input (the underlying
-// tries are shared — they are immutable). Parallel workers each own a
-// clone.
+// tries are shared — they are immutable), carrying the attribute indices.
+// Parallel workers each own a clone.
 func cloneInputs(ins []*input) []*input {
 	out := make([]*input, len(ins))
 	for i, in := range ins {
-		c := &input{levels: in.levels, stack: make([]trie.Node, len(in.stack))}
+		c := &input{levels: in.levels, at: in.at, stack: make([]trie.Node, len(in.stack))}
 		c.stack[0] = in.stack[0]
 		out[i] = c
 	}
 	return out
 }
 
-// activeAt reports whether the input's next un-descended level is attr.
-func (in *input) activeAt(name string) bool {
-	return in.depth < len(in.levels) && in.levels[in.depth].Name == name
+// indexLevels resolves every input's level names to indices in attrs, once
+// per join; repeated names (?x p ?x) map to the same index. An input that
+// already carries indices — a clone — keeps them.
+func indexLevels(attrs []plan.Attr, inputs []*input) {
+	for _, in := range inputs {
+		if in.at != nil {
+			continue
+		}
+		in.at = make([]int32, len(in.levels))
+		for d, l := range in.levels {
+			in.at[d] = -1
+			for i, a := range attrs {
+				if a.Name == l.Name {
+					in.at[d] = int32(i)
+					break
+				}
+			}
+		}
+	}
+}
+
+// activeAt reports whether the input's next un-descended level is the
+// attribute at index idx.
+func (in *input) activeAt(idx int32) bool {
+	return in.depth < len(in.at) && in.at[in.depth] == idx
 }
 
 // currentSet returns the value set at the input's current level.
@@ -50,14 +75,14 @@ func (in *input) currentSet() *set.Set {
 	return in.stack[in.depth].Set()
 }
 
-// descendAll descends every consecutive level named name with value v
+// descendAll descends every consecutive level of attribute idx with value v
 // (repeated names handle self-join patterns like ?x p ?x). It returns the
 // number of levels descended and whether all descents succeeded; on failure
 // it rolls its own descents back. This is the selection path — each descent
 // probes the set by value.
-func (in *input) descendAll(name string, v uint32) (int, bool) {
+func (in *input) descendAll(idx int32, v uint32) (int, bool) {
 	k := 0
-	for in.depth < len(in.levels) && in.levels[in.depth].Name == name {
+	for in.activeAt(idx) {
 		child, ok := in.stack[in.depth].ChildByValue(v)
 		if !ok {
 			in.depth -= k
@@ -73,9 +98,9 @@ func (in *input) descendAll(name string, v uint32) (int, bool) {
 // descendRanked is the leapfrog descent: the first level descends by the
 // value's rank, already known from the seeking iterator's position — no
 // Rank probe at all, just the flat trie's CSR offset addition. Consecutive
-// same-name levels (self-joins, rare) fall back to value probes. On failure
-// it rolls its own descents back.
-func (in *input) descendRanked(name string, v uint32, rank int) (int, bool) {
+// levels of the same attribute (self-joins, rare) fall back to value
+// probes. On failure it rolls its own descents back.
+func (in *input) descendRanked(idx int32, v uint32, rank int) (int, bool) {
 	n := in.stack[in.depth]
 	var child trie.Node
 	if !n.IsLeaf() {
@@ -84,7 +109,7 @@ func (in *input) descendRanked(name string, v uint32, rank int) (int, bool) {
 	in.depth++
 	in.stack[in.depth] = child
 	k := 1
-	for in.depth < len(in.levels) && in.levels[in.depth].Name == name {
+	for in.activeAt(idx) {
 		child, ok := in.stack[in.depth].ChildByValue(v)
 		if !ok {
 			in.depth -= k
@@ -115,7 +140,11 @@ type lfIter struct {
 // every participating input is at its trie's leaf level nothing descends
 // after a match, so its sets are intersected whole by the layout-specialised
 // kernels of internal/set (§II-A2) and each result value is bound and
-// emitted (intersectLast).
+// emitted (intersectLast). One leaf there is often loop-invariant — in the
+// triangle ?x→?y→?z→?x, ?x's in-neighbours stay put while ?y varies — and
+// the joiner keeps that leaf marked in a bitmap so each intersection with
+// it is a probe, not a merge (markInvariant): §III-A's choice of layout by
+// use.
 type joiner struct {
 	attrs   []plan.Attr
 	inputs  []*input
@@ -140,6 +169,17 @@ type joiner struct {
 	sc   *set.Scratch
 	vals []uint32
 
+	// Invariant-leaf probe. inv is the input whose leaf at the last
+	// attribute stays the same node across the enclosing loop (nil when no
+	// input's does), decided once by invariantLeaf. marks, taken from
+	// marksPool on first use and returned to it cleared by run, holds the
+	// members of marked, that leaf's node last seen; markedOK is false when
+	// its id range exceeded maxMarkWords and it was not marked.
+	inv      *input
+	marks    *set.Marks
+	marked   trie.Node
+	markedOK bool
+
 	// Parallel partitioning: when filterMod is non-zero, values bound at
 	// attribute index filterAt are skipped unless v % filterMod ==
 	// filterRes. Each worker of a parallel join owns one residue class of
@@ -160,7 +200,17 @@ type joiner struct {
 // last-attribute kernel step) pass between context polls.
 const cancelStride = 4096
 
+// maxMarkWords caps the invariant leaf's bitmap at 16 Ki words (128 KB, a
+// range of 2^20 ids); a leaf spreading wider is merged instead. A variable
+// so that tests can make leaves exceed it.
+var maxMarkWords = 1 << 14
+
+// marksPool recycles invariant-leaf bitmaps across joiners. Every Marks in
+// it is clear.
+var marksPool = sync.Pool{New: func() any { return new(set.Marks) }}
+
 func newJoiner(attrs []plan.Attr, inputs []*input) *joiner {
+	indexLevels(attrs, inputs)
 	j := &joiner{
 		attrs:     attrs,
 		inputs:    inputs,
@@ -175,15 +225,58 @@ func newJoiner(attrs []plan.Attr, inputs []*input) *joiner {
 		j.lf[i] = make([]lfIter, 0, len(inputs))
 		j.descended[i] = make([]int, len(inputs))
 	}
+	j.inv = invariantLeaf(attrs, inputs)
 	return j
+}
+
+// invariantLeaf returns the input whose leaf, at the last attribute, stays
+// the same node for a whole loop of the attributes before it: one whose
+// level above the leaf is bound before the penultimate attribute, or which
+// has no level above the leaf (its leaf is its root). Of several, the one
+// bound earliest changes least often. It returns nil when there is none.
+func invariantLeaf(attrs []plan.Attr, inputs []*input) *input {
+	last := int32(len(attrs) - 1)
+	if last < 0 || attrs[last].IsSel {
+		return nil
+	}
+	var inv *input
+	bound := last - 1 // the parent level must be bound before this index
+	for _, in := range inputs {
+		n := len(in.at)
+		if n == 0 || in.at[n-1] != last {
+			continue
+		}
+		parent := int32(-1)
+		if n > 1 {
+			parent = in.at[n-2]
+		}
+		if parent < bound {
+			inv, bound = in, parent
+		}
+	}
+	return inv
 }
 
 // run enumerates all join results, invoking emit with the binding slice
 // (valid only during the call — emit must copy what it keeps). An error
-// returned by emit aborts the enumeration and is propagated.
+// returned by emit aborts the enumeration and is propagated. However the
+// enumeration ends — exhausted, stopped by emit (a LIMIT closing the
+// cursor) or cancelled — the invariant-leaf bitmap goes back to its pool
+// cleared.
 func (j *joiner) run(emit func([]uint32) error) error {
 	j.emit = emit
+	defer j.release()
 	return j.recurse(0)
+}
+
+// release clears the invariant-leaf bitmap and returns it to marksPool.
+func (j *joiner) release() {
+	if j.marks == nil {
+		return
+	}
+	j.marks.Clear()
+	marksPool.Put(j.marks)
+	j.marks, j.marked, j.markedOK = nil, trie.Node{}, false
 }
 
 // tick counts one recursion step (or one value emitted at the last
@@ -217,6 +310,7 @@ func (j *joiner) recurse(idx int) error {
 		return j.emit(j.binding)
 	}
 	attr := j.attrs[idx]
+	ai := int32(idx)
 
 	if attr.IsSel {
 		// Equality selection: probe the constant in every active trie.
@@ -224,7 +318,7 @@ func (j *joiner) recurse(idx int) error {
 		// §III-A; with the uint layout it is a binary search.
 		active := j.active[idx][:0]
 		for _, in := range j.inputs {
-			if in.activeAt(attr.Name) {
+			if in.activeAt(ai) {
 				active = append(active, in)
 			}
 		}
@@ -233,7 +327,7 @@ func (j *joiner) recurse(idx int) error {
 		}
 		counts := j.descended[idx]
 		for i, in := range active {
-			k, ok := in.descendAll(attr.Name, attr.Value)
+			k, ok := in.descendAll(ai, attr.Value)
 			if !ok {
 				for r := 0; r < i; r++ {
 					active[r].ascend(counts[r])
@@ -251,7 +345,7 @@ func (j *joiner) recurse(idx int) error {
 	}
 
 	if idx == len(j.attrs)-1 {
-		if done, err := j.intersectLast(idx, attr.Name); done {
+		if done, err := j.intersectLast(idx); done {
 			return err
 		}
 	}
@@ -264,7 +358,7 @@ func (j *joiner) recurse(idx int) error {
 	// a plain scan of its set through the same iterator.
 	lf := j.lf[idx][:0]
 	for _, in := range j.inputs {
-		if in.activeAt(attr.Name) {
+		if in.activeAt(ai) {
 			lf = append(lf, lfIter{in: in})
 		}
 	}
@@ -298,7 +392,7 @@ func (j *joiner) recurse(idx int) error {
 				ok := true
 				failedAt := 0
 				for i := range lf {
-					kk, o := lf[i].in.descendRanked(attr.Name, v, lf[i].it.Pos())
+					kk, o := lf[i].in.descendRanked(ai, v, lf[i].it.Pos())
 					if !o {
 						ok = false
 						failedAt = i
@@ -349,10 +443,10 @@ func (j *joiner) recurse(idx int) error {
 // when some participant still has levels below it (a repeated variable such
 // as ?x p ?x), when none takes part, or when leafIntersection leaves the
 // sets to the leapfrog; the leapfrog handles those.
-func (j *joiner) intersectLast(idx int, name string) (bool, error) {
+func (j *joiner) intersectLast(idx int) (bool, error) {
 	active := j.active[idx][:0]
 	for _, in := range j.inputs {
-		if in.activeAt(name) {
+		if in.activeAt(int32(idx)) {
 			if !in.stack[in.depth].IsLeaf() {
 				return false, nil
 			}
@@ -396,7 +490,10 @@ func (j *joiner) intersectLast(idx int, name string) (bool, error) {
 // leaf of a functional property such as memberOf, turns the intersection
 // into membership probes of its one value. Anything else goes through the
 // headers: two sets through set.IntersectValues, more through the
-// scratch's smallest-first fold.
+// scratch's smallest-first fold. Where one of two uint leaves is the
+// invariant input's, the other is probed into its marks (markInvariant)
+// instead of merged; the singleton, the pairs left to the leapfrog and
+// those past the gallop's ratio keep their paths.
 func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
 	if len(active) <= 2 {
 		a, aok := active[0].stack[active[0].depth].UintValues()
@@ -409,6 +506,13 @@ func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
 		}
 		b, bok := active[1].stack[active[1].depth].UintValues()
 		if aok && bok {
+			var other []uint32 // the leaf probed into the invariant one's marks
+			switch j.inv {
+			case active[0]:
+				other = b
+			case active[1]:
+				other = a
+			}
 			if len(b) < len(a) {
 				a, b = b, a
 			}
@@ -420,6 +524,10 @@ func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
 			}
 			if leapfrogFaster(false, len(a), len(b)) {
 				return nil, false
+			}
+			if other != nil && len(b) < set.GallopRatio*len(a) && j.markInvariant() {
+				j.vals = slices.Grow(j.vals[:0], len(other))[:len(other)]
+				return j.vals[:j.marks.Probe(j.vals, other)], true
 			}
 			j.vals = slices.Grow(j.vals[:0], len(a))[:len(a)]
 			return j.vals[:set.IntersectSorted(j.vals, a, b)], true
@@ -466,6 +574,25 @@ func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
 	}
 	j.vals = res.AppendValues(j.vals[:0])
 	return j.vals, true
+}
+
+// markInvariant makes j.marks hold the invariant input's current leaf, a
+// uint leaf, and reports whether it does. Only a leaf node other than the
+// one last marked costs anything: the old marks are cleared and the new
+// leaf marked, or — when its id range exceeds maxMarkWords — left unmarked,
+// and the intersection merges instead until the leaf changes.
+func (j *joiner) markInvariant() bool {
+	n := j.inv.stack[j.inv.depth]
+	if n == j.marked {
+		return j.markedOK
+	}
+	if j.marks == nil {
+		j.marks = marksPool.Get().(*set.Marks)
+	}
+	j.marks.Clear()
+	vals, _ := n.UintValues()
+	j.marked, j.markedOK = n, j.marks.Mark(vals, maxMarkWords)
+	return j.markedOK
 }
 
 // Size ratios from which the leapfrog beats the kernels. Below

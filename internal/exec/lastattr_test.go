@@ -13,6 +13,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/set"
 	"repro/internal/store"
+	"repro/internal/trie"
 )
 
 // skewedGraph builds a seeded graph over three predicates whose leaf sets
@@ -79,8 +80,10 @@ func lastAttrInputs(p *plan.Plan) int {
 
 // TestLastAttributeMatchesNaive checks the join's last-attribute step —
 // the kernel intersection straight from the trie arenas, its header and
-// singleton paths, and its hand-back to the leapfrog — against the naive
-// engine, under both layout policies, sequentially and with two workers.
+// singleton paths, its probe of a loop-invariant leaf and its hand-back to
+// the leapfrog — against the naive engine, under both layout policies,
+// sequentially and with two workers, with the invariant leaf's bitmap at
+// its usual cap and at one that makes some leaves fall back to the merge.
 func TestLastAttributeMatchesNaive(t *testing.T) {
 	st := skewedGraph(34)
 
@@ -102,6 +105,11 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 	if leaf := st.RelationByIRI("http://ex/e2").TrieSO(set.PolicyAdaptive).Stats()[1]; leaf.BitsetNodes != 0 {
 		t.Fatalf("e2 leaf level has %d bitset nodes, want a uint-only level", leaf.BitsetNodes)
 	}
+	// The triangle's invariant leaves, ?x's e0 in-neighbours, must both fit
+	// smallMarkWords and exceed it.
+	if fit, exceed := markSpans(e0.TrieOS(set.PolicyUintOnly), smallMarkWords); fit == 0 || exceed == 0 {
+		t.Fatalf("e0 in-neighbour leaves: %d fit %d words and %d exceed it, want both", fit, smallMarkWords, exceed)
+	}
 
 	cases := []struct {
 		name   string
@@ -120,6 +128,13 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 		{"one-var-one-hub", `SELECT ?x WHERE { <http://ex/n0> <http://ex/e0> ?x }`, 0},
 		{"one-var-one-small", `SELECT ?x WHERE { <http://ex/n5> <http://ex/e0> ?x }`, 0},
 		{"repeated-last-variable", `SELECT ?y ?x WHERE { ?y <http://ex/e0> ?x . ?x <http://ex/e1> ?x }`, 0},
+		// The closing leaf, ?a's in-neighbours, stays the same while ?b and
+		// ?c vary: two levels of the invariant-leaf probe.
+		{"four-cycle", `SELECT ?a ?b ?c ?d WHERE { ?a <http://ex/e0> ?b . ?b <http://ex/e1> ?c . ?c <http://ex/e2> ?d . ?d <http://ex/e0> ?a }`, 2},
+		// A path to a constant plans as a chain of GHD nodes; the last one
+		// is the one-level trie of <n0>'s e2-neighbours, whose leaf is its
+		// root, the same node for the whole join.
+		{"path-to-constant", `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . <http://ex/n0> <http://ex/e2> ?z }`, 0},
 	}
 	ref := naive.New(st)
 	for _, tc := range cases {
@@ -140,16 +155,44 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 				t.Fatalf("%s: %d relations bind the last attribute %v, want %d", tc.name, got, p.GlobalOrder, tc.inputs)
 			}
 		}
-		for _, policy := range []set.Policy{set.PolicyAdaptive, set.PolicyUintOnly} {
-			for _, workers := range []int{0, 2} {
-				got, err := exec.RunOpts(p, st, exec.Options{Policy: policy, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s policy=%d workers=%d: %v", tc.name, policy, workers, err)
-				}
-				if got.Canonical() != want.Canonical() {
-					t.Errorf("%s policy=%d workers=%d: %d rows, want %d", tc.name, policy, workers, got.Len(), want.Len())
+		for _, markWords := range []int{0, smallMarkWords} {
+			restore := func() {}
+			if markWords != 0 {
+				restore = exec.SetMaxMarkWords(markWords)
+			}
+			for _, policy := range []set.Policy{set.PolicyAdaptive, set.PolicyUintOnly} {
+				for _, workers := range []int{0, 2} {
+					got, err := exec.RunOpts(p, st, exec.Options{Policy: policy, Workers: workers})
+					if err != nil {
+						t.Fatalf("%s policy=%d workers=%d markWords=%d: %v", tc.name, policy, workers, markWords, err)
+					}
+					if got.Canonical() != want.Canonical() {
+						t.Errorf("%s policy=%d workers=%d markWords=%d: %d rows, want %d", tc.name, policy, workers, markWords, got.Len(), want.Len())
+					}
 				}
 			}
+			restore()
 		}
 	}
+}
+
+// smallMarkWords is a bitmap cap that some of skewedGraph's in-neighbour
+// leaves fit and others exceed, so a run under it switches between probing
+// the invariant leaf and falling back to the merge as that leaf changes.
+const smallMarkWords = 4
+
+// markSpans counts the leaves of a two-level trie whose members' id range,
+// from the first rounded down to 64, fits in maxWords words, and those that
+// exceed it.
+func markSpans(tr *trie.Trie, maxWords int) (fit, exceed int) {
+	root := tr.Root()
+	for i := range root.Set().Len() {
+		vals := root.Child(i).Set().AppendValues(nil)
+		if int((vals[len(vals)-1]-vals[0]&^63)/64) < maxWords {
+			fit++
+		} else {
+			exceed++
+		}
+	}
+	return fit, exceed
 }

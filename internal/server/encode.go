@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/cluster"
@@ -23,6 +24,30 @@ import (
 // encodeFlushAt is how many buffered bytes make an encoder write to the
 // response.
 const encodeFlushAt = 32 << 10
+
+// encodeBufs recycles the encoders' output buffers across responses; one
+// allocated per response would be most of the bytes a small query costs
+// the collector. A buffer that grew past encodeBufMax (a huge trace, a block of very wide
+// rows) is left to the collector rather than kept at that size.
+var encodeBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, encodeFlushAt+encodeFlushAt/4)
+	return &b
+}}
+
+const encodeBufMax = 4 * encodeFlushAt
+
+// getEncodeBuf takes an empty output buffer from the pool.
+func getEncodeBuf() *[]byte { return encodeBufs.Get().(*[]byte) }
+
+// putEncodeBuf returns buf, its final state after the last write, to the
+// pool through the holder getEncodeBuf gave.
+func putEncodeBuf(holder *[]byte, buf []byte) {
+	if cap(buf) > encodeBufMax {
+		return
+	}
+	*holder = buf[:0]
+	encodeBufs.Put(holder)
+}
 
 // blockSource is what an encoder drains: the cursor, fronted by the block
 // the handler pulled before committing the status code.
@@ -144,8 +169,8 @@ func writeJSON(w io.Writer, vars []string, src *blockSource, d *dict.Dictionary,
 	o := &outBuf{w: w}
 	view := d.View()
 
-	buf := make([]byte, 0, encodeFlushAt+encodeFlushAt/4)
-	buf = append(buf, `{"vars":[`...)
+	holder := getEncodeBuf()
+	buf := append(*holder, `{"vars":[`...)
 	for i, v := range vars {
 		if i > 0 {
 			buf = append(buf, ',')
@@ -215,7 +240,7 @@ func writeJSON(w io.Writer, vars []string, src *blockSource, d *dict.Dictionary,
 			}
 		}
 	}
-	o.write(append(buf, "}\n"...))
+	putEncodeBuf(holder, o.write(append(buf, "}\n"...)))
 	if o.err != nil && res.err == nil {
 		res.err = o.err
 	}
@@ -229,7 +254,8 @@ func writeJSON(w io.Writer, vars []string, src *blockSource, d *dict.Dictionary,
 func writeTSV(w io.Writer, vars []string, src *blockSource, d *dict.Dictionary, encSp *obs.Span) encodeResult {
 	o := &outBuf{w: w}
 	view := d.View()
-	buf := make([]byte, 0, encodeFlushAt+encodeFlushAt/4)
+	holder := getEncodeBuf()
+	buf := *holder
 	for i, v := range vars {
 		if i > 0 {
 			buf = append(buf, '\t')
@@ -251,7 +277,7 @@ func writeTSV(w io.Writer, vars []string, src *blockSource, d *dict.Dictionary, 
 		}
 		return buf
 	})
-	o.write(buf)
+	putEncodeBuf(holder, o.write(buf))
 	if o.err != nil && res.err == nil {
 		res.err = o.err
 	}

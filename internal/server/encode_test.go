@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"testing"
 
 	"repro/internal/dict"
@@ -303,6 +304,48 @@ func TestAllocsPerRow(t *testing.T) {
 		t.Logf("%s: %.4f allocs/row", format, perRow)
 		if perRow >= 0.1 {
 			t.Errorf("%s: %.3f allocs/row through the handler, want < 0.1", format, perRow)
+		}
+	}
+}
+
+// TestEncodeBytesPerRequest: a one-row response through Server.Handler()
+// allocates less than 8 KB per request in either format. The encoders'
+// output buffer (40 KB) comes from a pool; allocated per response, it was
+// most of what a small query cost the collector. CI runs it beside
+// TestAllocsPerRow, without the race detector.
+func TestEncodeBytesPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	b := store.NewBuilder()
+	b.Add(rdf.Triple{S: rdf.NewIRI("http://ex/thing/0"), P: rdf.NewIRI("http://ex/type"), O: rdf.NewIRI("http://ex/Thing")})
+	s, err := New(Config{Store: b.Build(), TraceSample: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	text := `SELECT ?s WHERE { ?s <http://ex/type> <http://ex/Thing> }`
+	for _, format := range []string{"json", "tsv"} {
+		req := httptest.NewRequest(http.MethodGet, queryURL("http://alloc", text, map[string]string{"format": format}), nil)
+		serve := func() {
+			w := &discardWriter{h: http.Header{}, status: http.StatusOK}
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK || w.n < len("<http://ex/thing/0>") {
+				t.Fatalf("%s: status %d, %d body bytes", format, w.status, w.n)
+			}
+		}
+		serve() // plan-cache miss and lazy index builds happen here
+		const requests = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range requests {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		perReq := (after.TotalAlloc - before.TotalAlloc) / requests
+		t.Logf("%s: %d bytes/request", format, perReq)
+		if perReq >= 8<<10 {
+			t.Errorf("%s: %d bytes allocated per one-row request, want < 8 KB", format, perReq)
 		}
 	}
 }

@@ -57,13 +57,15 @@ func sameVals(t *testing.T, label string, got *set.Set, want []uint32) {
 // FuzzIntersectKernels drives every intersection kernel — merge (4-lane
 // interleaved), gallop (4-wide probe), uint×bitset, bitset×bitset word-AND,
 // the bare-slice IntersectSorted entry the join's last attribute calls, the
-// scratch-buffer IntersectInto path, and the ping-pong IntersectMany fold —
+// Marks bitmap it probes a loop-invariant leaf through, the scratch-buffer
+// IntersectInto path, and the ping-pong IntersectMany fold —
 // against the map-membership reference, across all layout pairings the
 // policies can produce.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3}, []byte{0, 2, 0, 3, 0, 4}, byte(0))
 	f.Add([]byte{0, 1, 1, 0}, []byte{0, 1, 2, 0}, byte(9))
 	f.Add([]byte{}, []byte{0, 5}, byte(1))
+	f.Add([]byte{0, 1, 0, 2}, []byte{0, 64}, byte(0)) // probes the first value past a one-word bitmap
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte, stride byte) {
 		av := fuzzVals(aRaw, uint32(stride))
 		bv := fuzzVals(bRaw, uint32(stride)%3)
@@ -74,6 +76,44 @@ func FuzzIntersectKernels(f *testing.F) {
 		}
 		if got := dst[:set.IntersectSorted(dst, bv, av)]; !slices.Equal(got, want) {
 			t.Fatalf("IntersectSorted(rev): got %v, want %v", got, want)
+		}
+		// Marks: mark one side, probe the other, both ways round, through one
+		// reused bitmap — each Mark follows a Clear of the previous marks, so
+		// a word a stale mark left behind shows. The stride byte also picks a
+		// shift that moves the first value off a multiple of 64, and a cap
+		// that some ranges exceed: Mark must refuse exactly those.
+		shift := uint32(stride) * 7
+		as, bs := make([]uint32, len(av)), make([]uint32, len(bv))
+		for i, v := range av {
+			as[i] = v + shift
+		}
+		for i, v := range bv {
+			bs[i] = v + shift
+		}
+		shifted := refIntersect(as, bs)
+		maxWords := 1 + int(stride)*64
+		var m set.Marks
+		for _, c := range []struct{ marked, probed, want []uint32 }{
+			{av, bv, want}, {bv, av, want}, {as, bs, shifted}, {bs, as, shifted},
+		} {
+			marked := c.marked
+			if len(marked) == 0 {
+				continue
+			}
+			fits := int((marked[len(marked)-1]-marked[0]&^63)/64) < maxWords
+			if got := m.Mark(marked, maxWords); got != fits {
+				t.Fatalf("Mark(%d values from %d to %d, cap %d words) = %v, want %v", len(marked), marked[0], marked[len(marked)-1], maxWords, got, fits)
+			}
+			if fits {
+				out := make([]uint32, len(c.probed))
+				if got := out[:m.Probe(out, c.probed)]; !slices.Equal(got, c.want) {
+					t.Fatalf("Marks.Probe: got %v, want %v", got, c.want)
+				}
+			}
+			m.Clear()
+			if !m.IsClear() {
+				t.Fatal("Marks.Clear left words set")
+			}
 		}
 		policies := []set.Policy{set.PolicyAuto, set.PolicyUintOnly, set.PolicyAdaptive}
 		var sc set.Scratch

@@ -17,7 +17,9 @@ import (
 //                  4-candidate SWAR probe when the size ratio is large;
 //   bit  × bit   — 4-way unrolled 64-bit word AND over the overlapping
 //                  range, writing into caller scratch;
-//   uint × bit   — probe each array element into the bitset.
+//   uint × bit   — probe each array element into the bitset; Marks builds
+//                  such a bitmap over a uint array that is intersected
+//                  repeatedly, so those intersections probe too.
 //
 // Results preserve the paper's layout decision: an intersection of two
 // bitsets stays a bitset (re-densifying is wasted work for intermediate
@@ -429,6 +431,82 @@ func intersectUintBit(dst []uint32, vals []uint32, bs *Set) int {
 		k += int((words[off/64] >> (off % 64)) & 1)
 	}
 	return k
+}
+
+// Marks is a range-relative bitmap of one sorted uint array's members, built
+// so that the array can be intersected many times by probe rather than by
+// merge: the §III-A idea of choosing a set's layout by how it is used,
+// applied to a set that is reused. Probe is the intersectUintBit shape —
+// one unsigned compare and one word test per probed value, no dependent
+// chain of loads. The zero value is ready to use, and a Marks that has been
+// cleared holds only zero words, so it can be pooled and reused for any
+// array. A Marks is not safe for concurrent use.
+type Marks struct {
+	words  []uint64 // len = words in the marked range; every word past it, to cap, is zero
+	base   uint32   // the first marked value rounded down to a multiple of 64
+	marked []uint32 // the values marked, so that Clear touches only their words
+}
+
+// Mark records vals, which must be sorted, duplicate-free and non-empty, into
+// a cleared m, and reports true. It reports false, marking nothing, when the
+// range from the first value rounded down to 64 through the last would take
+// more than maxWords words.
+func (m *Marks) Mark(vals []uint32, maxWords int) bool {
+	base := vals[0] &^ 63
+	n := int((vals[len(vals)-1]-base)/64) + 1
+	if n > maxWords {
+		return false
+	}
+	if cap(m.words) < n {
+		m.words = make([]uint64, n, max(n, min(2*cap(m.words), maxWords)))
+	}
+	words := m.words[:n]
+	for _, v := range vals {
+		off := v - base
+		words[off/64] |= 1 << (off % 64)
+	}
+	m.words, m.base, m.marked = words, base, vals
+	return true
+}
+
+// Probe writes the members of vals that are marked into dst (len(dst) >=
+// len(vals)) and returns the count; the output keeps vals' order.
+func (m *Marks) Probe(dst, vals []uint32) int {
+	base := m.base
+	words := m.words
+	limit := uint32(len(words)) * 64
+	k := 0
+	for _, v := range vals {
+		off := v - base
+		// One unsigned compare covers both v < base (wraps huge) and past-end.
+		if off >= limit {
+			continue
+		}
+		dst[k] = v
+		k += int((words[off/64] >> (off % 64)) & 1)
+	}
+	return k
+}
+
+// Clear unmarks everything, zeroing only the words the marked values set,
+// and drops the reference to them.
+func (m *Marks) Clear() {
+	for _, v := range m.marked {
+		m.words[(v-m.base)/64] = 0
+	}
+	m.words, m.marked = m.words[:0], nil
+}
+
+// IsClear reports whether every word m holds, to its capacity, is zero —
+// what a pool of Marks must guarantee. It scans the whole bitmap; it is for
+// tests and assertions, not the hot path.
+func (m *Marks) IsClear() bool {
+	for _, w := range m.words[:cap(m.words)] {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // intersectBitBitInto ANDs the overlapping word ranges with a 4-way unrolled

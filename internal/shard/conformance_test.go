@@ -64,8 +64,9 @@ func conformanceTriples(n int) []rdf.Triple {
 const conformanceTriangle = `SELECT ?x ?y ?z WHERE { ?x <http://c/p> ?y . ?y <http://c/p> ?z . ?x <http://c/p> ?z }`
 
 // shapeQueries are the shapes the partitioning strategy must get right:
-// subject stars (shard-local), object-subject paths (replication), and the
-// triangle (merge-layer join).
+// subject stars (shard-local), object-subject paths (replication), the
+// triangle (merge-layer join), and a six-edge path, whose three root groups
+// make the merge join extend its rows through two build tables in turn.
 var shapeQueries = map[string]string{
 	"star":          `SELECT ?a ?b ?c WHERE { ?x <http://c/q> ?a . ?x <http://c/r> ?b . ?x <http://c/p> ?c }`,
 	"star-distinct": `SELECT DISTINCT ?a ?b WHERE { ?x <http://c/q> ?a . ?x <http://c/r> ?b }`,
@@ -73,6 +74,7 @@ var shapeQueries = map[string]string{
 	"path3":         `SELECT ?w ?z WHERE { ?w <http://c/q> ?x . ?x <http://c/q> ?y . ?y <http://c/r> ?z }`,
 	"object-object": `SELECT ?a ?b WHERE { ?a <http://c/q> ?v . ?b <http://c/r> ?v }`,
 	"triangle":      conformanceTriangle,
+	"path6":         `SELECT ?a ?b ?c ?d ?e ?f ?g WHERE { ?a <http://c/q> ?b . ?b <http://c/r> ?c . ?c <http://c/q> ?d . ?d <http://c/r> ?e . ?e <http://c/q> ?f . ?f <http://c/r> ?g }`,
 }
 
 // forEachSharded runs f once per (registered engine, shard count) over st.

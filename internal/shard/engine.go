@@ -494,6 +494,10 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 		}
 
 		emitted := 0
+		// rows[d] is the row expand extends at depth d, reused for every
+		// match there: expand is depth-first, so the rows it built below d
+		// are done with by the time the next match at d overwrites rows[d].
+		rows := make([][]uint32, len(jp.builds))
 		var expand func(depth int, accRow []uint32) error
 		expand = func(depth int, accRow []uint32) error {
 			if depth == len(jp.builds) {
@@ -514,11 +518,11 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 			for _, m := range tabs[depth].lookup(accRow, w.accKey) {
 				next := accRow
 				if len(w.appendIx) > 0 {
-					next = make([]uint32, len(accRow), len(accRow)+len(w.appendIx))
-					copy(next, accRow)
+					next = append(rows[depth][:0], accRow...)
 					for _, j := range w.appendIx {
 						next = append(next, m[j])
 					}
+					rows[depth] = next
 				}
 				if err := expand(depth+1, next); err != nil {
 					return err
