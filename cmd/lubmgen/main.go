@@ -4,6 +4,9 @@
 // Usage:
 //
 //	lubmgen -scale 5 -seed 0 -o lubm5.nt
+//
+// For a fast-booting binary copy, seed a data directory from the file once
+// (rdfserved -data lubm5.nt -data-dir DIR); later boots mmap its segment.
 package main
 
 import (
@@ -14,14 +17,12 @@ import (
 
 	"repro/internal/lubm"
 	"repro/internal/rdf"
-	"repro/internal/store"
 )
 
 func main() {
 	scale := flag.Int("scale", 1, "number of universities (the paper used 1000)")
 	seed := flag.Int64("seed", 0, "generator seed")
 	out := flag.String("o", "", "output file (default stdout)")
-	format := flag.String("format", "nt", "output format: nt (N-Triples) or snapshot (binary)")
 	flag.Parse()
 
 	w := os.Stdout
@@ -30,35 +31,22 @@ func main() {
 		if err != nil {
 			log.Fatalf("lubmgen: %v", err)
 		}
-		defer f.Close()
 		w = f
 	}
 
-	cfg := lubm.Config{Universities: *scale, Seed: *seed}
 	count := 0
-	switch *format {
-	case "nt":
-		nw := rdf.NewWriter(w)
-		lubm.GenerateTo(cfg, func(t rdf.Triple) {
-			if err := nw.Write(t); err != nil {
-				log.Fatalf("lubmgen: write: %v", err)
-			}
-			count++
-		})
-		if err := nw.Flush(); err != nil {
-			log.Fatalf("lubmgen: flush: %v", err)
+	nw := rdf.NewWriter(w)
+	lubm.GenerateTo(lubm.Config{Universities: *scale, Seed: *seed}, func(t rdf.Triple) {
+		if err := nw.Write(t); err != nil {
+			log.Fatalf("lubmgen: write: %v", err)
 		}
-	case "snapshot":
-		b := store.NewBuilder()
-		lubm.GenerateTo(cfg, func(t rdf.Triple) {
-			b.Add(t)
-			count++
-		})
-		if err := b.Build().WriteSnapshot(w); err != nil {
-			log.Fatalf("lubmgen: snapshot: %v", err)
-		}
-	default:
-		log.Fatalf("lubmgen: unknown format %q (want nt or snapshot)", *format)
+		count++
+	})
+	if err := nw.Flush(); err != nil {
+		log.Fatalf("lubmgen: flush: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "lubmgen: wrote %d triples (scale %d, seed %d, format %s)\n", count, *scale, *seed, *format)
+	if err := w.Close(); err != nil {
+		log.Fatalf("lubmgen: close: %v", err)
+	}
+	fmt.Fprintf(os.Stderr, "lubmgen: wrote %d triples (scale %d, seed %d)\n", count, *scale, *seed)
 }

@@ -1,6 +1,5 @@
 // Command rdfq runs a SPARQL basic-graph-pattern query against an
-// N-Triples file, a binary snapshot, or a generated LUBM dataset using any
-// of the engines:
+// N-Triples file or a generated LUBM dataset using any of the engines:
 //
 //	rdfq -data graph.nt -engine emptyheaded -query 'SELECT ?x WHERE { ... }'
 //	rdfq -lubm 1 -engine rdf3x -lubm-query 2
@@ -24,7 +23,7 @@ import (
 )
 
 func main() {
-	data := flag.String("data", "", "N-Triples or snapshot input file (format is sniffed)")
+	data := flag.String("data", "", "N-Triples input file")
 	lubmScale := flag.Int("lubm", 0, "generate a LUBM dataset at this scale instead of loading a file")
 	engineName := flag.String("engine", "emptyheaded", "engine: "+strings.Join(repro.EngineNames(), " | "))
 	queryText := flag.String("query", "", "SPARQL query text")

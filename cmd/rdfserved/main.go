@@ -1,6 +1,6 @@
 // Command rdfserved serves SPARQL queries over HTTP against a dataset
-// loaded once at startup (N-Triples file, binary snapshot, or generated
-// LUBM scale), using the engines from this repository:
+// loaded once at startup (N-Triples file, generated LUBM scale, or a
+// durable data directory), using the engines from this repository:
 //
 //	rdfserved -lubm 1 -addr :8080
 //	rdfserved -data graph.nt -max-concurrent 16 -timeout 10s
@@ -11,10 +11,9 @@
 // The store is live: POST /update applies an N-Triples insert/delete patch
 // ('+'/no prefix inserts, '-' deletes) against a delta overlay while
 // queries keep serving, and -compact-every periodically drains the delta
-// into a freshly indexed base swapped in under a new epoch (-snapshot
-// persists it atomically):
+// into a freshly indexed base swapped in under a new epoch:
 //
-//	rdfserved -data graph.nt -compact-every 30s -snapshot graph.snap
+//	rdfserved -data graph.nt -compact-every 30s
 //	curl -X POST --data-binary $'-<http://a> <http://p> <http://b> .\n' localhost:8080/update
 //
 // With -data-dir the store is durable: every applied patch is written to a
@@ -22,9 +21,11 @@
 // persist the base as an mmap-able segment file, and a restart boots from
 // segment + log replay instead of reloading -data (which then only seeds
 // the directory on its very first boot; -lubm seeds likewise, and neither
-// is required once the directory exists). The server listens immediately
-// and answers 503 {"wal_replay":true} until recovery finishes; SIGTERM
-// seals the log so the next boot knows the shutdown was clean:
+// is required once the directory exists). It is also the fast way to boot a
+// large dataset: the segment is mmap'd, not parsed, and -fsync off skips
+// the per-update fsync. The server listens immediately and answers 503
+// {"wal_replay":true} until recovery finishes; SIGTERM seals the log so the
+// next boot knows the shutdown was clean:
 //
 //	rdfserved -data graph.nt -data-dir /var/lib/rdf -fsync 50ms -compact-every 30s
 //
@@ -77,7 +78,7 @@ import (
 
 func main() {
 	// Serving flags.
-	data := flag.String("data", "", "N-Triples or snapshot input file (format is sniffed)")
+	data := flag.String("data", "", "N-Triples input file")
 	lubmScale := flag.Int("lubm", 0, "generate a LUBM dataset at this scale instead of loading a file")
 	addr := flag.String("addr", ":8080", "listen address")
 	defEngine := flag.String("engine", "emptyheaded", "default engine for requests without ?engine=: "+strings.Join(repro.EngineNames(), " | "))
@@ -90,7 +91,6 @@ func main() {
 	shards := flag.Int("shards", 0, "partition the store into N subject-hash shards and serve by scatter-gather (0/1 = unsharded)")
 	compactEvery := flag.Duration("compact-every", 0, "background-compact the update delta at this interval (0 = only explicit POST /compact)")
 	compactMinDelta := flag.Int("compact-min-delta", 0, "skip background compaction while the delta holds fewer operations")
-	snapshotPath := flag.String("snapshot", "", "atomically persist the compacted snapshot to this file after every compaction")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + mmap-able base segment); -data/-lubm only seed its first boot")
 	fsync := flag.String("fsync", "always", "WAL sync policy: always | off | group-commit interval like 50ms (with -data-dir)")
 
@@ -225,7 +225,6 @@ func main() {
 		MaxRows:         *maxRows,
 		CompactEvery:    *compactEvery,
 		CompactMinDelta: *compactMinDelta,
-		SnapshotPath:    *snapshotPath,
 		Logger:          logger,
 		SlowQuery:       *slowQuery,
 		TraceSample:     *traceSample,
@@ -292,7 +291,7 @@ func main() {
 		logger.Info("partitioned into subject-hash shards (scatter-gather execution)", "shards", *shards)
 	}
 	if *compactEvery > 0 {
-		logger.Info("background compactor enabled", "every", compactEvery.String(), "min_delta", *compactMinDelta, "snapshot", *snapshotPath)
+		logger.Info("background compactor enabled", "every", compactEvery.String(), "min_delta", *compactMinDelta)
 	}
 	if *slowQuery > 0 {
 		logger.Info("slow-query log enabled", "threshold", slowQuery.String())

@@ -52,8 +52,8 @@ const (
 // does not go through the lock per cell: it takes a View once per response
 // and renders ids from that snapshot.
 //
-// Decode re-parses the rendering and is meant for cold callers (segment
-// and snapshot writers, CLIs, materialized results). A literal carrying
+// Decode re-parses the rendering and is meant for cold callers (the
+// segment writer, CLIs, materialized results). A literal carrying
 // both a language tag and a datatype decodes with the tag only: the
 // rendering, which has always been the term's identity here, drops the
 // datatype.

@@ -3,13 +3,12 @@ package durable_test
 // Crash-recovery suite: kill -9 is simulated by copying the data directory
 // while the store is still open (no seal, no graceful teardown — exactly
 // the bytes a crash would leave, given that SyncAlways makes every returned
-// Apply durable) and re-opening the copy. Recovery must reconstruct the
-// pre-crash overlay exactly, verified both as a triple multiset and through
-// the engine conformance harness (every registered engine vs a naive oracle
-// over a from-scratch rebuilt store).
+// Apply durable) and re-opening the copy. Recovery must reconstruct exactly
+// the triple set the test applied before the crash, verified both as a
+// triple multiset and through the engine conformance harness (every
+// registered engine vs a naive oracle over that set rebuilt from scratch).
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -85,32 +84,87 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// overlayLines canonicalizes a live store's visible triple set.
-func overlayLines(t *testing.T, ls *live.Store) string {
+// applied is a test's own record of the triple set it built: the oracle a
+// recovered overlay is compared against, independent of how the live store
+// materializes one.
+type applied map[rdf.Triple]bool
+
+func newApplied(base []rdf.Triple) applied {
+	a := make(applied, len(base))
+	for _, tr := range base {
+		a[tr] = true
+	}
+	return a
+}
+
+// insert inserts ts into ls and records them.
+func (a applied) insert(t *testing.T, ls *live.Store, ts []rdf.Triple) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := ls.WriteSnapshot(&buf); err != nil {
+	if _, err := ls.Insert(ts); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.ReadSnapshot(&buf)
+	for _, tr := range ts {
+		a[tr] = true
+	}
+}
+
+// delete deletes ts from ls and records it.
+func (a applied) delete(t *testing.T, ls *live.Store, ts []rdf.Triple) {
+	t.Helper()
+	if _, err := ls.Delete(ts); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range ts {
+		delete(a, tr)
+	}
+}
+
+// lines canonicalizes the set as sorted N-Triples lines.
+func (a applied) lines() string {
+	lines := make([]string, 0, len(a))
+	for tr := range a {
+		lines = append(lines, tr.String())
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// build re-encodes the set into a fresh store (new dictionary, new ids).
+func (a applied) build() *store.Store {
+	b := store.NewBuilder()
+	for tr := range a {
+		b.Add(tr)
+	}
+	return b.Build()
+}
+
+// overlayLines canonicalizes a live store's visible triple set, read by a
+// full scan through the live wrapper, as sorted N-Triples lines.
+func overlayLines(t *testing.T, ls *live.Store) string {
+	t.Helper()
+	le, err := engines.NewLive("naive", ls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := make([]string, 0, st.NumTriples())
-	for _, et := range st.Triples() {
-		lines = append(lines, rdf.Triple{
-			S: st.Dict().Decode(et.S), P: st.Dict().Decode(et.P), O: st.Dict().Decode(et.O),
-		}.String())
+	res, err := engine.Collect(le.Open(query.MustParseSPARQL(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`), engine.ExecOpts{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := ls.Dict()
+	lines := make([]string, 0, res.Len())
+	for _, row := range res.Rows {
+		lines = append(lines, rdf.Triple{S: d.Decode(row[0]), P: d.Decode(row[1]), O: d.Decode(row[2])}.String())
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
 }
 
 // conformance runs the triangle query on every registered engine over ls
-// and compares against the naive oracle on a from-scratch rebuilt store.
-func conformance(t *testing.T, ls *live.Store) {
+// and compares against the naive oracle on the applied set rebuilt from
+// scratch.
+func conformance(t *testing.T, ls *live.Store, a applied) {
 	t.Helper()
-	rebuilt := rebuild(t, ls)
+	rebuilt := a.build()
 	oracle, err := engines.New("naive", rebuilt)
 	if err != nil {
 		t.Fatal(err)
@@ -136,23 +190,6 @@ func conformance(t *testing.T, ls *live.Store) {
 	}
 }
 
-func rebuild(t *testing.T, ls *live.Store) *store.Store {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ls.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	src, err := store.ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := store.NewBuilder()
-	for _, et := range src.Triples() {
-		b.Add(rdf.Triple{S: src.Dict().Decode(et.S), P: src.Dict().Decode(et.P), O: src.Dict().Decode(et.O)})
-	}
-	return b.Build()
-}
-
 func canon(res *engine.Result, st *store.Store) string {
 	return canonDict(res, st.Dict().Decode)
 }
@@ -175,14 +212,14 @@ func canonDict(res *engine.Result, decode func(uint32) rdf.Term) string {
 func TestCleanRestart(t *testing.T) {
 	dir := t.TempDir()
 	d := openDigraph(t, dir, 12, wal.Policy{Mode: wal.SyncAlways})
-	_, held, dead := digraphTriples(12)
-	if _, err := d.Live().Insert(held); err != nil {
-		t.Fatal(err)
+	base, held, dead := digraphTriples(12)
+	a := newApplied(base)
+	a.insert(t, d.Live(), held)
+	a.delete(t, d.Live(), dead)
+	want := a.lines()
+	if got := overlayLines(t, d.Live()); got != want {
+		t.Fatal("overlay differs from the applied triple set before shutdown")
 	}
-	if _, err := d.Live().Delete(dead); err != nil {
-		t.Fatal(err)
-	}
-	want := overlayLines(t, d.Live())
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +239,9 @@ func TestCleanRestart(t *testing.T) {
 		t.Error("no records replayed after restart")
 	}
 	if got := overlayLines(t, d2.Live()); got != want {
-		t.Fatal("recovered overlay differs from pre-shutdown overlay")
+		t.Fatal("recovered overlay differs from the applied triple set")
 	}
-	conformance(t, d2.Live())
+	conformance(t, d2.Live(), a)
 }
 
 // TestKillMidStream is the headline crash test: under SyncAlways, the data
@@ -214,7 +251,8 @@ func TestKillMidStream(t *testing.T) {
 	dir := t.TempDir()
 	d := openDigraph(t, dir, 12, wal.Policy{Mode: wal.SyncAlways})
 	defer d.Close()
-	_, held, dead := digraphTriples(12)
+	base, held, dead := digraphTriples(12)
+	a := newApplied(base)
 
 	type snap struct {
 		dir  string
@@ -224,17 +262,13 @@ func TestKillMidStream(t *testing.T) {
 	group := 5
 	for i := 0; i < len(held); i += group {
 		end := min(i+group, len(held))
-		if _, err := d.Live().Insert(held[i:end]); err != nil {
-			t.Fatal(err)
-		}
+		a.insert(t, d.Live(), held[i:end])
 		if i/group%3 == 0 {
-			snaps = append(snaps, snap{copyDir(t, dir), overlayLines(t, d.Live())})
+			snaps = append(snaps, snap{copyDir(t, dir), a.lines()})
 		}
 	}
-	if _, err := d.Live().Delete(dead); err != nil {
-		t.Fatal(err)
-	}
-	snaps = append(snaps, snap{copyDir(t, dir), overlayLines(t, d.Live())})
+	a.delete(t, d.Live(), dead)
+	snaps = append(snaps, snap{copyDir(t, dir), a.lines()})
 
 	for i, s := range snaps {
 		d2, err := durable.Open(s.dir, func() (*store.Store, error) {
@@ -248,10 +282,10 @@ func TestKillMidStream(t *testing.T) {
 			t.Errorf("snapshot %d: kill -9 image reported a clean seal", i)
 		}
 		if got := overlayLines(t, d2.Live()); got != s.want {
-			t.Errorf("snapshot %d: recovered overlay differs from pre-crash overlay", i)
+			t.Errorf("snapshot %d: recovered overlay differs from the triples applied before the crash", i)
 		}
 		if i == len(snaps)-1 {
-			conformance(t, d2.Live())
+			conformance(t, d2.Live(), a)
 		}
 		d2.Close()
 	}
@@ -263,13 +297,12 @@ func TestKillMidStream(t *testing.T) {
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	d := openDigraph(t, dir, 12, wal.Policy{Mode: wal.SyncAlways})
-	_, held, _ := digraphTriples(12)
-	// Apply one record, snapshot the expected post-recovery state, then a
+	base, held, _ := digraphTriples(12)
+	// Apply one record, record the expected post-recovery state, then a
 	// second record that will be torn away.
-	if _, err := d.Live().Insert(held[:4]); err != nil {
-		t.Fatal(err)
-	}
-	want := overlayLines(t, d.Live())
+	a := newApplied(base)
+	a.insert(t, d.Live(), held[:4])
+	want := a.lines()
 	if _, err := d.Live().Insert(held[4:8]); err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +353,11 @@ func TestTornTailRecovery(t *testing.T) {
 func TestCompactPersistsAndTruncates(t *testing.T) {
 	dir := t.TempDir()
 	d := openDigraph(t, dir, 12, wal.Policy{Mode: wal.SyncAlways})
-	_, held, dead := digraphTriples(12)
-	if _, err := d.Live().Insert(held); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Live().Delete(dead); err != nil {
-		t.Fatal(err)
-	}
-	want := overlayLines(t, d.Live())
+	base, held, dead := digraphTriples(12)
+	a := newApplied(base)
+	a.insert(t, d.Live(), held)
+	a.delete(t, d.Live(), dead)
+	want := a.lines()
 	preSeg, err := os.Stat(filepath.Join(dir, durable.SegmentName))
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +397,7 @@ func TestCompactPersistsAndTruncates(t *testing.T) {
 	if got := overlayLines(t, d2.Live()); got != want {
 		t.Fatal("post-compaction reopen differs")
 	}
-	conformance(t, d2.Live())
+	conformance(t, d2.Live(), a)
 }
 
 // TestCrashBetweenSegmentAndTruncate: if the process dies after the new
@@ -376,14 +406,11 @@ func TestCompactPersistsAndTruncates(t *testing.T) {
 func TestCrashBetweenSegmentAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	d := openDigraph(t, dir, 12, wal.Policy{Mode: wal.SyncAlways})
-	_, held, dead := digraphTriples(12)
-	if _, err := d.Live().Insert(held); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Live().Delete(dead); err != nil {
-		t.Fatal(err)
-	}
-	want := overlayLines(t, d.Live())
+	base, held, dead := digraphTriples(12)
+	a := newApplied(base)
+	a.insert(t, d.Live(), held)
+	a.delete(t, d.Live(), dead)
+	want := a.lines()
 	staleWAL, err := os.ReadFile(filepath.Join(dir, durable.WALName))
 	if err != nil {
 		t.Fatal(err)
@@ -420,13 +447,10 @@ func TestShardedDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Live().Insert(held); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Live().Delete(dead); err != nil {
-		t.Fatal(err)
-	}
-	want := overlayLines(t, d.Live())
+	a := newApplied(base)
+	a.insert(t, d.Live(), held)
+	a.delete(t, d.Live(), dead)
+	want := a.lines()
 	crash := copyDir(t, dir)
 	d.Close()
 
@@ -441,7 +465,7 @@ func TestShardedDurable(t *testing.T) {
 	if got := overlayLines(t, d2.Live()); got != want {
 		t.Fatal("sharded recovery differs")
 	}
-	conformance(t, d2.Live())
+	conformance(t, d2.Live(), a)
 }
 
 // A crash between segment.Write's CreateTemp and its rename leaves a

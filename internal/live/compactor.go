@@ -13,12 +13,6 @@ type CompactPolicy struct {
 	// operations (inserts + tombstones); values <= 1 compact on any
 	// non-empty delta.
 	MinOps int
-	// SnapshotPath, when set, atomically persists the fresh base after
-	// every swap (write to temp, fsync, rename), so a restarting server
-	// always finds a complete snapshot.
-	SnapshotPath string
-	// OnCompact, when set, observes every swap (stats logging).
-	OnCompact func(CompactStats)
 	// OnError, when set, observes compaction/persistence failures; the loop
 	// keeps running either way.
 	OnError func(error)
@@ -26,8 +20,8 @@ type CompactPolicy struct {
 
 // AutoCompact runs the background compactor until ctx is done: every tick
 // it drains a big-enough delta into a fresh base and swaps it in under the
-// next epoch, then optionally persists the snapshot. It blocks; run it on
-// its own goroutine. Serving is never paused — the swap is one atomic
+// next epoch (on a durable store, Compact also persists it). It blocks; run
+// it on its own goroutine. Serving is never paused — the swap is one atomic
 // pointer store and in-flight cursors keep their pinned epoch.
 func (ls *Store) AutoCompact(ctx context.Context, pol CompactPolicy) {
 	if pol.Every <= 0 {
@@ -45,23 +39,8 @@ func (ls *Store) AutoCompact(ctx context.Context, pol CompactPolicy) {
 		if n := ins + del; n == 0 || n < pol.MinOps {
 			continue
 		}
-		st, err := ls.Compact()
-		if err != nil {
-			if pol.OnError != nil {
-				pol.OnError(err)
-			}
-			continue
-		}
-		if !st.Swapped {
-			continue
-		}
-		if pol.OnCompact != nil {
-			pol.OnCompact(st)
-		}
-		if pol.SnapshotPath != "" {
-			if err := ls.SnapshotTo(pol.SnapshotPath); err != nil && pol.OnError != nil {
-				pol.OnError(err)
-			}
+		if _, err := ls.Compact(); err != nil && pol.OnError != nil {
+			pol.OnError(err)
 		}
 	}
 }

@@ -35,8 +35,9 @@ import (
 // graph arrives via delta inserts and part of the base is tombstoned: the
 // triangle query exercises joins that cross base and delta triples in every
 // combination. The delta also carries a predicate the base has never seen
-// and one base triple that is tombstoned and then re-inserted.
-func conformanceOverlay(t *testing.T, n, shards int) *live.Store {
+// and one base triple that is tombstoned and then re-inserted. The returned
+// set records every triple the store should hold.
+func conformanceOverlay(t *testing.T, n, shards int) (*live.Store, tripleSet) {
 	t.Helper()
 	p := rdf.NewIRI("http://c/p")
 	node := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://c/n%d", i)) }
@@ -59,21 +60,18 @@ func conformanceOverlay(t *testing.T, n, shards int) *live.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	applied := newTripleSet(base)
 	q := rdf.NewIRI("http://c/q")
 	held = append(held, rdf.Triple{S: node(0), P: q, O: node(1)}, rdf.Triple{S: node(1), P: q, O: node(1)})
-	if _, err := ls.Insert(held); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ls.Delete(dead); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ls.Insert(dead[:1]); err != nil || n != 1 { // n1 p n1 comes back
-		t.Fatalf("re-inserting a tombstoned triple: inserted=%d err=%v", n, err)
+	applied.apply(t, ls, live.InsertAll(held))
+	applied.apply(t, ls, live.DeleteAll(dead))
+	if res := applied.apply(t, ls, live.InsertAll(dead[:1])); res.Inserted != 1 { // n1 p n1 comes back
+		t.Fatalf("re-inserting a tombstoned triple: inserted=%d", res.Inserted)
 	}
 	if ins, del := ls.DeltaSize(); ins == 0 || del == 0 {
 		t.Fatalf("conformance overlay needs a two-sided delta, got ins=%d del=%d", ins, del)
 	}
-	return ls
+	return ls, applied
 }
 
 const overlayTriangle = `SELECT ?x ?y ?z WHERE { ?x <http://c/p> ?y . ?y <http://c/p> ?z . ?x <http://c/p> ?z }`
@@ -115,8 +113,8 @@ func TestOverlayConformanceShapes(t *testing.T) {
 	}
 	for _, shards := range shardCounts() {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ls := conformanceOverlay(t, 12, shards)
-			overlayEquals(t, ls, queries...)
+			ls, applied := conformanceOverlay(t, 12, shards)
+			overlayEquals(t, ls, applied, queries...)
 		})
 	}
 }
@@ -132,25 +130,28 @@ func TestOverlayConformanceLUBM(t *testing.T) {
 	scale := 1
 	for _, shards := range shardCounts() {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			base := store.FromTriples(lubm.Generate(lubm.Config{Universities: scale}))
+			triples := lubm.Generate(lubm.Config{Universities: scale})
+			base := store.FromTriples(triples)
 			ls, err := live.NewStore(base, live.Options{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
-			applyLUBMPatch(t, ls, base)
+			applied := newTripleSet(triples)
+			applyLUBMPatch(t, ls, base, applied)
 			queries := make([]string, 0, len(lubm.QueryNumbers))
 			for _, qn := range lubm.QueryNumbers {
 				queries = append(queries, lubm.Query(qn, scale))
 			}
-			overlayEquals(t, ls, queries...)
+			overlayEquals(t, ls, applied, queries...)
 		})
 	}
 }
 
 // applyLUBMPatch perturbs a LUBM dataset: every 97th base triple is
 // deleted, and for every predicate a "rewired" triple (first subject, last
-// object) plus a triple introducing a brand-new entity is inserted.
-func applyLUBMPatch(t *testing.T, ls *live.Store, base *store.Store) {
+// object) plus a triple introducing a brand-new entity is inserted. The
+// patch is recorded in applied.
+func applyLUBMPatch(t *testing.T, ls *live.Store, base *store.Store, applied tripleSet) {
 	t.Helper()
 	d := base.Dict()
 	var dels, inss []rdf.Triple
@@ -172,12 +173,8 @@ func applyLUBMPatch(t *testing.T, ls *live.Store, base *store.Store) {
 			rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://live-test/new%d", p)), P: pred, O: d.Decode(rel.O[0])},
 		)
 	}
-	if _, err := ls.Delete(dels); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ls.Insert(inss); err != nil {
-		t.Fatal(err)
-	}
+	applied.apply(t, ls, live.DeleteAll(dels))
+	applied.apply(t, ls, live.InsertAll(inss))
 	if ins, del := ls.DeltaSize(); ins == 0 || del == 0 {
 		t.Fatalf("LUBM patch produced a one-sided delta: ins=%d del=%d", ins, del)
 	}
@@ -188,7 +185,7 @@ func applyLUBMPatch(t *testing.T, ls *live.Store, base *store.Store) {
 func TestOverlayPreCancelled(t *testing.T) {
 	for _, shards := range shardCounts() {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ls := conformanceOverlay(t, 12, shards)
+			ls, _ := conformanceOverlay(t, 12, shards)
 			q := query.MustParseSPARQL(overlayTriangle)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -214,7 +211,7 @@ func TestOverlayPreCancelled(t *testing.T) {
 // path must stop the merge producer (and the wrapped engine's cursor
 // beneath it) within a bounded number of rows.
 func TestOverlayCancelMidEnumeration(t *testing.T) {
-	ls := conformanceOverlay(t, 48, 1) // ~100k triangle rows if run to completion
+	ls, _ := conformanceOverlay(t, 48, 1) // ~100k triangle rows if run to completion
 	q := query.MustParseSPARQL(overlayTriangle)
 	forEachLiveEngine(t, ls, func(t *testing.T, e *live.Engine) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -259,10 +256,10 @@ func TestOverlayCancelMidEnumeration(t *testing.T) {
 func TestOverlayExactTruncationAndOffset(t *testing.T) {
 	for _, shards := range shardCounts() {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ls := conformanceOverlay(t, 10, shards)
+			ls, applied := conformanceOverlay(t, 10, shards)
 			q := query.MustParseSPARQL(overlayTriangle)
 			// Ground truth from the rebuilt store's naive oracle.
-			rebuilt := rebuildFromOverlay(t, ls)
+			rebuilt := applied.build()
 			oracle, err := engines.New("naive", rebuilt)
 			if err != nil {
 				t.Fatal(err)
@@ -306,7 +303,7 @@ func TestOverlayExactTruncationAndOffset(t *testing.T) {
 // stop the merge producer and the wrapped cursor beneath it; a rerun on the
 // same engine still works, and pins drain to zero.
 func TestOverlayEarlyCloseStopsProducer(t *testing.T) {
-	ls := conformanceOverlay(t, 12, 1)
+	ls, _ := conformanceOverlay(t, 12, 1)
 	q := query.MustParseSPARQL(overlayTriangle)
 	forEachLiveEngine(t, ls, func(t *testing.T, e *live.Engine) {
 		cur, err := e.Open(q, engine.ExecOpts{})

@@ -12,7 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/engines"
 	"repro/internal/live"
+	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -24,15 +27,26 @@ func fuzzBase() []rdf.Triple {
 	}
 }
 
-// overlayKeys returns the overlay's decoded triple set rendered as
-// N-Triples lines.
+// overlayKeys returns the overlay's visible triple set, read by a full scan
+// through the live wrapper, rendered as N-Triples lines. A triple the scan
+// returns twice fails the test.
 func overlayKeys(t *testing.T, ls *live.Store) map[string]bool {
 	t.Helper()
-	src := rebuildFromOverlay(t, ls)
-	out := make(map[string]bool, src.NumTriples())
-	d := src.Dict()
-	for _, et := range src.Triples() {
-		out[rdf.Triple{S: d.Decode(et.S), P: d.Decode(et.P), O: d.Decode(et.O)}.String()] = true
+	le, err := engines.NewLive("naive", ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Collect(le.Open(query.MustParseSPARQL(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`), engine.ExecOpts{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := ls.Dict()
+	out := make(map[string]bool, res.Len())
+	for _, row := range res.Rows {
+		out[rdf.Triple{S: d.Decode(row[0]), P: d.Decode(row[1]), O: d.Decode(row[2])}.String()] = true
+	}
+	if len(out) != res.Len() {
+		t.Fatalf("full scan returned %d rows for %d distinct triples", res.Len(), len(out))
 	}
 	return out
 }

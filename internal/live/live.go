@@ -43,7 +43,6 @@ package live
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,13 +94,6 @@ type Store struct {
 	mu  sync.Mutex // serializes writers: Apply, Compact, SetShards
 	dur Durability // guarded by mu; nil when the store is not durable
 	cur atomic.Pointer[state]
-
-	// snapMu serializes SnapshotTo writers, and lastSnapEpoch guards
-	// against epoch regression: with two overlapping compact+persist
-	// sequences (an explicit /compact racing the background compactor), a
-	// slow older write must not rename over a newer epoch's snapshot.
-	snapMu        sync.Mutex
-	lastSnapEpoch uint64 // guarded by snapMu
 
 	compactions        atomic.Uint64
 	lastCompactNanos   atomic.Int64
@@ -381,41 +373,6 @@ func overlayTriples(s *state) []store.Triple {
 		}
 	}
 	return append(out, d.ins.Triples()...)
-}
-
-// WriteSnapshot serializes the current overlay (pending delta included) in
-// the binary snapshot format — the bytes a rebuilt-from-scratch store of
-// the patched triple set would produce modulo triple order.
-func (ls *Store) WriteSnapshot(w io.Writer) error {
-	s := ls.pin()
-	defer s.unpin()
-	if s.delta.empty() {
-		return s.base.st.WriteSnapshot(w)
-	}
-	return store.WriteSnapshotData(w, ls.dict, overlayTriples(s))
-}
-
-// SnapshotTo persists the current overlay to path atomically (write to
-// temp, fsync, rename): a crash mid-write never corrupts an existing
-// snapshot at path. Concurrent calls are serialized, and a call that lost
-// the race to a newer epoch's snapshot skips its write instead of
-// regressing the file (the overlay state is captured under the same lock,
-// so the snapshot on disk is always the newest one requested). The
-// regression guard is per store, assuming one snapshot destination (the
-// deployment shape); alternating destinations through one Store may skip
-// writes.
-func (ls *Store) SnapshotTo(path string) error {
-	ls.snapMu.Lock()
-	defer ls.snapMu.Unlock()
-	epoch := ls.cur.Load().epoch
-	if epoch < ls.lastSnapEpoch {
-		return nil // a newer base was already persisted here
-	}
-	if err := store.AtomicWriteFile(path, ls.WriteSnapshot); err != nil {
-		return err
-	}
-	ls.lastSnapEpoch = epoch
-	return nil
 }
 
 // StoreStats is a point-in-time snapshot of the live store's counters.

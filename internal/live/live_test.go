@@ -1,7 +1,6 @@
 package live_test
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -40,12 +39,56 @@ func canonDecoded(t *testing.T, res *engine.Result, d *dict.Dictionary) string {
 	return strings.Join(lines, "\n")
 }
 
-// overlayEquals asserts that querying ls through every registered engine
-// matches a store rebuilt from scratch over the overlay's decoded triples,
-// evaluated by the naive oracle.
-func overlayEquals(t *testing.T, ls *live.Store, queries ...string) {
+// tripleSet is a test's own record of the dataset it built: the base
+// triples, then every patch it applied, in order. Re-encoded into a fresh
+// store (new dictionary, new id assignment) it is the "store rebuilt from
+// scratch over the patched triple set" oracle, independent of how the live
+// store materializes its overlay.
+type tripleSet map[rdf.Triple]bool
+
+func newTripleSet(base []rdf.Triple) tripleSet {
+	s := make(tripleSet, len(base))
+	for _, tr := range base {
+		s[tr] = true
+	}
+	return s
+}
+
+// apply applies p to ls and records it in the set.
+func (s tripleSet) apply(t *testing.T, ls *live.Store, p live.Patch) live.ApplyResult {
 	t.Helper()
-	rebuilt := rebuildFromOverlay(t, ls)
+	res, err := ls.Apply(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range p.Ops {
+		if op.Delete {
+			delete(s, op.Triple)
+		} else {
+			s[op.Triple] = true
+		}
+	}
+	return res
+}
+
+// build re-encodes the set into a fresh store.
+func (s tripleSet) build() *store.Store {
+	b := store.NewBuilder()
+	for tr := range s {
+		b.Add(tr)
+	}
+	return b.Build()
+}
+
+// overlayEquals asserts that ls holds as many triples as applied and that
+// querying it through every registered engine matches the naive oracle over
+// applied rebuilt from scratch.
+func overlayEquals(t *testing.T, ls *live.Store, applied tripleSet, queries ...string) {
+	t.Helper()
+	if n := ls.NumTriples(); n != len(applied) {
+		t.Fatalf("overlay holds %d triples, the applied set %d", n, len(applied))
+	}
+	rebuilt := applied.build()
 	oracle, err := engines.New("naive", rebuilt)
 	if err != nil {
 		t.Fatal(err)
@@ -72,27 +115,6 @@ func overlayEquals(t *testing.T, ls *live.Store, queries ...string) {
 			}
 		}
 	}
-}
-
-// rebuildFromOverlay round-trips the overlay through its snapshot writer,
-// then re-encodes every decoded triple into a completely fresh store (new
-// dictionary, new id assignment) — the "store rebuilt from scratch over the
-// patched triple set" oracle.
-func rebuildFromOverlay(t *testing.T, ls *live.Store) *store.Store {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ls.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	src, err := store.ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := store.NewBuilder()
-	for _, et := range src.Triples() {
-		b.Add(rdf.Triple{S: src.Dict().Decode(et.S), P: src.Dict().Decode(et.P), O: src.Dict().Decode(et.O)})
-	}
-	return b.Build()
 }
 
 func TestApplySemantics(t *testing.T) {
@@ -250,22 +272,20 @@ func TestOverlayMatchesRebuiltSmall(t *testing.T) {
 		ts = append(ts, tr(fmt.Sprintf("s%d", i), "knows", fmt.Sprintf("s%d", (i+1)%6)))
 		ts = append(ts, tr(fmt.Sprintf("s%d", i), "type", "Person"))
 	}
-	base := store.FromTriples(ts)
-	ls, err := live.NewStore(base, live.Options{})
+	ls, err := live.NewStore(store.FromTriples(ts), live.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := newTripleSet(ts)
 
 	// Inserts join against base triples, deletes break base join chains.
-	if _, err := ls.Apply(live.Patch{Ops: []live.Op{
+	want.apply(t, ls, live.Patch{Ops: []live.Op{
 		{Triple: tr("s1", "knows", "s4")},               // new edge between base nodes
 		{Triple: tr("n9", "knows", "s0")},               // new node into base
 		{Triple: tr("n9", "type", "Person")},            // ...typed by an insert
 		{Delete: true, Triple: tr("s2", "knows", "s3")}, // cut a base chain
 		{Delete: true, Triple: tr("s5", "type", "Person")},
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 
 	queries := []string{
 		`SELECT ?a ?b WHERE { ?a <http://x/knows> ?b }`,
@@ -274,13 +294,13 @@ func TestOverlayMatchesRebuiltSmall(t *testing.T) {
 		`SELECT DISTINCT ?b WHERE { ?a <http://x/knows> ?b . ?a <http://x/type> <http://x/Person> }`,
 		`SELECT ?a ?p ?b WHERE { ?a ?p ?b }`,
 	}
-	overlayEquals(t, ls, queries...)
+	overlayEquals(t, ls, want, queries...)
 
 	// After compaction the same queries must agree again (fast path).
 	if _, err := ls.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	overlayEquals(t, ls, queries...)
+	overlayEquals(t, ls, want, queries...)
 }
 
 // TestPendingDeltaAllocatesNothingBaseSized pins that the base is indexed

@@ -9,8 +9,8 @@ import (
 	"repro/internal/store"
 )
 
-// This file is the cost model behind the statistics-driven engine and order
-// choices (the "auto" engine in internal/engines, the /stats chooser report,
+// This file is the cost model behind the statistics-driven engine choice
+// (the "auto" engine in internal/engines, the /stats chooser report,
 // and the server's cost×frequency plan-cache eviction). It estimates, from
 // the store's per-predicate statistics alone, how much work each engine
 // class would spend on a query: a worst-case optimal leapfrog pass over a
@@ -81,9 +81,6 @@ type Profile struct {
 	// worst-case optimal pass: per join variable, the smallest operand
 	// drives a galloping intersection over the larger ones.
 	IntersectWork float64
-
-	varWork   map[string]float64
-	joinOrder []string // join variables, ascending work (selective first)
 }
 
 // ProfileQuery computes a query's statistical profile over st.
@@ -91,7 +88,7 @@ func ProfileQuery(q *query.BGP, st *store.Store) (Profile, error) {
 	if err := q.Validate(); err != nil {
 		return Profile{}, err
 	}
-	p := Profile{Patterns: len(q.Patterns), varWork: map[string]float64{}}
+	p := Profile{Patterns: len(q.Patterns)}
 	vars := map[string]*varStat{}
 	observe := func(name string, distinct float64) {
 		vs := vars[name]
@@ -217,23 +214,12 @@ func ProfileQuery(q *query.BGP, st *store.Store) (Profile, error) {
 	// Intersection work: each join variable's leapfrog pass gallops the
 	// smallest operand through the others — linear in the smallest set with
 	// a logarithmic probe factor into the larger ones.
-	for name, vs := range vars {
-		work := vs.minD
+	for _, vs := range vars {
 		if vs.count >= 2 {
 			p.JoinVars++
-			work = vs.minD * float64(vs.count) * (1 + math.Log2(math.Max(vs.maxD/vs.minD, 1)))
-			p.IntersectWork += work
-			p.joinOrder = append(p.joinOrder, name)
+			p.IntersectWork += vs.minD * float64(vs.count) * (1 + math.Log2(math.Max(vs.maxD/vs.minD, 1)))
 		}
-		p.varWork[name] = work
 	}
-	sort.Slice(p.joinOrder, func(i, j int) bool {
-		a, b := p.joinOrder[i], p.joinOrder[j]
-		if p.varWork[a] != p.varWork[b] {
-			return p.varWork[a] < p.varWork[b]
-		}
-		return a < b
-	})
 	return p, nil
 }
 
@@ -286,59 +272,4 @@ func (p Profile) ChooseClass() (EngineClass, float64) {
 		}
 	}
 	return best, bestCost
-}
-
-// OrderCost estimates the intersection cost of processing the join
-// variables in the given attribute order: a variable at position i is
-// re-intersected once per partial binding of its predecessors, so its work
-// is weighted by the (estimated) growth of the prefix — placing selective
-// variables first minimizes the sum, which is exactly the §III-B1
-// heuristic recovered as an argmin.
-func (p Profile) OrderCost(order []string) float64 {
-	cost := 0.0
-	prefix := 1.0
-	for _, v := range order {
-		w, ok := p.varWork[v]
-		if !ok {
-			continue
-		}
-		cost += prefix * w
-		// The prefix multiplicity grows with the variable's selectivity
-		// bound, damped: intersections shrink candidate sets well below
-		// their inputs, so charge the square root of the bound.
-		prefix *= math.Max(math.Sqrt(w), 1)
-	}
-	return cost
-}
-
-// CandidateOrders returns the attribute orders the model prices against
-// each other: the statistics-driven selective-first order and the natural
-// (as-written) order. Both contain exactly the join variables.
-func (p Profile) CandidateOrders(natural []string) [][]string {
-	var nat []string
-	inJoin := map[string]bool{}
-	for _, v := range p.joinOrder {
-		inJoin[v] = true
-	}
-	for _, v := range natural {
-		if inJoin[v] {
-			nat = append(nat, v)
-		}
-	}
-	return [][]string{p.joinOrder, nat}
-}
-
-// ChooseOrder returns the cheaper of the candidate orders under OrderCost.
-func (p Profile) ChooseOrder(natural []string) []string {
-	best := p.joinOrder
-	bestCost := math.Inf(1)
-	for _, o := range p.CandidateOrders(natural) {
-		if len(o) == 0 {
-			continue
-		}
-		if c := p.OrderCost(o); c < bestCost {
-			best, bestCost = o, c
-		}
-	}
-	return best
 }

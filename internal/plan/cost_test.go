@@ -75,23 +75,6 @@ func TestProfileEmptyQuery(t *testing.T) {
 	}
 }
 
-func TestChooseOrderPrefersSelective(t *testing.T) {
-	st := lubmStore(t)
-	prof := profile(t, st, lubm.Query(2, 1))
-	natural := []string{"X", "Y", "Z"}
-	order := prof.ChooseOrder(natural)
-	if len(order) != len(natural) {
-		t.Fatalf("order %v lost variables from %v", order, natural)
-	}
-	// Whatever order wins must be no worse than the natural one under the
-	// model's own metric — ChooseOrder may return natural itself, but never
-	// something it scores higher.
-	if prof.OrderCost(order) > prof.OrderCost(natural) {
-		t.Errorf("chosen order %v costs %.0f > natural %v at %.0f",
-			order, prof.OrderCost(order), natural, prof.OrderCost(natural))
-	}
-}
-
 // BenchmarkChooserProfile measures the full cost-model decision — profile
 // the query against store statistics, price all three engine classes, pick
 // the argmin — which is the per-miss overhead the auto engine adds on top

@@ -12,7 +12,8 @@
 //	  magic "RDFSEG01" · version u32 · byte-order mark u32 (0x01020304,
 //	  native) · payload length u64 · payload CRC-32C u32 · header CRC u32
 //	payload (offset 32, every section 8-aligned):
-//	  dict     u64 byte length + varint term encoding (as snapshots)
+//	  dict     u64 byte length + varint term count; per term: kind byte,
+//	           varint-length-prefixed value (and datatype, lang for literals)
 //	  triples  u64 count + count×12-byte store.Triple rows
 //	  relations u64 count; per relation:
 //	    meta   predicate u32 · rows u32 · distinctS u32 · distinctO u32
@@ -37,7 +38,7 @@
 //
 // The format is explicitly not portable across byte order or word size;
 // the byte-order mark and version gate refuse a foreign file. That is the
-// price of mmap-is-the-format, and the WAL + snapshot remain the portable
+// price of mmap-is-the-format, and the WAL and N-Triples remain the portable
 // representations.
 package segment
 
@@ -46,7 +47,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"unsafe"
 
 	"repro/internal/dict"
@@ -57,8 +57,7 @@ import (
 )
 
 const (
-	// Magic identifies a segment file; LoadDataset format sniffing keys on
-	// it too.
+	// Magic identifies a segment file.
 	Magic         = "RDFSEG01"
 	version       = 2
 	minVersion    = 1
@@ -74,31 +73,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // atomically: temp file, fsync, rename, parent-directory fsync. A crash
 // mid-write leaves any previous segment intact.
 func Write(path string, st *store.Store) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := writeTo(tmp, st); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	tmp = nil
-	return store.SyncDir(dir)
+	return atomicWriteFile(path, func(f *os.File) error { return writeTo(f, st) })
 }
 
 // writeTo streams the segment: a placeholder header, then the payload with
@@ -109,8 +84,8 @@ func writeTo(f *os.File, st *store.Store) error {
 	}
 	w := &payloadWriter{w: bufio.NewWriterSize(f, 1<<20)}
 
-	// Dictionary, varint-encoded like snapshots, as one length-prefixed
-	// blob so the loader can skip-scan it without decoding twice.
+	// Dictionary, varint-encoded, as one length-prefixed blob so the loader
+	// can skip-scan it without decoding twice.
 	dictBytes := encodeDict(st.Dict())
 	w.u64(uint64(len(dictBytes)))
 	w.bytes(dictBytes)

@@ -195,7 +195,7 @@ func TestTruncationDetected(t *testing.T) {
 
 func TestBadMagicDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "not.seg")
-	if err := os.WriteFile(path, []byte("RDFSNAP1 this is a snapshot, not a segment"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("<http://a> <http://p> <http://b> .\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if l, err := Open(path); err == nil {

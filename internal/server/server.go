@@ -147,11 +147,6 @@ type Config struct {
 	// drain while the delta holds fewer netted operations. <= 1 compacts on
 	// any non-empty delta.
 	CompactMinDelta int
-	// SnapshotPath, when set, atomically persists the store's snapshot
-	// (write-to-temp, fsync, rename) after every compaction, so a
-	// restarting server loads the compacted dataset instead of replaying
-	// updates it has lost anyway.
-	SnapshotPath string
 	// MaxUpdateBytes caps one /update request body. Default 8 MiB.
 	MaxUpdateBytes int
 	// Logger receives the server's structured log records (slow queries,
@@ -306,9 +301,11 @@ func New(cfg Config) (*Server, error) {
 		go func() {
 			defer close(s.compactDone)
 			ls.AutoCompact(ctx, live.CompactPolicy{
-				Every:        cfg.CompactEvery,
-				MinOps:       cfg.CompactMinDelta,
-				SnapshotPath: cfg.SnapshotPath,
+				Every:  cfg.CompactEvery,
+				MinOps: cfg.CompactMinDelta,
+				OnError: func(err error) {
+					cfg.Logger.Error("background compaction failed", "error", err)
+				},
 			})
 		}()
 	}
@@ -1030,7 +1027,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"epoch":            res.Epoch,
 	}
 	if r.FormValue("compact") == "true" {
-		cs, err := s.compactNow()
+		cs, err := s.ls.Compact()
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "compacting: %v", err)
 			return
@@ -1048,7 +1045,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	cs, err := s.compactNow()
+	cs, err := s.ls.Compact()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "compacting: %v", err)
 		return
@@ -1060,21 +1057,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		"drained":     cs.Drained,
 		"duration_ms": ms(cs.Duration),
 	})
-}
-
-// compactNow drains the delta and, when configured, persists the fresh
-// snapshot atomically.
-func (s *Server) compactNow() (live.CompactStats, error) {
-	cs, err := s.ls.Compact()
-	if err != nil {
-		return cs, err
-	}
-	if cs.Swapped && s.cfg.SnapshotPath != "" {
-		if err := s.ls.SnapshotTo(s.cfg.SnapshotPath); err != nil {
-			return cs, fmt.Errorf("persisting snapshot: %w", err)
-		}
-	}
-	return cs, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

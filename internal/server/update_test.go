@@ -3,19 +3,21 @@ package server
 // End-to-end tests of the write path: POST /update patches the delta
 // overlay while the handler keeps answering queries, POST /compact swaps a
 // fresh base in under a new epoch, the plan cache never serves a pre-swap
-// plan (epoch-keyed), and the configured snapshot is persisted atomically.
+// plan (epoch-keyed), and a failing background compaction is logged.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/live"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -74,9 +76,7 @@ func countRows(t *testing.T, url, q string) int {
 const updateScan = `SELECT ?s ?o WHERE { ?s <http://u/p> ?o }`
 
 func TestUpdateEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "u.snap")
-	srv, err := New(Config{Store: updateTestStore(), SnapshotPath: snap})
+	srv, err := New(Config{Store: updateTestStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,7 @@ func TestUpdateEndToEnd(t *testing.T) {
 		t.Fatalf("update counters: %+v", st.Live)
 	}
 
-	// Compact: new epoch, empty delta, same query results, snapshot
-	// persisted and loadable.
+	// Compact: new epoch, empty delta, same query results.
 	resp, err := http.Post(ts.URL+"/compact", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -132,18 +131,6 @@ func TestUpdateEndToEnd(t *testing.T) {
 	st = srv.Stats()
 	if st.Live.Epoch != 1 || st.Live.DeltaInserts != 0 || st.Live.BaseTriples != 9 || st.Live.Compactions != 1 {
 		t.Fatalf("post-compact live stats: %+v", st.Live)
-	}
-	f, err := os.Open(snap)
-	if err != nil {
-		t.Fatalf("snapshot not persisted: %v", err)
-	}
-	reloaded, err := store.ReadSnapshot(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reloaded.NumTriples() != 9 {
-		t.Fatalf("reloaded snapshot has %d triples, want 9", reloaded.NumTriples())
 	}
 
 	// An empty patch is a valid no-op.
@@ -261,5 +248,70 @@ func TestUpdateRejections(t *testing.T) {
 	// Nothing of the above changed the store.
 	if n := srv.Live().NumTriples(); n != 8 {
 		t.Fatalf("rejected updates mutated the store: %d triples", n)
+	}
+}
+
+// failingDurability accepts every patch and fails to persist every
+// compacted base, as a full disk or a failed fsync would.
+type failingDurability struct{}
+
+func (failingDurability) LogPatch(live.Patch) error { return nil }
+
+func (failingDurability) Compacted(*store.Store, uint64) error {
+	return errors.New("segment write: no space left on device")
+}
+
+// recordWriter hands each log record to a channel, dropping records nobody
+// has room for so a logger never blocks on the test.
+type recordWriter chan string
+
+func (w recordWriter) Write(p []byte) (int, error) {
+	select {
+	case w <- string(p):
+	default:
+	}
+	return len(p), nil
+}
+
+// TestBackgroundCompactionFailureLogged: when the background compactor's
+// persistence step fails, the server's logger must receive an error record
+// naming the failure.
+func TestBackgroundCompactionFailureLogged(t *testing.T) {
+	records := make(recordWriter, 16)
+	logger := slog.New(slog.NewJSONHandler(records, nil))
+	srv, err := New(Config{Store: updateTestStore(), Logger: logger, CompactEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Live().SetDurability(failingDurability{})
+	if _, err := srv.Live().Insert([]rdf.Triple{{
+		S: rdf.NewIRI("http://u/n1"), P: rdf.NewIRI("http://u/p"), O: rdf.NewIRI("http://u/s0"),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	timeout := time.After(10 * time.Second)
+	for {
+		var line string
+		select {
+		case line = <-records:
+		case <-timeout:
+			t.Fatal("no log record of the failed background compaction")
+		}
+		if !strings.Contains(line, "no space left on device") {
+			continue
+		}
+		var rec struct {
+			Level string `json:"level"`
+			Msg   string `json:"msg"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("record is not JSON: %v in %q", err, line)
+		}
+		if rec.Level != "ERROR" || !strings.Contains(rec.Msg, "compaction") {
+			t.Fatalf("record = %+v, want an ERROR-level compaction record", rec)
+		}
+		return
 	}
 }

@@ -36,8 +36,7 @@ type Batch struct {
 // Term encoding: a kind byte whose low 2 bits are the rdf.TermKind, bit 2 =
 // has datatype, bit 3 = has lang; then the value as a uvarint-length-
 // prefixed string, followed by the datatype and lang strings when their
-// bits are set. This mirrors the snapshot format's term encoding
-// (internal/store/snapshot.go) without depending on it.
+// bits are set, so an empty datatype or lang costs nothing.
 const (
 	termKindMask    = 0b0011
 	termHasDatatype = 0b0100

@@ -13,21 +13,12 @@ import (
 	"repro/internal/wal"
 )
 
-// snapshotMagic is the 8-byte header of the binary snapshot format (see
-// internal/store.WriteSnapshot); LoadDataset uses it to sniff the input
-// format.
-const snapshotMagic = "RDFSNAP1"
-
-// loadStore reads a store from r, sniffing the format: binary snapshots by
-// their magic header, anything else as N-Triples.
-func loadStore(r io.Reader) (*store.Store, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, _ := br.Peek(len(snapshotMagic))
-	if string(head) == snapshotMagic {
-		return store.ReadSnapshot(br)
-	}
+// loadNTriples parses N-Triples from r into a store. Every dataset read
+// from a file or reader (LoadNTriples, OpenDataset and a durable first
+// boot's seed) comes through here.
+func loadNTriples(r io.Reader) (*store.Store, error) {
 	b := store.NewBuilder()
-	rd := rdf.NewReader(br)
+	rd := rdf.NewReader(bufio.NewReaderSize(r, 1<<16))
 	for {
 		t, err := rd.Read()
 		if err == io.EOF {
@@ -39,18 +30,6 @@ func loadStore(r io.Reader) (*store.Store, error) {
 		b.Add(t)
 	}
 	return b.Build(), nil
-}
-
-// LoadDataset reads a dataset from r, sniffing the format: binary snapshots
-// (written by WriteSnapshot or cmd/lubmgen) are recognized by their magic
-// header, anything else is parsed as N-Triples. This is the shared loading
-// path of cmd/rdfq and cmd/rdfserved.
-func LoadDataset(r io.Reader) (*Dataset, error) {
-	st, err := loadStore(r)
-	if err != nil {
-		return nil, err
-	}
-	return newDataset(st), nil
 }
 
 // DatasetOption customizes OpenDataset.
@@ -99,9 +78,9 @@ func WithLUBM(universities int) DatasetOption {
 	return func(o *datasetOptions) { o.lubmUniv = universities }
 }
 
-// OpenDataset opens the file at path, loads it with LoadDataset, and
-// applies the options. With WithDataDir the dataset is durable and path is
-// only the first boot's seed — see WithDataDir.
+// OpenDataset parses the N-Triples file at path and applies the options.
+// With WithDataDir the dataset is durable and path is only the first boot's
+// seed — see WithDataDir.
 func OpenDataset(path string, opts ...DatasetOption) (*Dataset, error) {
 	var o datasetOptions
 	for _, opt := range opts {
@@ -115,7 +94,7 @@ func OpenDataset(path string, opts ...DatasetOption) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	ds, err := LoadDataset(f)
+	ds, err := LoadNTriples(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -146,7 +125,7 @@ func openDurable(path string, o datasetOptions) (*Dataset, error) {
 				return nil, err
 			}
 			defer f.Close()
-			st, err := loadStore(f)
+			st, err := loadNTriples(f)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", path, err)
 			}

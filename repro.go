@@ -129,19 +129,11 @@ func LoadTriples(ts []Triple) *Dataset {
 
 // LoadNTriples parses N-Triples from r and builds a dataset.
 func LoadNTriples(r io.Reader) (*Dataset, error) {
-	b := store.NewBuilder()
-	rd := rdf.NewReader(r)
-	for {
-		t, err := rd.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.Add(t)
+	st, err := loadNTriples(r)
+	if err != nil {
+		return nil, err
 	}
-	return newDataset(b.Build()), nil
+	return newDataset(st), nil
 }
 
 // GenerateLUBM generates the LUBM benchmark dataset at the given scale
@@ -151,27 +143,6 @@ func GenerateLUBM(universities int, seed int64) *Dataset {
 	b := store.NewBuilder()
 	lubm.GenerateTo(lubm.Config{Universities: universities, Seed: seed}, b.Add)
 	return newDataset(b.Build())
-}
-
-// WriteSnapshot serializes the dataset in the binary snapshot format, which
-// loads much faster than re-parsing N-Triples (dictionary encoding is
-// preserved; derived indexes are rebuilt lazily). Pending updates are
-// included: the snapshot holds the overlay, exactly what a rebuilt store
-// would.
-func (d *Dataset) WriteSnapshot(w io.Writer) error { return d.ls.WriteSnapshot(w) }
-
-// WriteSnapshotFile persists the snapshot to path atomically (write to a
-// temp file, fsync, rename), so a crash mid-write never corrupts an
-// existing snapshot.
-func (d *Dataset) WriteSnapshotFile(path string) error { return d.ls.SnapshotTo(path) }
-
-// LoadSnapshot reads a dataset previously written with WriteSnapshot.
-func LoadSnapshot(r io.Reader) (*Dataset, error) {
-	st, err := store.ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return newDataset(st), nil
 }
 
 // NumTriples returns the number of distinct triples visible to queries
