@@ -9,21 +9,24 @@
 // node results (and with the raw relations of a pipelined child, §III-C) to
 // produce output tuples.
 //
-// Each generic join (join.go) binds one attribute at a time. Variable
-// attributes are intersected by leapfrog triejoin over the tries' seek
-// iterators, except the last attribute of the order: no descent follows a
-// match there, so when every participating trie is at its leaf level the
-// leaf sets are intersected whole by the layout-specialised kernels of
-// internal/set (§II-A2) — read straight from the trie's value arena where
-// the level is all uint arrays — and each result value is emitted. Pairs
-// the kernels would handle slower (a uint array several times the size of
-// the other side) stay with the leapfrog. A leaf there whose parent level
-// is bound before the penultimate attribute is the same node for a whole
-// enclosing loop (the triangle's ?x in-neighbours while ?y varies), so the
-// joiner marks it once in a pooled bitmap (set.Marks) and probes the other
-// leaf into it instead of merging: §III-A's choice of layout by how a set
-// is used, for a set intersected over and over. Trie levels are matched to
-// attributes by index, resolved once per join, not by name.
+// Each generic join (join.go) binds one attribute at a time. Which inputs
+// take part at each attribute is resolved once per join, with trie levels
+// matched to attributes by index, not by name. Variable attributes are
+// intersected by leapfrog triejoin over the tries' seek iterators, except
+// the last attribute of the order: no descent follows a match there, so
+// when every participating trie is at its leaf level the leaf sets are
+// intersected whole by the layout-specialised kernels of internal/set
+// (§II-A2) — read straight from the trie's value arena where the level is
+// all uint arrays — and each result value is emitted. Pairs the kernels
+// would handle slower (a uint array several times the size of the other
+// side) stay with the leapfrog. Usually all but one of those leaves stay
+// the same across the penultimate attribute's loop (the triangle's ?x
+// in-neighbours while ?y varies), and then the last two attributes run as
+// one fused tail (tail.go): the intersection of the fixed leaves is
+// hoisted out of the loop, kept in a pooled bitmap (set.Marks), and the
+// varying leaves of a block of the loop's matches are read in a batch and
+// probed into it — loop-invariant code motion, and §III-A's choice of
+// layout by how a set is used, for a set intersected over and over.
 //
 // The enumerator is a streaming generator: Open returns an engine.Cursor
 // that yields output rows as the final join produces them, so consumers

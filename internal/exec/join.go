@@ -44,14 +44,26 @@ func cloneInputs(ins []*input) []*input {
 }
 
 // indexLevels resolves every input's level names to indices in attrs, once
-// per join; repeated names (?x p ?x) map to the same index. An input that
-// already carries indices — a clone — keeps them.
+// per join, into one slab shared by the inputs; repeated names (?x p ?x) map
+// to the same index. An input that already carries indices — a clone —
+// keeps them.
 func indexLevels(attrs []plan.Attr, inputs []*input) {
+	n := 0
+	for _, in := range inputs {
+		if in.at == nil {
+			n += len(in.levels)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	slab := make([]int32, n)
 	for _, in := range inputs {
 		if in.at != nil {
 			continue
 		}
-		in.at = make([]int32, len(in.levels))
+		k := len(in.levels)
+		in.at, slab = slab[:k:k], slab[k:]
 		for d, l := range in.levels {
 			in.at[d] = -1
 			for i, a := range attrs {
@@ -64,100 +76,118 @@ func indexLevels(attrs []plan.Attr, inputs []*input) {
 	}
 }
 
-// activeAt reports whether the input's next un-descended level is the
-// attribute at index idx.
-func (in *input) activeAt(idx int32) bool {
-	return in.depth < len(in.at) && in.at[in.depth] == idx
+// levelsAt locates the input's levels bound at attribute idx: the depth d of
+// the first and their number n — more than one for a repeated variable
+// (?x p ?x) — or n = 0 when the input takes no part there. The join binds
+// attributes in order, so the walk ends at the first level whose attribute
+// is absent or does not follow the previous level's: the join never reaches
+// it.
+func (in *input) levelsAt(idx int32) (d, n int) {
+	prev := int32(-1)
+	for d < len(in.at) {
+		a := in.at[d]
+		if a <= prev || a > idx {
+			return 0, 0
+		}
+		n = 1
+		for d+n < len(in.at) && in.at[d+n] == a {
+			n++
+		}
+		if a == idx {
+			return d, n
+		}
+		prev, d = a, d+n
+	}
+	return 0, 0
 }
+
+// node returns the input's current node.
+func (in *input) node() trie.Node { return in.stack[in.depth] }
 
 // currentSet returns the value set at the input's current level.
-func (in *input) currentSet() *set.Set {
-	return in.stack[in.depth].Set()
-}
+func (in *input) currentSet() *set.Set { return in.node().Set() }
 
-// descendAll descends every consecutive level of attribute idx with value v
-// (repeated names handle self-join patterns like ?x p ?x). It returns the
-// number of levels descended and whether all descents succeeded; on failure
-// it rolls its own descents back. This is the selection path — each descent
-// probes the set by value.
-func (in *input) descendAll(idx int32, v uint32) (int, bool) {
-	k := 0
-	for in.activeAt(idx) {
-		child, ok := in.stack[in.depth].ChildByValue(v)
+// descendAll descends n levels with value v, each by probing the set — the
+// selection path, and the repeated levels of a self-join pattern. It
+// reports whether every descent succeeded; on failure it rolls its own
+// descents back.
+func (in *input) descendAll(v uint32, n int) bool {
+	for k := 0; k < n; k++ {
+		child, ok := in.node().ChildByValue(v)
 		if !ok {
 			in.depth -= k
-			return 0, false
+			return false
 		}
 		in.depth++
 		in.stack[in.depth] = child // zero Node after the leaf level; never read
-		k++
 	}
-	return k, true
+	return true
 }
 
-// descendRanked is the leapfrog descent: the first level descends by the
-// value's rank, already known from the seeking iterator's position — no
-// Rank probe at all, just the flat trie's CSR offset addition. Consecutive
-// levels of the same attribute (self-joins, rare) fall back to value
+// descendRanked is the leapfrog descent of n levels with value v: the first
+// level descends by the value's rank, already known from the seeking
+// iterator's position — no Rank probe at all, just the flat trie's CSR
+// offset addition. Repeated levels (self-joins, rare) fall back to value
 // probes. On failure it rolls its own descents back.
-func (in *input) descendRanked(idx int32, v uint32, rank int) (int, bool) {
-	n := in.stack[in.depth]
+func (in *input) descendRanked(v uint32, rank, n int) bool {
+	node := in.node()
 	var child trie.Node
-	if !n.IsLeaf() {
-		child = n.Child(rank)
+	if !node.IsLeaf() {
+		child = node.Child(rank)
 	}
 	in.depth++
 	in.stack[in.depth] = child
-	k := 1
-	for in.activeAt(idx) {
-		child, ok := in.stack[in.depth].ChildByValue(v)
-		if !ok {
-			in.depth -= k
-			return 0, false
-		}
-		in.depth++
-		in.stack[in.depth] = child
-		k++
+	if n > 1 && !in.descendAll(v, n-1) {
+		in.depth--
+		return false
 	}
-	return k, true
+	return true
 }
 
 // ascend undoes k levels of descent.
 func (in *input) ascend(k int) { in.depth -= k }
 
-// lfIter pairs one active input with its seeking iterator for the current
-// attribute. The pair is a value so the per-depth scratch arrays hold the
-// whole leapfrog state contiguously.
+// lfIter is one input taking part at an attribute: its seeking iterator
+// there and the number of its levels the attribute binds. The triple is a
+// value so the per-depth lists hold the whole leapfrog state contiguously.
 type lfIter struct {
 	it set.Iter
 	in *input
+	n  int
 }
 
 // joiner runs Algorithm 1. For each attribute in order it intersects the
-// current sets of all participating inputs by leapfrog — mutual seeking,
+// current sets of the inputs taking part there by leapfrog — mutual seeking,
 // one value at a time — (or probes the constant for selection attributes),
-// binds, descends, and recurses. The last attribute is the exception: when
+// binds, descends, and recurses. Which inputs take part at each attribute,
+// and how many of their levels it binds, is resolved once per join
+// (newJoiner), not rediscovered at each step.
+//
+// The last two attributes are the exceptions. At the last one, L, when
 // every participating input is at its trie's leaf level nothing descends
-// after a match, so its sets are intersected whole by the layout-specialised
-// kernels of internal/set (§II-A2) and each result value is bound and
-// emitted (intersectLast). One leaf there is often loop-invariant — in the
-// triangle ?x→?y→?z→?x, ?x's in-neighbours stay put while ?y varies — and
-// the joiner keeps that leaf marked in a bitmap so each intersection with
-// it is a probe, not a merge (markInvariant): §III-A's choice of layout by
-// use.
+// after a match, so its sets are intersected whole by the
+// layout-specialised kernels of internal/set (§II-A2) and each result value
+// is bound and emitted (intersectLast). Most of L's inputs are usually
+// fixed across the loop of the penultimate attribute P — in the triangle
+// ?x→?y→?z→?x, ?x's in-neighbours stay put while ?y varies — and at most
+// one enters at P. Then P's step is the fused tail (tail.go): the
+// intersection of the fixed leaves is hoisted out of P's loop, computed
+// once per pass and kept marked in a bitmap, and P's matches are collected
+// in blocks whose varying leaves are each probed into it: loop-invariant
+// code motion, and §III-A's choice of layout by use.
 type joiner struct {
 	attrs   []plan.Attr
 	inputs  []*input
 	binding []uint32
+	emit    func([]uint32) error
 
-	// Per-depth scratch, reused across the recursion: selection (and
-	// last-attribute) actives, leapfrog iterator states, and descend
-	// counters. Everything the inner loop touches is preallocated here — no
-	// allocations and no closures per recursion step.
-	active    [][]*input
-	lf        [][]lfIter
-	descended [][]int
-	emit      func([]uint32) error
+	// lf[i] lists the inputs taking part at attribute i with their
+	// iterators: per-depth scratch, resolved once and reused across the
+	// recursion, so the inner loop makes no allocation and no closure.
+	// lastLeaf is set when every input taking part at the last attribute is
+	// at its leaf level there.
+	lf       [][]lfIter
+	lastLeaf bool
 
 	// Last-attribute scratch, allocated on first use and reused: the
 	// leaves' set headers (read only when a leaf level holds bitset nodes
@@ -169,16 +199,24 @@ type joiner struct {
 	sc   *set.Scratch
 	vals []uint32
 
-	// Invariant-leaf probe. inv is the input whose leaf at the last
-	// attribute stays the same node across the enclosing loop (nil when no
-	// input's does), decided once by invariantLeaf. marks, taken from
-	// marksPool on first use and returned to it cleared by run, holds the
-	// members of marked, that leaf's node last seen; markedOK is false when
-	// its id range exceeded maxMarkWords and it was not marked.
-	inv      *input
+	// The fused tail at attribute tailAt (-1 when P's step is the plain
+	// leapfrog): fix (F) and vary (V, nil when none) split L's inputs,
+	// block collects P's matches, and the hoisted intersection ∩F is hv —
+	// marked in marks when markedOK — or the bitset hbits. fixLeaf is F's
+	// leaf node ∩F was taken from when F is one input, fvals a bitset ∩F's
+	// decoded members. marks comes from marksPool and goes back cleared.
+	// touch sinks the loads with which flush pulls a block's leaves in.
+	tailAt   int
+	fix      []*input
+	vary     *input
+	block    []match
+	fixLeaf  trie.Node
+	hv       []uint32
+	hbits    *set.Set
+	fvals    []uint32
 	marks    *set.Marks
-	marked   trie.Node
 	markedOK bool
+	touch    uint32
 
 	// Parallel partitioning: when filterMod is non-zero, values bound at
 	// attribute index filterAt are skipped unless v % filterMod ==
@@ -200,83 +238,55 @@ type joiner struct {
 // last-attribute kernel step) pass between context polls.
 const cancelStride = 4096
 
-// maxMarkWords caps the invariant leaf's bitmap at 16 Ki words (128 KB, a
-// range of 2^20 ids); a leaf spreading wider is merged instead. A variable
-// so that tests can make leaves exceed it.
+// maxMarkWords caps the hoisted intersection's bitmap at 16 Ki words (128
+// KB, a range of 2^20 ids); one spreading wider is merged instead. A
+// variable so that tests can make leaves exceed it.
 var maxMarkWords = 1 << 14
 
-// marksPool recycles invariant-leaf bitmaps across joiners. Every Marks in
-// it is clear.
+// marksPool recycles the tail's bitmaps across joiners. Every Marks in it
+// is clear.
 var marksPool = sync.Pool{New: func() any { return new(set.Marks) }}
 
+// newJoiner resolves, once for the join, which inputs take part at each
+// attribute and whether P's step runs as the fused tail. Its few
+// allocations are slabs shared by all attributes and inputs.
 func newJoiner(attrs []plan.Attr, inputs []*input) *joiner {
 	indexLevels(attrs, inputs)
+	levels := 0
+	for _, in := range inputs {
+		levels += len(in.levels)
+	}
+	slab := make([]lfIter, 0, levels) // an input takes part at most once per level
 	j := &joiner{
-		attrs:     attrs,
-		inputs:    inputs,
-		binding:   make([]uint32, len(attrs)),
-		active:    make([][]*input, len(attrs)),
-		lf:        make([][]lfIter, len(attrs)),
-		descended: make([][]int, len(attrs)),
-		cancelIn:  cancelStride,
+		attrs:    attrs,
+		inputs:   inputs,
+		binding:  make([]uint32, len(attrs)),
+		lf:       make([][]lfIter, len(attrs)),
+		tailAt:   -1,
+		cancelIn: cancelStride,
 	}
 	for i := range attrs {
-		j.active[i] = make([]*input, 0, len(inputs))
-		j.lf[i] = make([]lfIter, 0, len(inputs))
-		j.descended[i] = make([]int, len(inputs))
+		start := len(slab)
+		for _, in := range inputs {
+			if _, n := in.levelsAt(int32(i)); n > 0 {
+				slab = append(slab, lfIter{in: in, n: n})
+			}
+		}
+		j.lf[i] = slab[start:len(slab):len(slab)]
 	}
-	j.inv = invariantLeaf(attrs, inputs)
+	j.planTail()
 	return j
-}
-
-// invariantLeaf returns the input whose leaf, at the last attribute, stays
-// the same node for a whole loop of the attributes before it: one whose
-// level above the leaf is bound before the penultimate attribute, or which
-// has no level above the leaf (its leaf is its root). Of several, the one
-// bound earliest changes least often. It returns nil when there is none.
-func invariantLeaf(attrs []plan.Attr, inputs []*input) *input {
-	last := int32(len(attrs) - 1)
-	if last < 0 || attrs[last].IsSel {
-		return nil
-	}
-	var inv *input
-	bound := last - 1 // the parent level must be bound before this index
-	for _, in := range inputs {
-		n := len(in.at)
-		if n == 0 || in.at[n-1] != last {
-			continue
-		}
-		parent := int32(-1)
-		if n > 1 {
-			parent = in.at[n-2]
-		}
-		if parent < bound {
-			inv, bound = in, parent
-		}
-	}
-	return inv
 }
 
 // run enumerates all join results, invoking emit with the binding slice
 // (valid only during the call — emit must copy what it keeps). An error
 // returned by emit aborts the enumeration and is propagated. However the
 // enumeration ends — exhausted, stopped by emit (a LIMIT closing the
-// cursor) or cancelled — the invariant-leaf bitmap goes back to its pool
-// cleared.
+// cursor) or cancelled — the tail's bitmap goes back to its pool cleared.
 func (j *joiner) run(emit func([]uint32) error) error {
 	j.emit = emit
 	defer j.release()
 	return j.recurse(0)
-}
-
-// release clears the invariant-leaf bitmap and returns it to marksPool.
-func (j *joiner) release() {
-	if j.marks == nil {
-		return
-	}
-	j.marks.Clear()
-	marksPool.Put(j.marks)
-	j.marks, j.marked, j.markedOK = nil, trie.Node{}, false
 }
 
 // tick counts one recursion step (or one value emitted at the last
@@ -310,61 +320,48 @@ func (j *joiner) recurse(idx int) error {
 		return j.emit(j.binding)
 	}
 	attr := j.attrs[idx]
-	ai := int32(idx)
+	lf := j.lf[idx]
+	if len(lf) == 0 {
+		return fmt.Errorf("exec: attribute %q constrained by no relation (planner bug)", attr.Name)
+	}
 
 	if attr.IsSel {
-		// Equality selection: probe the constant in every active trie.
-		// With the bitset layout this is the constant-time lookup of
+		// Equality selection: probe the constant in every participating
+		// trie. With the bitset layout this is the constant-time lookup of
 		// §III-A; with the uint layout it is a binary search.
-		active := j.active[idx][:0]
-		for _, in := range j.inputs {
-			if in.activeAt(ai) {
-				active = append(active, in)
-			}
-		}
-		if len(active) == 0 {
-			return fmt.Errorf("exec: attribute %q constrained by no relation (planner bug)", attr.Name)
-		}
-		counts := j.descended[idx]
-		for i, in := range active {
-			k, ok := in.descendAll(ai, attr.Value)
-			if !ok {
+		for i := range lf {
+			if !lf[i].in.descendAll(attr.Value, lf[i].n) {
 				for r := 0; r < i; r++ {
-					active[r].ascend(counts[r])
+					lf[r].in.ascend(lf[r].n)
 				}
 				return nil
 			}
-			counts[i] = k
 		}
 		j.binding[idx] = attr.Value
 		err := j.recurse(idx + 1)
-		for i, in := range active {
-			in.ascend(counts[i])
+		for i := range lf {
+			lf[i].in.ascend(lf[i].n)
 		}
 		return err
 	}
 
-	if idx == len(j.attrs)-1 {
+	if idx == len(j.attrs)-1 && j.lastLeaf {
 		if done, err := j.intersectLast(idx); done {
 			return err
 		}
 	}
+	tail := idx == j.tailAt
+	hoisted := false // in the tail, whether this pass has hoisted ∩F yet
+	if tail {
+		j.enterTail()
+	}
 
 	// Leapfrog multiway intersection (Veldhuizen's leapfrog triejoin,
 	// the technique the LogicBlox experience paper credits for making the
-	// generic join competitive): all active iterators seek to a common
-	// value; the iterator holding the largest current value is the frontier
-	// and everyone else gallops to it. A single active input degenerates to
-	// a plain scan of its set through the same iterator.
-	lf := j.lf[idx][:0]
-	for _, in := range j.inputs {
-		if in.activeAt(ai) {
-			lf = append(lf, lfIter{in: in})
-		}
-	}
-	if len(lf) == 0 {
-		return fmt.Errorf("exec: attribute %q constrained by no relation (planner bug)", attr.Name)
-	}
+	// generic join competitive): all iterators seek to a common value; the
+	// iterator holding the largest current value is the frontier and
+	// everyone else gallops to it. A single input degenerates to a plain
+	// scan of its set through the same iterator.
 	for i := range lf {
 		lf[i].it.Reset(lf[i].in.currentSet())
 		if lf[i].it.Done() {
@@ -380,7 +377,14 @@ func (j *joiner) recurse(idx int) error {
 			lf[m], lf[m-1] = lf[m-1], lf[m]
 		}
 	}
-	counts := j.descended[idx]
+	vi := -1 // in the tail, V's iterator: its rank at a match addresses V's leaf
+	if tail {
+		for i := range lf {
+			if lf[i].in == j.vary {
+				vi = i
+			}
+		}
+	}
 	p := 0
 	maxV := lf[k-1].it.Cur()
 	for {
@@ -389,40 +393,57 @@ func (j *joiner) recurse(idx int) error {
 			// Every iterator agrees on maxV: a join value.
 			v := maxV
 			if j.filterMod == 0 || idx != j.filterAt || v%j.filterMod == j.filterRes {
-				ok := true
-				failedAt := 0
-				for i := range lf {
-					kk, o := lf[i].in.descendRanked(ai, v, lf[i].it.Pos())
-					if !o {
-						ok = false
-						failedAt = i
-						break
+				if tail {
+					if !hoisted {
+						hoisted = true
+						if !j.hoist() {
+							return nil // ∩F is empty: no value here closes a row
+						}
 					}
-					counts[i] = kk
-				}
-				if ok {
-					j.binding[idx] = v
-					err := j.recurse(idx + 1)
-					for i := range lf {
-						lf[i].in.ascend(counts[i])
+					m := match{v: v}
+					if vi >= 0 {
+						m.pos = int32(lf[vi].it.Pos())
 					}
-					if err != nil {
-						return err
+					j.block = append(j.block, m)
+					if len(j.block) == tailBlock {
+						if err := j.flush(idx); err != nil {
+							return err
+						}
 					}
 				} else {
-					for r := 0; r < failedAt; r++ {
-						lf[r].in.ascend(counts[r])
+					ok := true
+					failedAt := 0
+					for i := range lf {
+						if !lf[i].in.descendRanked(v, lf[i].it.Pos(), lf[i].n) {
+							ok = false
+							failedAt = i
+							break
+						}
+					}
+					if ok {
+						j.binding[idx] = v
+						err := j.recurse(idx + 1)
+						for i := range lf {
+							lf[i].in.ascend(lf[i].n)
+						}
+						if err != nil {
+							return err
+						}
+					} else {
+						for r := 0; r < failedAt; r++ {
+							lf[r].in.ascend(lf[r].n)
+						}
 					}
 				}
 			}
 			it.Next()
 			if it.Done() {
-				return nil
+				break
 			}
 			maxV = it.Cur()
 		} else {
 			if !it.SeekGE(maxV) {
-				return nil
+				break
 			}
 			maxV = it.Cur()
 		}
@@ -431,32 +452,22 @@ func (j *joiner) recurse(idx int) error {
 			p = 0
 		}
 	}
+	if tail {
+		return j.flush(idx)
+	}
+	return nil
 }
 
 // intersectLast is the kernel step at the last attribute of the join
-// order. When every input taking part there sits at its trie's leaf level,
-// no descent follows a match, so there is no reason to seek value by value:
-// the sets are intersected whole — the paper's layout-specialised kernels
-// (§II-A2) rather than LogicBlox-style leapfrog — and each result value is
-// filtered to this worker's partition, counted against the cancellation
-// countdown, bound and emitted. It reports false, having changed nothing,
-// when some participant still has levels below it (a repeated variable such
-// as ?x p ?x), when none takes part, or when leafIntersection leaves the
-// sets to the leapfrog; the leapfrog handles those.
+// order, taken when every input taking part there sits at its trie's leaf
+// level: no descent follows a match, so there is no reason to seek value by
+// value. The sets are intersected whole — the paper's layout-specialised
+// kernels (§II-A2) rather than LogicBlox-style leapfrog — and each result
+// value is filtered to this worker's partition, counted against the
+// cancellation countdown, bound and emitted. It reports false, having
+// changed nothing, when leafIntersection leaves the sets to the leapfrog.
 func (j *joiner) intersectLast(idx int) (bool, error) {
-	active := j.active[idx][:0]
-	for _, in := range j.inputs {
-		if in.activeAt(int32(idx)) {
-			if !in.stack[in.depth].IsLeaf() {
-				return false, nil
-			}
-			active = append(active, in)
-		}
-	}
-	if len(active) == 0 {
-		return false, nil
-	}
-	vals, ok := j.leafIntersection(active)
+	vals, ok := j.leafIntersection(j.lf[idx])
 	if !ok {
 		return false, nil
 	}
@@ -477,42 +488,30 @@ func (j *joiner) intersectLast(idx int) (bool, error) {
 }
 
 // leafIntersection returns the members common to the current sets of the
-// active inputs, all at leaf level, in ascending order — or false to leave
-// them to the leapfrog: where it intersects faster (leapfrogFaster), and
-// for a lone bitset leaf, which its iterator decodes as rows are taken
-// rather than all up front (a LIMIT may want only a few). The result may
-// alias a trie arena or the joiner's scratch; it is valid until the next
-// call.
+// inputs, all at leaf level, in ascending order — or false to leave them to
+// the leapfrog: where it intersects faster (leapfrogFaster), and for a lone
+// bitset leaf, which its iterator decodes as rows are taken rather than all
+// up front (a LIMIT may want only a few). The result may alias a trie arena
+// or the joiner's scratch; it is valid until the next call.
 //
 // Leaves on uint-only levels are read straight from the value arena
-// (trie.Node.UintValues), so the common cases — one leaf, or two as in a
-// triangle's closing edge — never touch a set header. A singleton, the
-// leaf of a functional property such as memberOf, turns the intersection
-// into membership probes of its one value. Anything else goes through the
-// headers: two sets through set.IntersectValues, more through the
-// scratch's smallest-first fold. Where one of two uint leaves is the
-// invariant input's, the other is probed into its marks (markInvariant)
-// instead of merged; the singleton, the pairs left to the leapfrog and
-// those past the gallop's ratio keep their paths.
-func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
+// (trie.Node.UintValues), so the common cases — one leaf, or two — never
+// touch a set header. A singleton, the leaf of a functional property such
+// as memberOf, turns the intersection into membership probes of its one
+// value. Anything else goes through the headers: two sets through
+// set.IntersectValues, more through the scratch's smallest-first fold.
+func (j *joiner) leafIntersection(active []lfIter) ([]uint32, bool) {
 	if len(active) <= 2 {
-		a, aok := active[0].stack[active[0].depth].UintValues()
+		a, aok := active[0].in.node().UintValues()
 		if len(active) == 1 {
 			if aok {
 				return a, true
 			}
-			s := active[0].currentSet()
+			s := active[0].in.currentSet()
 			return s.RawSortedValues(), s.Layout() == set.UintArray
 		}
-		b, bok := active[1].stack[active[1].depth].UintValues()
+		b, bok := active[1].in.node().UintValues()
 		if aok && bok {
-			var other []uint32 // the leaf probed into the invariant one's marks
-			switch j.inv {
-			case active[0]:
-				other = b
-			case active[1]:
-				other = a
-			}
 			if len(b) < len(a) {
 				a, b = b, a
 			}
@@ -525,10 +524,6 @@ func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
 			if leapfrogFaster(false, len(a), len(b)) {
 				return nil, false
 			}
-			if other != nil && len(b) < set.GallopRatio*len(a) && j.markInvariant() {
-				j.vals = slices.Grow(j.vals[:0], len(other))[:len(other)]
-				return j.vals[:j.marks.Probe(j.vals, other)], true
-			}
 			j.vals = slices.Grow(j.vals[:0], len(a))[:len(a)]
 			return j.vals[:set.IntersectSorted(j.vals, a, b)], true
 		}
@@ -538,8 +533,8 @@ func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
 	}
 	sets := j.sets[:0]
 	small := 0
-	for i, in := range active {
-		sets = append(sets, in.currentSet())
+	for i := range active {
+		sets = append(sets, active[i].in.currentSet())
 		if sets[i].Len() < sets[small].Len() {
 			small = i
 		}
@@ -574,25 +569,6 @@ func (j *joiner) leafIntersection(active []*input) ([]uint32, bool) {
 	}
 	j.vals = res.AppendValues(j.vals[:0])
 	return j.vals, true
-}
-
-// markInvariant makes j.marks hold the invariant input's current leaf, a
-// uint leaf, and reports whether it does. Only a leaf node other than the
-// one last marked costs anything: the old marks are cleared and the new
-// leaf marked, or — when its id range exceeds maxMarkWords — left unmarked,
-// and the intersection merges instead until the leaf changes.
-func (j *joiner) markInvariant() bool {
-	n := j.inv.stack[j.inv.depth]
-	if n == j.marked {
-		return j.markedOK
-	}
-	if j.marks == nil {
-		j.marks = marksPool.Get().(*set.Marks)
-	}
-	j.marks.Clear()
-	vals, _ := n.UintValues()
-	j.marked, j.markedOK = n, j.marks.Mark(vals, maxMarkWords)
-	return j.markedOK
 }
 
 // Size ratios from which the leapfrog beats the kernels. Below

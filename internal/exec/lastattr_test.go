@@ -78,12 +78,14 @@ func lastAttrInputs(p *plan.Plan) int {
 	return k
 }
 
-// TestLastAttributeMatchesNaive checks the join's last-attribute step —
+// TestLastAttributeMatchesNaive checks the join's last two attributes —
 // the kernel intersection straight from the trie arenas, its header and
-// singleton paths, its probe of a loop-invariant leaf and its hand-back to
-// the leapfrog — against the naive engine, under both layout policies,
-// sequentially and with two workers, with the invariant leaf's bitmap at
-// its usual cap and at one that makes some leaves fall back to the merge.
+// singleton paths and its hand-back to the leapfrog, and the fused tail with
+// its hoisted intersection, bitmap probe and fallbacks — against the naive
+// engine, row for row, under both layout policies, sequentially and with 2,
+// 4 and 7 workers, with the tail's bitmap at its usual cap and at one that
+// makes some hoisted sets fall back to the merge. A case naming a tail shape
+// must take it, which the package's test hook counts.
 func TestLastAttributeMatchesNaive(t *testing.T) {
 	st := skewedGraph(34)
 
@@ -111,30 +113,67 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 		t.Fatalf("e0 in-neighbour leaves: %d fit %d words and %d exceed it, want both", fit, smallMarkWords, exceed)
 	}
 
+	// A vertex with no e2 out-neighbours: the one-level trie of its
+	// neighbours is empty, an F leaf with no members.
+	sink := ""
+	e2 := st.RelationByIRI("http://ex/e2").TrieSO(set.PolicyUintOnly).Root().Set()
+	for i := 0; sink == ""; i++ {
+		iri := fmt.Sprintf("http://ex/n%d", i)
+		if id, ok := st.Dict().LookupIRI(iri); ok && !e2.Contains(uint32(id)) {
+			sink = iri
+		}
+	}
+
+	type shape struct{ fixed, varying int }
 	cases := []struct {
 		name   string
 		text   string
 		inputs int // relations binding the last attribute; 0 = not checked
+		// tail is the fused tail's shape the case takes under
+		// PolicyUintOnly — and under PolicyAdaptive too when adaptive is set,
+		// V's leaf level then holding no bitsets; zero = not checked.
+		tail     shape
+		adaptive bool
+		empty    bool // the result is empty by design
 	}{
-		{"triangle", `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . ?z <http://ex/e0> ?x }`, 2},
-		{"triangle-uint-levels", `SELECT ?x ?y ?z WHERE { ?x <http://ex/e2> ?y . ?y <http://ex/e2> ?z . ?z <http://ex/e2> ?x }`, 2},
-		{"triangle-mixed-predicates", `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e2> ?z . ?z <http://ex/e1> ?x }`, 2},
-		{"four-clique", `SELECT ?a ?b ?c ?d WHERE { ?a <http://ex/e0> ?b . ?a <http://ex/e0> ?c . ?b <http://ex/e1> ?c . ?a <http://ex/e1> ?d . ?b <http://ex/e0> ?d . ?c <http://ex/e2> ?d }`, 3},
-		{"distinct-last-unprojected", `SELECT DISTINCT ?x ?y WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . ?z <http://ex/e0> ?x }`, 2},
-		{"one-var-two-hubs", `SELECT ?x WHERE { <http://ex/n0> <http://ex/e0> ?x . <http://ex/n1> <http://ex/e1> ?x }`, 0},
-		{"one-var-hub-and-small", `SELECT ?x WHERE { <http://ex/n2> <http://ex/e0> ?x . <http://ex/n7> <http://ex/e1> ?x }`, 0},
-		{"one-var-singleton", `SELECT ?x WHERE { <http://ex/n3> <http://ex/e0> ?x . <http://ex/n10> <http://ex/e1> ?x }`, 0},
-		{"one-var-three-inputs", `SELECT ?x WHERE { <http://ex/n0> <http://ex/e0> ?x . <http://ex/n1> <http://ex/e1> ?x . ?x <http://ex/e0> <http://ex/n2> }`, 0},
-		{"one-var-one-hub", `SELECT ?x WHERE { <http://ex/n0> <http://ex/e0> ?x }`, 0},
-		{"one-var-one-small", `SELECT ?x WHERE { <http://ex/n5> <http://ex/e0> ?x }`, 0},
-		{"repeated-last-variable", `SELECT ?y ?x WHERE { ?y <http://ex/e0> ?x . ?x <http://ex/e1> ?x }`, 0},
+		{name: "triangle", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . ?z <http://ex/e0> ?x }`, inputs: 2, tail: shape{1, 1}},
+		{name: "triangle-uint-levels", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e2> ?y . ?y <http://ex/e2> ?z . ?z <http://ex/e2> ?x }`, inputs: 2},
+		{name: "triangle-mixed-predicates", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e2> ?z . ?z <http://ex/e1> ?x }`, inputs: 2},
+		// Two of the last attribute's three inputs are fixed across the
+		// penultimate loop: ∩F is a kernel intersection.
+		{name: "four-clique", text: `SELECT ?a ?b ?c ?d WHERE { ?a <http://ex/e0> ?b . ?a <http://ex/e0> ?c . ?b <http://ex/e1> ?c . ?a <http://ex/e1> ?d . ?b <http://ex/e0> ?d . ?c <http://ex/e2> ?d }`, inputs: 3, tail: shape{2, 1}},
+		// LUBM q2's and q9's shape: a triangle whose vertices are each
+		// filtered, so that F is an edge and a one-variable filter node.
+		// As in q2, V's leaves are an e0 level, which holds bitsets under
+		// PolicyAdaptive; as in q9, they are e2's, which never does.
+		{name: "q2-shaped", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e1> ?z . ?z <http://ex/e0> ?y . ?x <http://ex/e2> ?y . ?x <http://ex/e0> <http://ex/n0> . ?y <http://ex/e1> <http://ex/n1> . ?z <http://ex/e0> <http://ex/n2> }`, tail: shape{2, 1}},
+		{name: "q9-shaped", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e2> ?z . ?x <http://ex/e1> ?z . ?x <http://ex/e0> <http://ex/n0> . ?y <http://ex/e1> <http://ex/n1> . ?z <http://ex/e0> <http://ex/n2> }`, tail: shape{2, 1}, adaptive: true},
+		// A triangle with a pendant edge: the pendant's leaf is fixed across
+		// the triangle's last vertex and nothing varies, so every match
+		// emits ∩F whole.
+		{name: "lollipop", text: `SELECT ?a ?b ?c ?d WHERE { ?a <http://ex/e0> ?b . ?b <http://ex/e1> ?c . ?c <http://ex/e0> ?a . ?c <http://ex/e2> ?d }`, tail: shape{1, 0}, adaptive: true},
+		// <n0>'s out-neighbours, several hundred of them, make the penultimate
+		// attribute both the partition attribute and longer than a block.
+		{name: "hub-triangle", text: `SELECT ?y ?z WHERE { <http://ex/n0> <http://ex/e0> ?y . ?y <http://ex/e2> ?z . <http://ex/n0> <http://ex/e1> ?z }`, tail: shape{1, 1}, adaptive: true},
+		{name: "distinct-last-unprojected", text: `SELECT DISTINCT ?x ?y WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . ?z <http://ex/e0> ?x }`, inputs: 2},
+		{name: "one-var-two-hubs", text: `SELECT ?x WHERE { <http://ex/n0> <http://ex/e0> ?x . <http://ex/n1> <http://ex/e1> ?x }`},
+		{name: "one-var-hub-and-small", text: `SELECT ?x WHERE { <http://ex/n2> <http://ex/e0> ?x . <http://ex/n7> <http://ex/e1> ?x }`},
+		{name: "one-var-singleton", text: `SELECT ?x WHERE { <http://ex/n3> <http://ex/e0> ?x . <http://ex/n10> <http://ex/e1> ?x }`},
+		{name: "one-var-three-inputs", text: `SELECT ?x WHERE { <http://ex/n0> <http://ex/e0> ?x . <http://ex/n1> <http://ex/e1> ?x . ?x <http://ex/e0> <http://ex/n2> }`},
+		{name: "one-var-one-hub", text: `SELECT ?x WHERE { <http://ex/n0> <http://ex/e0> ?x }`},
+		{name: "one-var-one-small", text: `SELECT ?x WHERE { <http://ex/n5> <http://ex/e0> ?x }`},
+		{name: "repeated-last-variable", text: `SELECT ?y ?x WHERE { ?y <http://ex/e0> ?x . ?x <http://ex/e1> ?x }`},
 		// The closing leaf, ?a's in-neighbours, stays the same while ?b and
-		// ?c vary: two levels of the invariant-leaf probe.
-		{"four-cycle", `SELECT ?a ?b ?c ?d WHERE { ?a <http://ex/e0> ?b . ?b <http://ex/e1> ?c . ?c <http://ex/e2> ?d . ?d <http://ex/e0> ?a }`, 2},
+		// ?c vary: two levels of the hoisted leaf.
+		{name: "four-cycle", text: `SELECT ?a ?b ?c ?d WHERE { ?a <http://ex/e0> ?b . ?b <http://ex/e1> ?c . ?c <http://ex/e2> ?d . ?d <http://ex/e0> ?a }`, inputs: 2, tail: shape{1, 1}},
 		// A path to a constant plans as a chain of GHD nodes; the last one
 		// is the one-level trie of <n0>'s e2-neighbours, whose leaf is its
-		// root, the same node for the whole join.
-		{"path-to-constant", `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . <http://ex/n0> <http://ex/e2> ?z }`, 0},
+		// root, the same node for the whole join. Under PolicyAdaptive the
+		// join that probes it has V's leaves on an e1 level holding bitsets,
+		// and leaves them to the leapfrog and intersectLast.
+		{name: "path-to-constant", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . <http://ex/n0> <http://ex/e2> ?z }`, tail: shape{1, 1}},
+		// The same path to a vertex without e2-neighbours: ∩F is empty.
+		{name: "path-to-empty", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . <` + sink + `> <http://ex/e2> ?z }`, tail: shape{1, 1}, empty: true},
 	}
 	ref := naive.New(st)
 	for _, tc := range cases {
@@ -143,8 +182,8 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: naive: %v", tc.name, err)
 		}
-		if want.Len() == 0 {
-			t.Fatalf("%s: no rows; the case tests nothing", tc.name)
+		if (want.Len() == 0) != tc.empty {
+			t.Fatalf("%s: %d rows; the case tests nothing", tc.name, want.Len())
 		}
 		p, err := plan.Compile(q, st, plan.AllOptimizations)
 		if err != nil {
@@ -161,13 +200,18 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 				restore = exec.SetMaxMarkWords(markWords)
 			}
 			for _, policy := range []set.Policy{set.PolicyAdaptive, set.PolicyUintOnly} {
-				for _, workers := range []int{0, 2} {
+				for _, workers := range []int{0, 2, 4, 7} {
+					tails, untrack := exec.CountTails()
 					got, err := exec.RunOpts(p, st, exec.Options{Policy: policy, Workers: workers})
+					untrack()
 					if err != nil {
 						t.Fatalf("%s policy=%d workers=%d markWords=%d: %v", tc.name, policy, workers, markWords, err)
 					}
 					if got.Canonical() != want.Canonical() {
 						t.Errorf("%s policy=%d workers=%d markWords=%d: %d rows, want %d", tc.name, policy, workers, markWords, got.Len(), want.Len())
+					}
+					if tc.tail != (shape{}) && (policy == set.PolicyUintOnly || tc.adaptive) && tails(tc.tail.fixed, tc.tail.varying) == 0 {
+						t.Errorf("%s policy=%d workers=%d: no pass through a tail with |F| = %d and |V| = %d", tc.name, policy, workers, tc.tail.fixed, tc.tail.varying)
 					}
 				}
 			}
@@ -178,7 +222,7 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 
 // smallMarkWords is a bitmap cap that some of skewedGraph's in-neighbour
 // leaves fit and others exceed, so a run under it switches between probing
-// the invariant leaf and falling back to the merge as that leaf changes.
+// the hoisted leaf and falling back to the merge as that leaf changes.
 const smallMarkWords = 4
 
 // markSpans counts the leaves of a two-level trie whose members' id range,

@@ -4,26 +4,33 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/set"
+	"repro/internal/store"
 	"repro/internal/trie"
 )
 
-// TestInvariantLeafMarks drives joiners whose last attribute has a
-// loop-invariant leaf — the triangle's, a 4-cycle's (invariant across two
-// levels) and a one-level input's (its root) — with a bitmap of the test's
-// own seeded into the joiner. The probe must hold a leaf marked while rows
-// are emitted; however the join ends — exhausted, stopped by emit as a
+// TestInvariantLeafMarks drives joiners that end in the fused tail with a
+// fixed leaf and a varying one — the triangle's, a 4-cycle's (fixed across
+// two levels), a one-level input's (its root) and a hub's, whose
+// penultimate loop holds more matches than a block — with a bitmap of the
+// test's own seeded into the joiner. The probe must hold ∩F marked while
+// rows are emitted; however the join ends — exhausted, stopped by emit as a
 // LIMIT closing the cursor stops it, or cancelled mid-join — the bitmap
-// must come back all zero and be released. Under a cap of zero words every
-// leaf exceeds the cap, so nothing may be marked and the merge must emit
-// the same rows.
+// must come back all zero and be released, and the block must still be at
+// its cap. Under a cap of zero words no ∩F fits, so nothing may be marked
+// and the merge must emit the same rows in the same order.
 func TestInvariantLeafMarks(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	triangle, st := triangleSetup(t, 200, func(i, j int) bool { return i != j && rng.Intn(10) == 0 })
+	// Vertex 0 points at every other vertex: under ?x = 0, the first pass,
+	// the penultimate attribute ?y has 299 matches, and the 8,000th row
+	// comes from the pass's second block.
+	hub, hubSt := triangleSetup(t, 300, func(i, j int) bool { return i != j && (i == 0 || rng.Intn(10) == 0) })
 	compile := func(text string) *plan.Plan {
 		p, err := plan.Compile(query.MustParseSPARQL(text), st, plan.AllOptimizations)
 		if err != nil {
@@ -32,7 +39,7 @@ func TestInvariantLeafMarks(t *testing.T) {
 		return p
 	}
 	fourCycle := compile(`SELECT ?a ?b ?c ?d WHERE { ?a <http://ex/p> ?b . ?b <http://ex/p> ?c . ?c <http://ex/p> ?d . ?d <http://ex/p> ?a }`)
-	final := func(p *plan.Plan) func() *joiner {
+	final := func(p *plan.Plan, st *store.Store) func() *joiner {
 		return func() *joiner {
 			e := &executor{st: st, policy: set.PolicyUintOnly}
 			inputs, attrs, err := e.prepare(p)
@@ -63,27 +70,31 @@ func TestInvariantLeafMarks(t *testing.T) {
 		stopAt int // rows after which emit stops or cancels; 0 drains
 		cancel bool
 	}{
-		{"triangle/exhausted", final(triangle), 0, false},
-		{"triangle/limit-close", final(triangle), 100, false},
-		{"triangle/cancel", final(triangle), 100, true},
-		{"four-cycle/exhausted", final(fourCycle), 0, false},
+		{"triangle/exhausted", final(triangle, st), 0, false},
+		{"triangle/limit-close", final(triangle, st), 100, false},
+		{"triangle/cancel", final(triangle, st), 100, true},
+		{"four-cycle/exhausted", final(fourCycle, st), 0, false},
 		{"root-leaf/exhausted", rootLeaf, 0, false},
+		{"hub/exhausted", final(hub, hubSt), 0, false},
+		{"hub/limit-close", final(hub, hubSt), 8000, false},
+		{"hub/cancel", final(hub, hubSt), 8000, true},
 	} {
-		run := func(markWords int) (rows int, dirty bool, err error) {
+		run := func(markWords int) (rows []uint32, n int, dirty bool, err error) {
 			defer SetMaxMarkWords(markWords)()
 			j := tc.join()
-			if j.inv == nil {
-				t.Fatalf("%s: no invariant leaf found", tc.name)
+			if j.tailAt < 0 || len(j.fix) == 0 || j.vary == nil {
+				t.Fatalf("%s: no fused tail with a fixed and a varying input planned", tc.name)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			j.ctx = ctx
 			m := new(set.Marks)
 			j.marks = m
-			err = j.run(func([]uint32) error {
-				rows++
+			err = j.run(func(b []uint32) error {
+				rows = append(rows, b...)
+				n++
 				dirty = dirty || !m.IsClear()
-				if rows == tc.stopAt {
+				if n == tc.stopAt {
 					if !tc.cancel {
 						return errStop
 					}
@@ -97,29 +108,32 @@ func TestInvariantLeafMarks(t *testing.T) {
 			if j.marks != nil {
 				t.Fatalf("%s markWords=%d: the bitmap was not released", tc.name, markWords)
 			}
-			return rows, dirty, err
+			if cap(j.block) != tailBlock {
+				t.Fatalf("%s markWords=%d: the block's capacity is %d, want %d", tc.name, markWords, cap(j.block), tailBlock)
+			}
+			return rows, n, dirty, err
 		}
-		rows, dirty, err := run(maxMarkWords)
-		t.Logf("%s: %d rows, err %v", tc.name, rows, err)
+		rows, n, dirty, err := run(maxMarkWords)
+		t.Logf("%s: %d rows, err %v", tc.name, n, err)
 		if !dirty {
-			t.Errorf("%s: no leaf was marked while rows were emitted", tc.name)
+			t.Errorf("%s: nothing was marked while rows were emitted", tc.name)
 		}
 		switch {
 		case tc.stopAt == 0:
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			merged, mergedDirty, err := run(0)
-			if err != nil || mergedDirty || merged != rows {
-				t.Errorf("%s: with no leaf fitting the cap: %d rows (err %v, marked %v), want %d unmarked", tc.name, merged, err, mergedDirty, rows)
+			merged, mn, mergedDirty, err := run(0)
+			if err != nil || mergedDirty || !slices.Equal(merged, rows) {
+				t.Errorf("%s: with no ∩F fitting the cap: %d rows (err %v, marked %v), want the same %d rows in the same order, unmarked", tc.name, mn, err, mergedDirty, n)
 			}
 		case tc.cancel:
-			if !errors.Is(err, context.Canceled) || rows >= tc.stopAt+cancelStride {
-				t.Fatalf("%s: err = %v after %d rows, want context.Canceled within a stride of %d", tc.name, err, rows, tc.stopAt)
+			if !errors.Is(err, context.Canceled) || n >= tc.stopAt+cancelStride {
+				t.Fatalf("%s: err = %v after %d rows, want context.Canceled within a stride of %d", tc.name, err, n, tc.stopAt)
 			}
 		default:
-			if err != errStop || rows != tc.stopAt {
-				t.Fatalf("%s: err = %v after %d rows, want the stop after %d", tc.name, err, rows, tc.stopAt)
+			if err != errStop || n != tc.stopAt {
+				t.Fatalf("%s: err = %v after %d rows, want the stop after %d", tc.name, err, n, tc.stopAt)
 			}
 		}
 	}

@@ -7,31 +7,45 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/lubm"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
+// TestParallelMatchesSequentialOnLUBM runs every LUBM query with 2, 4 and 7
+// workers under both layouts. Under the uint layout Q7's join ends in the
+// fused tail at its first variable, the attribute the workers partition
+// on, so the tail must filter its matches to each worker's residue class.
 func TestParallelMatchesSequentialOnLUBM(t *testing.T) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
-	seq := core.New(st, core.AllOptimizations)
-	for _, workers := range []int{2, 4, 7} {
-		opts := core.AllOptimizations
-		opts.Workers = workers
-		par := core.New(st, opts)
-		for _, qn := range lubm.QueryNumbers {
-			q := query.MustParseSPARQL(lubm.Query(qn, 1))
-			want, err := engine.Execute(seq, q)
-			if err != nil {
-				t.Fatalf("Q%d sequential: %v", qn, err)
-			}
-			got, err := engine.Execute(par, q)
-			if err != nil {
-				t.Fatalf("Q%d workers=%d: %v", qn, workers, err)
-			}
-			if got.Canonical() != want.Canonical() {
-				t.Errorf("Q%d workers=%d: %d rows, want %d", qn, workers, got.Len(), want.Len())
+	for _, layout := range []bool{true, false} {
+		base := core.AllOptimizations
+		base.Layout = layout
+		seq := core.New(st, base)
+		for _, workers := range []int{2, 4, 7} {
+			opts := base
+			opts.Workers = workers
+			par := core.New(st, opts)
+			for _, qn := range lubm.QueryNumbers {
+				q := query.MustParseSPARQL(lubm.Query(qn, 1))
+				want, err := engine.Execute(seq, q)
+				if err != nil {
+					t.Fatalf("Q%d sequential: %v", qn, err)
+				}
+				tails, untrack := exec.CountTails()
+				got, err := engine.Execute(par, q)
+				untrack()
+				if err != nil {
+					t.Fatalf("Q%d layout=%v workers=%d: %v", qn, layout, workers, err)
+				}
+				if got.Canonical() != want.Canonical() {
+					t.Errorf("Q%d layout=%v workers=%d: %d rows, want %d", qn, layout, workers, got.Len(), want.Len())
+				}
+				if qn == 7 && !layout && tails(1, 1) == 0 {
+					t.Errorf("Q7 workers=%d: the join did not end in the tail", workers)
+				}
 			}
 		}
 	}

@@ -1,0 +1,248 @@
+package exec
+
+import (
+	"slices"
+
+	"repro/internal/set"
+	"repro/internal/trie"
+)
+
+// The fused tail: the join's last two attributes, P and L, in one step.
+//
+// L's inputs split into F, fixed across P's loop because P binds none of
+// their levels, and V, entering at P. When every L input ends at its leaf
+// and at most one enters at P, each row P can close is a member of V's leaf
+// below P's value (the whole of L's domain when there is no V) that every
+// F leaf holds. ∩F, the intersection of the F leaves, does not depend on
+// P's value, so it is hoisted out of P's loop: computed once per pass, at
+// its first match (hoist) — the lone F leaf for the triangle, a kernel
+// intersection for LUBM q2 and q9 — and, when it is a uint array probed by
+// V's leaves, marked in a pooled bitmap. P's step then runs in three
+// phases per block of up to tailBlock matches: the leapfrog collects P's
+// values with V's child rank; the block's V leaves are read from the trie
+// arena; each is probed into ∩F and its rows emitted in the order the plain
+// recursion emits them (flush).
+
+// tailBlock is how many of P's matches the tail collects before probing
+// them: enough that reading their leaves runs as one batch of independent
+// loads, few enough that the block stays at 8 KB and a LIMIT waits on at
+// most that many matches.
+const tailBlock = 256
+
+// match is one of P's values in the tail's block: the value, V's child rank
+// there, and V's leaf below it, read in the block's second phase.
+type match struct {
+	v    uint32
+	pos  int32
+	leaf []uint32
+}
+
+// tailHook, when set by a test, is called on each pass of P's loop through
+// the tail with |F| and |V|.
+var tailHook func(fixed, varying int)
+
+// planTail decides once per join whether P's step runs as the fused tail,
+// and splits L's inputs into F and V. It also sets lastLeaf. The tail needs
+// P and L to be variables, every L input to bind one level there, its leaf,
+// and every P input to bind one level there and either end at it or go on
+// to L — at most one, V. V's leaves must be readable straight from the
+// arena: a leaf level holding bitsets (trie.Node.UintLeaves) leaves P to
+// the leapfrog and L to intersectLast, match by match.
+func (j *joiner) planTail() {
+	l := len(j.attrs) - 1
+	if l < 0 {
+		return
+	}
+	for _, x := range j.lf[l] {
+		if d, n := x.in.levelsAt(int32(l)); n != 1 || d != len(x.in.levels)-1 {
+			return
+		}
+	}
+	j.lastLeaf = len(j.lf[l]) > 0
+	p := l - 1
+	if !j.lastLeaf || p < 0 || j.attrs[p].IsSel || j.attrs[l].IsSel {
+		return
+	}
+	var vary *input
+	for _, x := range j.lf[p] {
+		d, n := x.in.levelsAt(int32(p))
+		switch last := len(x.in.levels) - 1; {
+		case n != 1:
+			return
+		case d == last:
+		case d == last-1 && x.in.at[last] == int32(l) && vary == nil:
+			vary = x.in
+		default:
+			return
+		}
+	}
+	if vary != nil && !vary.stack[0].UintLeaves() {
+		return
+	}
+	fix := make([]*input, 0, len(j.lf[l]))
+	for _, x := range j.lf[l] {
+		if x.in != vary {
+			fix = append(fix, x.in)
+		}
+	}
+	j.tailAt, j.fix, j.vary = p, fix, vary
+}
+
+// enterTail starts a pass of P's loop.
+func (j *joiner) enterTail() {
+	if tailHook != nil {
+		varying := 0
+		if j.vary != nil {
+			varying = 1
+		}
+		tailHook(len(j.fix), varying)
+	}
+	if j.block == nil {
+		j.block = make([]match, 0, tailBlock)
+	}
+}
+
+// hoist computes ∩F for a pass of P's loop at the pass's first match — a
+// pass without one, common where P's inputs are selective, costs nothing —
+// and reports whether it has members. With one F input ∩F is its leaf,
+// taken again only when the leaf is another node than last pass's (a
+// one-level input's leaf is its root, one node for the whole join); with
+// several it is their kernel intersection. A uint ∩F that V's leaves probe
+// is marked, when its range fits maxMarkWords; a bitset one is probed
+// through its own words, and decoded when there is no V and it is emitted
+// whole.
+func (j *joiner) hoist() bool {
+	var s *set.Set
+	switch len(j.fix) {
+	case 0:
+		return true
+	case 1:
+		n := j.fix[0].node()
+		if n == j.fixLeaf {
+			return len(j.hv) > 0 || j.hbits != nil
+		}
+		j.unmark()
+		j.fixLeaf = n
+		s = n.Set()
+	default:
+		// Unmark first: the marks may record values in the scratch that
+		// the intersection is about to overwrite.
+		j.unmark()
+		if cap(j.sets) < len(j.fix) {
+			j.sets = make([]*set.Set, 0, len(j.inputs))
+		}
+		sets := j.sets[:0]
+		for _, in := range j.fix {
+			sets = append(sets, in.currentSet())
+		}
+		if j.sc == nil {
+			j.sc = new(set.Scratch)
+		}
+		s = j.sc.IntersectMany(sets)
+	}
+	j.hv, j.hbits = nil, nil
+	switch {
+	case s.IsEmpty():
+		return false
+	case s.Layout() == set.Bitset && j.vary != nil:
+		j.hbits = s
+	case s.Layout() == set.Bitset:
+		j.fvals = s.AppendValues(j.fvals[:0])
+		j.hv = j.fvals
+	default:
+		j.hv = s.RawSortedValues()
+		if j.vary != nil {
+			if j.marks == nil {
+				j.marks = marksPool.Get().(*set.Marks)
+			}
+			j.markedOK = j.marks.Mark(j.hv, maxMarkWords)
+		}
+	}
+	return true
+}
+
+// flush runs the block's last two phases: it reads the V leaf below each
+// match, then binds each match's value at P and emits the rows its leaf
+// closes — ∩F itself when there is no V — counting each match and each row
+// against the cancellation countdown. Reading a leaf also loads its first
+// member, so that the block's cache misses on the leaves are taken in one
+// loop of independent loads rather than one per probe; j.touch keeps those
+// loads. The block is empty afterwards, even when emit or the countdown
+// stops it part way.
+func (j *joiner) flush(p int) error {
+	blk := j.block
+	j.block = blk[:0]
+	if j.vary != nil {
+		node := j.vary.node()
+		var touch uint32
+		for i := range blk {
+			leaf, _ := node.Child(int(blk[i].pos)).UintValues()
+			blk[i].leaf = leaf
+			if len(leaf) > 0 {
+				touch += leaf[0]
+			}
+		}
+		j.touch = touch
+	}
+	l := p + 1
+	for i := range blk {
+		if err := j.tick(); err != nil {
+			return err
+		}
+		j.binding[p] = blk[i].v
+		vals := j.hv
+		if j.vary != nil {
+			vals = j.probe(blk[i].leaf)
+		}
+		for _, v := range vals {
+			if err := j.tick(); err != nil {
+				return err
+			}
+			j.binding[l] = v
+			if err := j.emit(j.binding); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// probe returns the members of the V leaf that ∩F holds, ascending: the
+// leaf itself when there is no F, else one bit test per member through
+// the bitmap or the bitset, or — when the leaf is set.GallopRatio times
+// ∩F, or ∩F was too wide to mark — the uint kernel, which gallops or
+// merges.
+func (j *joiner) probe(leaf []uint32) []uint32 {
+	if len(j.fix) == 0 {
+		return leaf
+	}
+	j.vals = slices.Grow(j.vals[:0], len(leaf))[:len(leaf)]
+	var n int
+	switch {
+	case j.hbits != nil:
+		n = j.hbits.Probe(j.vals, leaf)
+	case j.markedOK && len(leaf) < set.GallopRatio*len(j.hv):
+		n = j.marks.Probe(j.vals, leaf)
+	default:
+		n = set.IntersectSorted(j.vals, j.hv, leaf)
+	}
+	return j.vals[:n]
+}
+
+// unmark clears the bitmap if it holds ∩F.
+func (j *joiner) unmark() {
+	if j.markedOK {
+		j.marks.Clear()
+		j.markedOK = false
+	}
+}
+
+// release clears the tail's bitmap and returns it to marksPool.
+func (j *joiner) release() {
+	if j.marks == nil {
+		return
+	}
+	j.unmark()
+	marksPool.Put(j.marks)
+	j.marks, j.fixLeaf = nil, trie.Node{}
+}

@@ -57,8 +57,9 @@ func sameVals(t *testing.T, label string, got *set.Set, want []uint32) {
 // FuzzIntersectKernels drives every intersection kernel — merge (4-lane
 // interleaved), gallop (4-wide probe), uint×bitset, bitset×bitset word-AND,
 // the bare-slice IntersectSorted entry the join's last attribute calls, the
-// Marks bitmap it probes a loop-invariant leaf through, the scratch-buffer
-// IntersectInto path, and the ping-pong IntersectMany fold —
+// Marks bitmap and the Set.Probe of a bare slice its fused tail probes a
+// hoisted intersection through, the scratch-buffer IntersectInto path, and
+// the ping-pong IntersectMany fold —
 // against the map-membership reference, across all layout pairings the
 // policies can produce.
 func FuzzIntersectKernels(f *testing.F) {
@@ -124,6 +125,10 @@ func FuzzIntersectKernels(f *testing.F) {
 				sameVals(t, "Intersect", set.Intersect(a, b), want)
 				sameVals(t, "Intersect(rev)", set.Intersect(b, a), want)
 				sameVals(t, "IntersectInto", sc.IntersectInto(a, b), want)
+				out := make([]uint32, len(av))
+				if got := out[:b.Probe(out, av)]; !slices.Equal(got, want) {
+					t.Fatalf("Set.Probe (%v): got %v, want %v", b.Layout(), got, want)
+				}
 				sameVals(t, "IntersectValues",
 					set.FromSorted(set.IntersectValues(nil, a, b), set.PolicyAuto), want)
 				// The many-way fold exercises the ping-pong buffers: the

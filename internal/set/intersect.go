@@ -433,6 +433,17 @@ func intersectUintBit(dst []uint32, vals []uint32, bs *Set) int {
 	return k
 }
 
+// Probe writes the members of vals, sorted and duplicate-free, that s holds
+// into dst (len(dst) >= len(vals)) and returns the count, in vals' order:
+// one bit test per value on a bitset — the uint×bitset kernel for a caller
+// holding the array as a bare slice — and the uint×uint kernel otherwise.
+func (s *Set) Probe(dst, vals []uint32) int {
+	if s.layout == Bitset {
+		return intersectUintBit(dst, vals, s)
+	}
+	return intersectUintUint(dst, vals, s.vals)
+}
+
 // Marks is a range-relative bitmap of one sorted uint array's members, built
 // so that the array can be intersected many times by probe rather than by
 // merge: the §III-A idea of choosing a set's layout by how it is used,

@@ -129,6 +129,10 @@ func (n Node) UintValues() ([]uint32, bool) {
 	return lv.vals[lo:hi:hi], true
 }
 
+// UintLeaves reports whether UintValues succeeds on every leaf of n's trie:
+// no node at its last level uses the bitset layout.
+func (n Node) UintLeaves() bool { return len(n.t.levels[len(n.t.levels)-1].words) == 0 }
+
 // IsLeaf reports whether this node is at the last level of its trie.
 func (n Node) IsLeaf() bool { return int(n.level) == len(n.t.levels)-1 }
 
