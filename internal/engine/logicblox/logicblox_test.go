@@ -1,6 +1,9 @@
 package logicblox
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -54,6 +57,40 @@ func TestExecuteTriangle(t *testing.T) {
 	res2, err := engine.Execute(e, q)
 	if err != nil || res2.Canonical() != res.Canonical() {
 		t.Errorf("cached execution differs: %v", err)
+	}
+}
+
+// TestTriangleKeepsLeapfrogOrder checks that the LogicBlox model stays plain
+// leapfrog: its flat plans keep no automorphism group, so a triangle over a
+// random graph with self-loops and 2-cycles comes out the way leapfrog
+// enumerates it — every directed cycle once per rotation, in ascending
+// order of (?x, ?y, ?z) — where the EmptyHeaded engine emits each cycle's
+// rotations together.
+func TestTriangleKeepsLeapfrogOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var triples []rdf.Triple
+	for range 400 {
+		s, o := rng.Intn(40), rng.Intn(40)
+		triples = append(triples, t3(fmt.Sprint("n", s), "e", fmt.Sprint("n", o)), t3(fmt.Sprint("n", o), "e", fmt.Sprint("n", s)))
+	}
+	e := New(store.FromTriples(triples))
+	q := query.MustParseSPARQL(`SELECT ?x ?y ?z WHERE { ?x <e> ?y . ?y <e> ?z . ?z <e> ?x . }`)
+	p, err := e.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Sym != nil {
+		t.Fatalf("LogicBlox plan keeps a group: %s", p)
+	}
+	res, err := engine.Execute(e, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() < 100 {
+		t.Fatalf("%d rows; the test tests little", res.Len())
+	}
+	if !slices.IsSortedFunc(res.Rows, slices.Compare) {
+		t.Errorf("rows are not in leapfrog order")
 	}
 }
 

@@ -21,9 +21,12 @@ import (
 // each S/O constant is re-bound to values taken from the data and to an
 // IRI absent from the dictionary; plan.Bind of the original query's plan
 // must then equal a fresh compile of the re-bound text, nil-versus-empty
-// slices included. When ROADMAP item 2 makes the root choice
-// cardinality-driven this test fails, and templates must then add a
-// cardinality bucket to their key.
+// slices included. The plan's automorphism group must be equal too: "sym"
+// keeps one, and in "mirror" the two constants sit where swapping ?x and ?z
+// would map the shape onto itself if they were equal, which re-binding one
+// to the other's value makes them — the group must not change. When
+// ROADMAP item 2 makes the root choice cardinality-driven this test fails,
+// and templates must then add a cardinality bucket to their key.
 func TestBindEqualsCompile(t *testing.T) {
 	var triples []rdf.Triple
 	b := store.NewBuilder()
@@ -36,8 +39,10 @@ func TestBindEqualsCompile(t *testing.T) {
 
 	const prefixes = `PREFIX ub: <http://www.lehigh.edu/~zhp2/2004/0401/univ-bench.owl#> `
 	texts := map[string]string{
-		"tri": prefixes + `SELECT ?x ?y ?z WHERE { ?x ub:memberOf ?y . ?y ub:subOrganizationOf ?z . ?x ub:undergraduateDegreeFrom ?z }`,
-		"vp":  `SELECT ?p ?o WHERE { <http://www.Department0.University0.edu> ?p ?o }`,
+		"tri":    prefixes + `SELECT ?x ?y ?z WHERE { ?x ub:memberOf ?y . ?y ub:subOrganizationOf ?z . ?x ub:undergraduateDegreeFrom ?z }`,
+		"vp":     `SELECT ?p ?o WHERE { <http://www.Department0.University0.edu> ?p ?o }`,
+		"sym":    prefixes + `SELECT * WHERE { ?x ub:subOrganizationOf ?y . ?y ub:subOrganizationOf ?x . ?x ub:subOrganizationOf ?z . ?y ub:subOrganizationOf ?z . ?z <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ub:University }`,
+		"mirror": prefixes + `SELECT * WHERE { ?x ub:advisor ?z . ?z ub:advisor ?x . ?x ub:memberOf <http://www.Department0.University0.edu> . ?z ub:memberOf <http://www.Department1.University0.edu> }`,
 	}
 	for _, n := range lubm.QueryNumbers {
 		texts[fmt.Sprintf("q%d", n)] = lubm.Query(n, 1)
@@ -54,6 +59,9 @@ func TestBindEqualsCompile(t *testing.T) {
 			if tmpl.Empty {
 				t.Fatalf("%s/%s: template compiled empty", name, cls)
 			}
+			if (tmpl.Sym != nil) != (name == "sym" && cls != plan.ClassPureWCOJ) {
+				t.Fatalf("%s/%s: template keeps a group: %v", name, cls, tmpl.Sym != nil)
+			}
 			check := func(label string, q *query.BGP) {
 				t.Helper()
 				want, err := auto.planClass(q, cls)
@@ -64,7 +72,8 @@ func TestBindEqualsCompile(t *testing.T) {
 				if got.Empty != want.Empty || got.Distinct != want.Distinct || got.Class != want.Class ||
 					!reflect.DeepEqual(got.Select, want.Select) ||
 					!reflect.DeepEqual(got.GlobalOrder, want.GlobalOrder) ||
-					!reflect.DeepEqual(got.Root, want.Root) {
+					!reflect.DeepEqual(got.Root, want.Root) ||
+					!reflect.DeepEqual(got.Sym, want.Sym) {
 					t.Fatalf("%s: bound plan differs from compiled plan\n got: %v %s\nwant: %v %s", label, got.Class, got, want.Class, want)
 				}
 			}
@@ -78,7 +87,7 @@ func TestBindEqualsCompile(t *testing.T) {
 					if len(values) < 10 {
 						t.Fatalf("%s pattern %d position %d: only %d data values", name, i, pos, len(values))
 					}
-					for _, v := range append(values, absent) {
+					for _, v := range append(append(values, absent), constants(norm)...) {
 						q := *norm
 						q.Patterns = slices.Clone(norm.Patterns)
 						if pos == 0 {
@@ -95,6 +104,19 @@ func TestBindEqualsCompile(t *testing.T) {
 			}
 		}
 	}
+}
+
+// constants returns q's S/O constants.
+func constants(q *query.BGP) []rdf.Term {
+	var out []rdf.Term
+	for _, pat := range q.Patterns {
+		for _, n := range []query.Node{pat.S, pat.O} {
+			if !n.IsVar {
+				out = append(out, n.Term)
+			}
+		}
+	}
+	return out
 }
 
 // dataValues returns 12 distinct terms found at position pos (0 or 2) of

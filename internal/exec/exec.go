@@ -28,6 +28,16 @@
 // probed into it — loop-invariant code motion, and §III-A's choice of
 // layout by how a set is used, for a set intersected over and over.
 //
+// Beyond the paper, a plan that keeps its BGP's automorphism group
+// (plan.Plan.Sym) has its final join break the symmetry (sym.go): rotating
+// the triangle ?x→?y→?z→?x gives the same pattern, so instead of finding
+// each directed 3-cycle once per rotation the join enumerates only the
+// bindings whose orbit members sit at or above the first one — the
+// leapfrog seeks from that bound and the last attribute keeps only the
+// members at or above it — and emits each least binding with its distinct
+// images. Every solution comes out exactly once; a solution's images come
+// out together.
+//
 // The enumerator is a streaming generator: Open returns an engine.Cursor
 // that yields output rows as the final join produces them, so consumers
 // (the query server above all) hold O(batch) rows in memory, see their
@@ -151,9 +161,11 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, ou
 	if fv < 0 {
 		workers = 1 // no variable to partition on (fully constant query)
 	}
+	sym := newSymmetry(p)
 	if workers <= 1 {
 		j := newJoiner(attrs, inputs)
 		j.ctx = ctx
+		j.sym = sym
 		return j.run(func(binding []uint32) error {
 			row := out.Slot()
 			project(row, binding)
@@ -172,7 +184,9 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, ou
 	// most a generator's channel depth ahead. Each worker gets private
 	// descent state over the shared immutable tries (resolved here, before
 	// the goroutines start, so the lazy trie caches are not raced); the
-	// clones share the level indices resolved once here.
+	// clones share the level indices resolved once here. Under a symmetry
+	// the partition is of the least image's first variable, which is
+	// unique, so a solution and its images come from one worker.
 	indexLevels(attrs, inputs)
 	curs := make([]engine.Cursor, workers)
 	for w := range curs {
@@ -180,6 +194,7 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, ou
 		j.filterAt = fv
 		j.filterMod = uint32(workers)
 		j.filterRes = uint32(w)
+		j.sym = sym
 		curs[w] = engine.NewGenerator(ctx, p.Select, func(wctx context.Context, wout *engine.Emitter) error {
 			j.ctx = wctx
 			return j.run(func(binding []uint32) error {
@@ -230,7 +245,7 @@ func (e *executor) prepare(p *plan.Plan) ([]*input, []plan.Attr, error) {
 			hasPipelined = true
 		}
 	}
-	streamRoot := len(p.Root.Children) == 0 || hasPipelined || rootCoversAllVars(p)
+	streamRoot := len(p.Root.Children) == 0 || hasPipelined || p.RootCoversAllVars()
 
 	// Bottom-up pass: materialize every non-pipelined node.
 	for _, child := range p.Root.Children {
@@ -510,25 +525,6 @@ func (e *executor) finalInputs(p *plan.Plan, streamRoot bool) ([]*input, []plan.
 		}
 	}
 	return inputs, attrs, nil
-}
-
-// rootCoversAllVars reports whether every variable of every plan node
-// already occurs in the root's bag, in which case the root's generic join
-// binds the complete solution and no re-enumeration over materialized node
-// results is needed.
-func rootCoversAllVars(p *plan.Plan) bool {
-	rootVars := map[string]bool{}
-	for _, v := range p.Root.Vars {
-		rootVars[v] = true
-	}
-	for _, n := range p.Nodes() {
-		for _, v := range n.Vars {
-			if !rootVars[v] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func varAttrs(vars []string) []plan.Attr {

@@ -226,6 +226,14 @@ type joiner struct {
 	filterMod uint32
 	filterRes uint32
 
+	// Symmetry breaking (sym.go): when sym is non-nil, the join enumerates
+	// only bindings within its bound, and emit is emitOrbit, which passes
+	// each least binding and its distinct images to out, building the
+	// images in imgs.
+	sym  *symmetry
+	out  func([]uint32) error
+	imgs []uint32
+
 	// Cancellation: when ctx is non-nil, ctx.Err is polled every
 	// cancelStride recursion steps or last-attribute emissions via a
 	// countdown (tick: one predictable decrement-and-branch on the hot
@@ -285,6 +293,10 @@ func newJoiner(attrs []plan.Attr, inputs []*input) *joiner {
 // cursor) or cancelled — the tail's bitmap goes back to its pool cleared.
 func (j *joiner) run(emit func([]uint32) error) error {
 	j.emit = emit
+	if j.sym != nil {
+		j.out, j.emit = emit, j.emitOrbit
+		j.imgs = make([]uint32, len(j.sym.perms)*len(j.attrs))
+	}
 	defer j.release()
 	return j.recurse(0)
 }
@@ -361,10 +373,12 @@ func (j *joiner) recurse(idx int) error {
 	// generic join competitive): all iterators seek to a common value; the
 	// iterator holding the largest current value is the frontier and
 	// everyone else gallops to it. A single input degenerates to a plain
-	// scan of its set through the same iterator.
+	// scan of its set through the same iterator. Under a symmetry bound
+	// every iterator starts at the bound.
+	lo := j.lowerBound(idx)
 	for i := range lf {
 		lf[i].it.Reset(lf[i].in.currentSet())
-		if lf[i].it.Done() {
+		if lf[i].it.Done() || lo > 0 && !lf[i].it.SeekGE(lo) {
 			return nil // an empty participant: no values can match
 		}
 	}
@@ -463,14 +477,16 @@ func (j *joiner) recurse(idx int) error {
 // level: no descent follows a match, so there is no reason to seek value by
 // value. The sets are intersected whole — the paper's layout-specialised
 // kernels (§II-A2) rather than LogicBlox-style leapfrog — and each result
-// value is filtered to this worker's partition, counted against the
-// cancellation countdown, bound and emitted. It reports false, having
-// changed nothing, when leafIntersection leaves the sets to the leapfrog.
+// value at or above the symmetry bound is filtered to this worker's
+// partition, counted against the cancellation countdown, bound and emitted.
+// It reports false, having changed nothing, when leafIntersection leaves
+// the sets to the leapfrog.
 func (j *joiner) intersectLast(idx int) (bool, error) {
 	vals, ok := j.leafIntersection(j.lf[idx])
 	if !ok {
 		return false, nil
 	}
+	vals = trimBelow(vals, j.lowerBound(idx))
 	filter := j.filterMod != 0 && idx == j.filterAt
 	for _, v := range vals {
 		if filter && v%j.filterMod != j.filterRes {

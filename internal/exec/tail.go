@@ -163,11 +163,11 @@ func (j *joiner) hoist() bool {
 
 // flush runs the block's last two phases: it reads the V leaf below each
 // match, then binds each match's value at P and emits the rows its leaf
-// closes — ∩F itself when there is no V — counting each match and each row
-// against the cancellation countdown. Reading a leaf also loads its first
-// member, so that the block's cache misses on the leaves are taken in one
-// loop of independent loads rather than one per probe; j.touch keeps those
-// loads. The block is empty afterwards, even when emit or the countdown
+// closes — ∩F itself when there is no V — at or above the symmetry bound,
+// counting each match and each row against the cancellation countdown.
+// Reading a leaf also loads its first member, so that the block's cache
+// misses on the leaves are taken in one loop of independent loads rather
+// than one per probe; j.touch keeps those loads. The block is empty afterwards, even when emit or the countdown
 // stops it part way.
 func (j *joiner) flush(p int) error {
 	blk := j.block
@@ -185,6 +185,7 @@ func (j *joiner) flush(p int) error {
 		j.touch = touch
 	}
 	l := p + 1
+	bounded := j.sym != nil && j.sym.bounded[l]
 	for i := range blk {
 		if err := j.tick(); err != nil {
 			return err
@@ -193,6 +194,11 @@ func (j *joiner) flush(p int) error {
 		vals := j.hv
 		if j.vary != nil {
 			vals = j.probe(blk[i].leaf)
+		}
+		// The symmetry bound trims the rows, never ∩F itself: ∩F outlives
+		// the pass, and the bound may change with P's value.
+		if bounded {
+			vals = trimBelow(vals, j.binding[j.sym.a])
 		}
 		for _, v := range vals {
 			if err := j.tick(); err != nil {

@@ -5,6 +5,15 @@
 // over the GHD with the §III-B1 selection-first heuristic when enabled),
 // chooses trie level orders for every relation, and marks pipelineable
 // root-child pairs (§III-C).
+//
+// Beyond the paper, it also finds the BGP's automorphism group (sym.go):
+// the permutations of its variables that map its set of triple patterns
+// onto itself, as rotating ?x→?y→?z→?x does for the triangle. When the root
+// binds every variable, every predicate is a constant and the group has 2 to
+// maxSym members, the plan keeps it (Plan.Sym) and the executor enumerates
+// one binding per orbit and emits its images. A constant-holding pattern
+// maps only to itself, so the group never depends on constant values and
+// Bind stays equal to Compile. No LUBM query has a non-trivial group.
 package plan
 
 import (
@@ -131,6 +140,12 @@ type Plan struct {
 	// (internal/engines) sets it so that opening the plan dispatches to the
 	// class's engine; plans compiled by a static engine leave it zero.
 	Class EngineClass
+	// Sym is the BGP's automorphism group when the plan keeps one (nil
+	// otherwise): every element, identity first, as a permutation of
+	// Root.Attrs. A binding t's image under perm is u[i] = t[perm[i]];
+	// selection attributes are fixed points. See SymBound for the bound the
+	// executor derives from it.
+	Sym [][]int
 }
 
 // Bind returns a copy of the template t with its selection constants taken
@@ -281,6 +296,7 @@ func (c *compiler) compile() (*Plan, error) {
 	if c.opts.Pipelining {
 		markPipelined(p.Root)
 	}
+	p.Sym = p.symmetry(c.q)
 	return p, nil
 }
 
@@ -549,12 +565,37 @@ func (p *Plan) Nodes() []*Node {
 	return out
 }
 
-// String renders the plan for debugging and the ghdviz tool.
+// RootCoversAllVars reports whether every variable of every plan node
+// already occurs in the root's bag, in which case the root's generic join
+// binds the complete solution and no re-enumeration over materialized node
+// results is needed.
+func (p *Plan) RootCoversAllVars() bool {
+	rootVars := map[string]bool{}
+	for _, v := range p.Root.Vars {
+		rootVars[v] = true
+	}
+	for _, n := range p.Nodes() {
+		for _, v := range n.Vars {
+			if !rootVars[v] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// String renders the plan for debugging and the ghdviz tool. A kept
+// automorphism group follows the projection: its order, its generators in
+// cycle notation and the bound, e.g. "sym=3 (x y z) bound y,z≥x".
 func (p *Plan) String() string {
 	if p.Empty {
 		return "Plan{empty}"
 	}
-	s := fmt.Sprintf("Plan{order=%v select=%v}\n", p.GlobalOrder, p.Select)
+	sym := ""
+	if p.Sym != nil {
+		sym = " " + p.SymString()
+	}
+	s := fmt.Sprintf("Plan{order=%v select=%v%s}\n", p.GlobalOrder, p.Select, sym)
 	var walk func(n *Node, indent string)
 	walk = func(n *Node, indent string) {
 		s += indent + "node vars=" + fmt.Sprint(n.Vars)

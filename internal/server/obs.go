@@ -115,6 +115,9 @@ type explainResponse struct {
 	// the plan was bound from the shape's template ("hit") or compiled
 	// ("miss"); empty otherwise.
 	Template string `json:"template,omitempty"`
+	// Sym is the compiled plan's automorphism group as plan.Plan.SymString
+	// renders it, when the plan keeps one.
+	Sym string `json:"sym,omitempty"`
 }
 
 // explainPlan answers ?explain=plan: resolve the plan-cache entry
@@ -140,6 +143,9 @@ func (s *Server) explainPlan(w http.ResponseWriter, qid, engineName string, le *
 	}
 	if pq.plan != nil {
 		resp.Plan = "compiled"
+		if pq.plan.Sym != nil {
+			resp.Sym = pq.plan.SymString()
+		}
 	}
 	if inner, ierr := le.Inner(); ierr == nil {
 		if se, ok := inner.(*shard.Engine); ok {

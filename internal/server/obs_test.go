@@ -499,3 +499,15 @@ func TestHealthzBuildInfo(t *testing.T) {
 		t.Fatalf("/healthz has no build info: %s", body)
 	}
 }
+
+// TestExplainPlanShowsGroup checks that ?explain=plan reports the compiled
+// plan's automorphism group: for the triangle, its three rotations and the
+// bound the join enumerates under, over the normalized variable names.
+func TestExplainPlanShowsGroup(t *testing.T) {
+	_, ts := newTestServer(t, denseStore(12), Config{})
+	tri := `SELECT ?x ?y ?z WHERE { ?x <http://ex/p> ?y . ?y <http://ex/p> ?z . ?z <http://ex/p> ?x }`
+	code, body := get(t, queryURL(ts.URL, tri, map[string]string{"explain": "plan"}))
+	if code != http.StatusOK || !strings.Contains(body, `"sym":"sym=3 (v0 v1 v2) bound v1,v2≥v0"`) {
+		t.Fatalf("explain=plan shows no group: %d %s", code, body)
+	}
+}
