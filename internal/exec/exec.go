@@ -15,18 +15,18 @@
 // intersected by leapfrog triejoin over the tries' seek iterators, except
 // the last attribute of the order: no descent follows a match there, so
 // when every participating trie is at its leaf level the leaf sets are
-// intersected whole by the layout-specialised kernels of internal/set
-// (§II-A2) — read straight from the trie's value arena where the level is
-// all uint arrays — and each result value is emitted. Pairs the kernels
-// would handle slower (a uint array several times the size of the other
-// side) stay with the leapfrog. Usually all but one of those leaves stay
-// the same across the penultimate attribute's loop (the triangle's ?x
-// in-neighbours while ?y varies), and then the last two attributes run as
-// one fused tail (tail.go): the intersection of the fixed leaves is
-// hoisted out of the loop, kept in a pooled bitmap (set.Marks), and the
-// varying leaves of a block of the loop's matches are read in a batch and
-// probed into it — loop-invariant code motion, and §III-A's choice of
-// layout by how a set is used, for a set intersected over and over.
+// intersected whole — read straight from the trie's value arena where the
+// level is all uint arrays — by the layout-specialised kernels of
+// internal/set (§II-A2), which alone choose between merging, probing and
+// galloping by the sets' layouts and sizes, and each result value is
+// emitted. Usually all but one of those leaves stay the same across the
+// penultimate attribute's loop (the triangle's ?x in-neighbours while ?y
+// varies), and then the last two attributes run as one fused tail
+// (tail.go): the intersection of the fixed leaves is hoisted out of the
+// loop, kept in a pooled bitmap (set.Marks), and the varying leaves of a
+// block of the loop's matches are read in a batch and probed into it —
+// loop-invariant code motion, and §III-A's choice of layout by how a set
+// is used, for a set intersected over and over.
 //
 // Beyond the paper, a plan that keeps its BGP's automorphism group
 // (plan.Plan.Sym) has its final join break the symmetry (sym.go): rotating

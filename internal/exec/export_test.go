@@ -31,3 +31,7 @@ func CountTails() (count func(fixed, varying int) int64, restore func()) {
 	}
 	return count, func() { tailHook = old }
 }
+
+// RaceEnabled reports that the race detector is on, under which allocation
+// counts mean nothing.
+const RaceEnabled = raceEnabled

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/plan"
@@ -163,18 +162,20 @@ type lfIter struct {
 // and how many of their levels it binds, is resolved once per join
 // (newJoiner), not rediscovered at each step.
 //
-// The last two attributes are the exceptions. At the last one, L, when
-// every participating input is at its trie's leaf level nothing descends
-// after a match, so its sets are intersected whole by the
-// layout-specialised kernels of internal/set (§II-A2) and each result value
-// is bound and emitted (intersectLast). Most of L's inputs are usually
-// fixed across the loop of the penultimate attribute P — in the triangle
-// ?x→?y→?z→?x, ?x's in-neighbours stay put while ?y varies — and at most
-// one enters at P. Then P's step is the fused tail (tail.go): the
-// intersection of the fixed leaves is hoisted out of P's loop, computed
-// once per pass and kept marked in a bitmap, and P's matches are collected
-// in blocks whose varying leaves are each probed into it: loop-invariant
-// code motion, and §III-A's choice of layout by use.
+// The last attribute, L, is the exception when every input taking part
+// there is at its trie's leaf level: nothing descends after a match, so its
+// leaves are intersected whole by the layout-specialised kernels of
+// internal/set (§II-A2), which pick the kernel from the layouts and sizes,
+// and each member of the intersection is bound and emitted. Most of L's
+// inputs are usually fixed across the loop of the penultimate attribute P —
+// in the triangle ?x→?y→?z→?x, ?x's in-neighbours stay put while ?y varies
+// — and at most one, V, enters at P. Then P's step is the fused tail
+// (tail.go): the intersection ∩F of the fixed leaves F is hoisted out of
+// P's loop, computed once per pass and kept marked in a bitmap, and P's
+// matches are collected in blocks whose varying leaves are each probed into
+// it: loop-invariant code motion, and §III-A's choice of layout by use.
+// When P's step cannot fuse, L's own step is the same hoist with every L
+// input in F and V empty, emitted whole (last).
 type joiner struct {
 	attrs   []plan.Attr
 	inputs  []*input
@@ -184,30 +185,31 @@ type joiner struct {
 	// lf[i] lists the inputs taking part at attribute i with their
 	// iterators: per-depth scratch, resolved once and reused across the
 	// recursion, so the inner loop makes no allocation and no closure.
-	// lastLeaf is set when every input taking part at the last attribute is
-	// at its leaf level there.
+	// lastLeaf is set when every input taking part at the last attribute
+	// binds its leaf level there.
 	lf       [][]lfIter
 	lastLeaf bool
 
-	// Last-attribute scratch, allocated on first use and reused: the
-	// leaves' set headers (read only when a leaf level holds bitset nodes
-	// or more than two inputs take part), the kernels' ping-pong buffers,
-	// and the result values. Allocating lazily keeps the joiner small — it
-	// often lives in its caller's frame on a generator's fresh goroutine
-	// stack — and costs queries that never reach these paths nothing.
+	// Last-attribute scratch, allocated on first use and reused: the set
+	// headers of a ∩F of several leaves and the kernels' ping-pong buffers
+	// that intersect them, and the probed rows. Allocating lazily keeps the
+	// joiner small — it often lives in its caller's frame on a generator's
+	// fresh goroutine stack — and costs queries that never reach these
+	// paths nothing.
 	sets []*set.Set
 	sc   *set.Scratch
 	vals []uint32
 
-	// The fused tail at attribute tailAt (-1 when P's step is the plain
-	// leapfrog): fix (F) and vary (V, nil when none) split L's inputs,
-	// block collects P's matches, and the hoisted intersection ∩F is hv —
-	// marked in marks when markedOK — or the bitset hbits. fixLeaf is F's
-	// leaf node ∩F was taken from when F is one input, fvals a bitset ∩F's
-	// decoded members. marks comes from marksPool and goes back cleared.
-	// touch sinks the loads with which flush pulls a block's leaves in.
+	// The hoisted intersection (tail.go). tailAt is the attribute P whose
+	// step runs as the fused tail, -1 when none does. fix (F) and vary (V,
+	// nil when none) split L's inputs — F is all of them when L runs its
+	// own step — and block collects P's matches. ∩F is hv — marked in marks
+	// when markedOK — or the bitset hbits. fixLeaf is F's leaf node ∩F was
+	// taken from when F is one input, fvals a bitset ∩F's decoded members.
+	// marks comes from marksPool and goes back cleared. touch sinks the
+	// loads with which flush pulls a block's leaves in.
 	tailAt   int
-	fix      []*input
+	fix      []lfIter
 	vary     *input
 	block    []match
 	fixLeaf  trie.Node
@@ -235,15 +237,15 @@ type joiner struct {
 	imgs []uint32
 
 	// Cancellation: when ctx is non-nil, ctx.Err is polled every
-	// cancelStride recursion steps or last-attribute emissions via a
+	// cancelStride recursion steps or last-attribute rows via a
 	// countdown (tick: one predictable decrement-and-branch on the hot
 	// path; no modulo).
 	ctx      context.Context
 	cancelIn int
 }
 
-// cancelStride is how many recursion steps (or values emitted by the
-// last-attribute kernel step) pass between context polls.
+// cancelStride is how many recursion steps (or rows emitted at the last
+// attribute) pass between context polls.
 const cancelStride = 4096
 
 // maxMarkWords caps the hoisted intersection's bitmap at 16 Ki words (128
@@ -301,7 +303,7 @@ func (j *joiner) run(emit func([]uint32) error) error {
 	return j.recurse(0)
 }
 
-// tick counts one recursion step (or one value emitted at the last
+// tick counts one recursion step (or one row emitted at the last
 // attribute) against the cancellation countdown. It is small enough to
 // inline; the poll itself is out of line.
 func (j *joiner) tick() error {
@@ -358,9 +360,7 @@ func (j *joiner) recurse(idx int) error {
 	}
 
 	if idx == len(j.attrs)-1 && j.lastLeaf {
-		if done, err := j.intersectLast(idx); done {
-			return err
-		}
+		return j.last(idx)
 	}
 	tail := idx == j.tailAt
 	hoisted := false // in the tail, whether this pass has hoisted ∩F yet
@@ -470,143 +470,4 @@ func (j *joiner) recurse(idx int) error {
 		return j.flush(idx)
 	}
 	return nil
-}
-
-// intersectLast is the kernel step at the last attribute of the join
-// order, taken when every input taking part there sits at its trie's leaf
-// level: no descent follows a match, so there is no reason to seek value by
-// value. The sets are intersected whole — the paper's layout-specialised
-// kernels (§II-A2) rather than LogicBlox-style leapfrog — and each result
-// value at or above the symmetry bound is filtered to this worker's
-// partition, counted against the cancellation countdown, bound and emitted.
-// It reports false, having changed nothing, when leafIntersection leaves
-// the sets to the leapfrog.
-func (j *joiner) intersectLast(idx int) (bool, error) {
-	vals, ok := j.leafIntersection(j.lf[idx])
-	if !ok {
-		return false, nil
-	}
-	vals = trimBelow(vals, j.lowerBound(idx))
-	filter := j.filterMod != 0 && idx == j.filterAt
-	for _, v := range vals {
-		if filter && v%j.filterMod != j.filterRes {
-			continue
-		}
-		if err := j.tick(); err != nil {
-			return true, err
-		}
-		j.binding[idx] = v
-		if err := j.emit(j.binding); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
-// leafIntersection returns the members common to the current sets of the
-// inputs, all at leaf level, in ascending order — or false to leave them to
-// the leapfrog: where it intersects faster (leapfrogFaster), and for a lone
-// bitset leaf, which its iterator decodes as rows are taken rather than all
-// up front (a LIMIT may want only a few). The result may alias a trie arena
-// or the joiner's scratch; it is valid until the next call.
-//
-// Leaves on uint-only levels are read straight from the value arena
-// (trie.Node.UintValues), so the common cases — one leaf, or two — never
-// touch a set header. A singleton, the leaf of a functional property such
-// as memberOf, turns the intersection into membership probes of its one
-// value. Anything else goes through the headers: two sets through
-// set.IntersectValues, more through the scratch's smallest-first fold.
-func (j *joiner) leafIntersection(active []lfIter) ([]uint32, bool) {
-	if len(active) <= 2 {
-		a, aok := active[0].in.node().UintValues()
-		if len(active) == 1 {
-			if aok {
-				return a, true
-			}
-			s := active[0].in.currentSet()
-			return s.RawSortedValues(), s.Layout() == set.UintArray
-		}
-		b, bok := active[1].in.node().UintValues()
-		if aok && bok {
-			if len(b) < len(a) {
-				a, b = b, a
-			}
-			if len(a) == 1 {
-				if _, found := slices.BinarySearch(b, a[0]); !found {
-					return nil, true
-				}
-				return a, true
-			}
-			if leapfrogFaster(false, len(a), len(b)) {
-				return nil, false
-			}
-			j.vals = slices.Grow(j.vals[:0], len(a))[:len(a)]
-			return j.vals[:set.IntersectSorted(j.vals, a, b)], true
-		}
-	}
-	if cap(j.sets) < len(active) {
-		j.sets = make([]*set.Set, 0, len(j.inputs))
-	}
-	sets := j.sets[:0]
-	small := 0
-	for i := range active {
-		sets = append(sets, active[i].in.currentSet())
-		if sets[i].Len() < sets[small].Len() {
-			small = i
-		}
-	}
-	s1 := sets[small]
-	if s1.Len() == 1 {
-		v := s1.Min()
-		for _, s := range sets {
-			if !s.Contains(v) {
-				return nil, true
-			}
-		}
-		j.vals = append(j.vals[:0], v)
-		return j.vals, true
-	}
-	for _, s := range sets {
-		if s.Layout() == set.UintArray && s != s1 &&
-			leapfrogFaster(s1.Layout() == set.Bitset, s1.Len(), s.Len()) {
-			return nil, false
-		}
-	}
-	if len(sets) == 2 {
-		j.vals = set.IntersectValues(j.vals[:0], sets[0], sets[1])
-		return j.vals, true
-	}
-	if j.sc == nil {
-		j.sc = new(set.Scratch)
-	}
-	res := j.sc.IntersectMany(sets)
-	if res.Layout() == set.UintArray {
-		return res.RawSortedValues(), true
-	}
-	j.vals = res.AppendValues(j.vals[:0])
-	return j.vals, true
-}
-
-// Size ratios from which the leapfrog beats the kernels. Below
-// set.GallopRatio the uint×uint kernel is a branch-free merge, a chain of
-// dependent loads that costs about 4 ns per member of either side; the
-// uint×bitset kernel probes every member of the array, about 2 ns each.
-// The leapfrog pays a set-up per call and then seeks from the smaller
-// side. On a 2-core Xeon, intersecting LUBM q2's and q12's leaves under
-// both layout policies, the leapfrog wins once the array is mergeSkew
-// times the other side in a merge and probeSkew times it in a probe, while
-// the knows triangle's ten-member pairs stay with the merge.
-const (
-	mergeSkew = 4
-	probeSkew = 16
-)
-
-// leapfrogFaster reports whether intersecting a uint array of large members
-// with a set of small ≤ large members is faster by leapfrog than by the
-// kernels; smallIsBitset gives the smaller set's layout.
-func leapfrogFaster(smallIsBitset bool, small, large int) bool {
-	if smallIsBitset {
-		return large >= probeSkew*small
-	}
-	return large >= mergeSkew*small && large < set.GallopRatio*small
 }

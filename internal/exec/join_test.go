@@ -15,7 +15,7 @@ import (
 // by all inputs and attributes, not a slice or three per attribute. Every
 // GHD node's join pays the set-up, so it shows in the microsecond queries
 // of a point-lookup workload. The joins are n-cycles whose tail is planned,
-// so the F list is counted too. CI runs it on its own without the race
+// so planning it is counted too. CI runs it on its own without the race
 // detector, under which allocation counts mean nothing.
 func TestJoinerSetupAllocs(t *testing.T) {
 	if raceEnabled {

@@ -3,8 +3,10 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/naive"
 	"repro/internal/exec"
@@ -79,9 +81,9 @@ func lastAttrInputs(p *plan.Plan) int {
 }
 
 // TestLastAttributeMatchesNaive checks the join's last two attributes —
-// the kernel intersection straight from the trie arenas, its header and
-// singleton paths and its hand-back to the leapfrog, and the fused tail with
-// its hoisted intersection, bitmap probe and fallbacks — against the naive
+// the last attribute's own step over leaves read straight from the trie
+// arenas or through their headers, and the fused tail with its hoisted
+// intersection, bitmap probe and fallbacks — against the naive
 // engine, row for row, under both layout policies, sequentially and with 2,
 // 4 and 7 workers, with the tail's bitmap at its usual cap and at one that
 // makes some hoisted sets fall back to the merge. A case naming a tail shape
@@ -170,7 +172,7 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 		// is the one-level trie of <n0>'s e2-neighbours, whose leaf is its
 		// root, the same node for the whole join. Under PolicyAdaptive the
 		// join that probes it has V's leaves on an e1 level holding bitsets,
-		// and leaves them to the leapfrog and intersectLast.
+		// so ?y's step is the leapfrog and ?z runs its own step.
 		{name: "path-to-constant", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . <http://ex/n0> <http://ex/e2> ?z }`, tail: shape{1, 1}},
 		// The same path to a vertex without e2-neighbours: ∩F is empty.
 		{name: "path-to-empty", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . <` + sink + `> <http://ex/e2> ?z }`, tail: shape{1, 1}, empty: true},
@@ -239,4 +241,50 @@ func markSpans(tr *trie.Trie, maxWords int) (fit, exceed int) {
 		}
 	}
 	return fit, exceed
+}
+
+// TestLimitOverBitsetLeafStaysLazy runs a LIMIT 1 over one pattern whose
+// subject leaf, the 2^18 subjects of one object, is a bitset: the last
+// attribute's own step must walk that bitset by its iterator, taking only
+// the row the LIMIT wants, not decode its members (1 MB) first. CI runs it
+// without the race detector, under which allocation counts mean nothing.
+func TestLimitOverBitsetLeafStaysLazy(t *testing.T) {
+	if exec.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const subjects, maxBytes = 1 << 18, 256 << 10
+	b := store.NewBuilder()
+	p, o := rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/o")
+	for i := range subjects {
+		b.Add(rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i)), P: p, O: o})
+	}
+	st := b.Build()
+	if leaf := st.RelationByIRI("http://ex/p").TrieOS(set.PolicyAdaptive).Stats()[1]; leaf.BitsetNodes != 1 {
+		t.Fatalf("the subject leaf has %d bitset nodes, want 1", leaf.BitsetNodes)
+	}
+	e := core.New(st, core.AllOptimizations)
+	// The query server turns a LIMIT into the cursor's row cap.
+	q := query.MustParseSPARQL(`SELECT ?x WHERE { ?x <http://ex/p> <http://ex/o> } LIMIT 1`)
+	run := func() {
+		res, err := engine.Collect(e.Open(q, engine.ExecOpts{MaxRows: q.Limit}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 1 {
+			t.Fatalf("%d rows, want 1", res.Len())
+		}
+	}
+	run()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > maxBytes {
+		t.Errorf("LIMIT 1 allocated %d bytes per query, want at most %d", per, maxBytes)
+	} else {
+		t.Logf("LIMIT 1 allocated %d bytes per query", per)
+	}
 }

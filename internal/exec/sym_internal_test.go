@@ -106,3 +106,74 @@ func TestTailBoundAcrossPasses(t *testing.T) {
 		t.Fatalf("%d rows, want %d", len(got), len(want))
 	}
 }
+
+// TestLastStepStaysWithinBound drives the last attribute's own step — P a
+// selection, so P's step cannot fuse — under a symmetry bound: the join is
+// over [a s b] with s the constant 1, b bounded by a, and a symmetry with
+// no permutations, so every binding the join enumerates comes out and the
+// bound alone decides which. ∩F is T's leaf below (a, 1) alone — read from
+// the arena under the uint policy, walked as a bitset under the adaptive
+// one — or its intersection with the one-level U(b). Each must give
+// exactly the brute-force rows with b ≥ a.
+func TestLastStepStaysWithinBound(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(11))
+	var tRows, uRows [][]uint32
+	inT := map[[2]uint32]bool{}
+	inU := map[uint32]bool{}
+	for a := uint32(1); a <= n; a++ {
+		for b := uint32(1); b <= n; b++ {
+			if rng.Intn(3) > 0 { // dense: the adaptive policy lays leaves out as bitsets
+				tRows = append(tRows, []uint32{a, 1, b})
+				inT[[2]uint32{a, b}] = true
+			}
+			tRows = append(tRows, []uint32{a, 2, b})
+		}
+		if rng.Intn(4) > 0 {
+			uRows = append(uRows, []uint32{a})
+			inU[a] = true
+		}
+	}
+	attrs := []plan.Attr{{Name: "a"}, {Name: "s", IsSel: true, Value: 1}, {Name: "b"}}
+	for _, tc := range []struct {
+		name   string
+		policy set.Policy
+		withU  bool
+	}{
+		{"uint-leaf", set.PolicyUintOnly, false},
+		{"bitset-leaf", set.PolicyAdaptive, false},
+		{"uint-intersection", set.PolicyUintOnly, true},
+		{"bitset-intersection", set.PolicyAdaptive, true},
+	} {
+		tr := trie.BuildFromRows(tRows, 3, tc.policy)
+		if leaf := tr.Stats()[2]; (leaf.BitsetNodes > 0) != (tc.policy == set.PolicyAdaptive) {
+			t.Fatalf("%s: T's leaf level has %d bitset nodes", tc.name, leaf.BitsetNodes)
+		}
+		inputs := []*input{newInput(tr, attrs)}
+		if tc.withU {
+			inputs = append(inputs, newInput(trie.BuildFromRows(uRows, 1, tc.policy), attrs[2:]))
+		}
+		j := newJoiner(attrs, inputs)
+		if !j.lastLeaf || j.tailAt >= 0 || len(j.fix) != len(inputs) {
+			t.Fatalf("%s: the last attribute does not run its own step over every input: tailAt=%d |F|=%d", tc.name, j.tailAt, len(j.fix))
+		}
+		j.sym = &symmetry{a: 0, bounded: []bool{false, false, true}}
+		var got, want [][]uint32
+		if err := j.run(func(b []uint32) error {
+			got = append(got, slices.Clone(b))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for a := uint32(1); a <= n; a++ {
+			for b := a; b <= n; b++ {
+				if inT[[2]uint32{a, b}] && (!tc.withU || inU[b]) {
+					want = append(want, []uint32{a, 1, b})
+				}
+			}
+		}
+		if !slices.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("%s: %d rows, want the %d with b ≥ a", tc.name, len(got), len(want))
+		}
+	}
+}

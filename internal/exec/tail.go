@@ -7,7 +7,8 @@ import (
 	"repro/internal/trie"
 )
 
-// The fused tail: the join's last two attributes, P and L, in one step.
+// The hoisted intersection at the join's last attribute L, and the fused
+// tail: the last two attributes, P and L, in one step.
 //
 // L's inputs split into F, fixed across P's loop because P binds none of
 // their levels, and V, entering at P. When every L input ends at its leaf
@@ -22,6 +23,11 @@ import (
 // values with V's child rank; the block's V leaves are read from the trie
 // arena; each is probed into ∩F and its rows emitted in the order the plain
 // recursion emits them (flush).
+//
+// When P's step cannot fuse — P is a selection, there is no P, or P's
+// inputs do not fit — L runs its own step (last): one pass with every L
+// input in F and V empty, the same hoist, and ∩F emitted whole. Either way
+// internal/set picks the kernel that intersects the leaves.
 
 // tailBlock is how many of P's matches the tail collects before probing
 // them: enough that reading their leaves runs as one batch of independent
@@ -41,16 +47,18 @@ type match struct {
 // the tail with |F| and |V|.
 var tailHook func(fixed, varying int)
 
-// planTail decides once per join whether P's step runs as the fused tail,
-// and splits L's inputs into F and V. It also sets lastLeaf. The tail needs
-// P and L to be variables, every L input to bind one level there, its leaf,
-// and every P input to bind one level there and either end at it or go on
-// to L — at most one, V. V's leaves must be readable straight from the
-// arena: a leaf level holding bitsets (trie.Node.UintLeaves) leaves P to
-// the leapfrog and L to intersectLast, match by match.
+// planTail decides once per join how L's step runs, and splits L's inputs
+// into F and V. When every L input binds one level there, its leaf, it sets
+// lastLeaf and F to all of them: L's own step. P's step is the fused tail
+// when, besides, P and L are variables and every P input binds one level
+// there and either ends at it or goes on to L — at most one, V. V's leaves
+// must be readable straight from the arena: a leaf level holding bitsets
+// (trie.Node.UintLeaves) leaves P to the leapfrog and L to its own step. F
+// is L's participant list with V moved out of it: L never runs the
+// leapfrog, so the list and its iterators are free to reuse.
 func (j *joiner) planTail() {
 	l := len(j.attrs) - 1
-	if l < 0 {
+	if l < 0 || j.attrs[l].IsSel || len(j.lf[l]) == 0 {
 		return
 	}
 	for _, x := range j.lf[l] {
@@ -58,9 +66,9 @@ func (j *joiner) planTail() {
 			return
 		}
 	}
-	j.lastLeaf = len(j.lf[l]) > 0
+	j.lastLeaf, j.fix = true, j.lf[l]
 	p := l - 1
-	if !j.lastLeaf || p < 0 || j.attrs[p].IsSel || j.attrs[l].IsSel {
+	if p < 0 || j.attrs[p].IsSel {
 		return
 	}
 	var vary *input
@@ -76,16 +84,16 @@ func (j *joiner) planTail() {
 			return
 		}
 	}
-	if vary != nil && !vary.stack[0].UintLeaves() {
-		return
-	}
-	fix := make([]*input, 0, len(j.lf[l]))
-	for _, x := range j.lf[l] {
-		if x.in != vary {
-			fix = append(fix, x.in)
+	if vary != nil {
+		if !vary.stack[0].UintLeaves() {
+			return
 		}
+		k := len(j.fix) - 1
+		i := slices.IndexFunc(j.fix, func(x lfIter) bool { return x.in == vary })
+		j.fix[i], j.fix[k] = j.fix[k], j.fix[i]
+		j.fix = j.fix[:k]
 	}
-	j.tailAt, j.fix, j.vary = p, fix, vary
+	j.tailAt, j.vary = p, vary
 }
 
 // enterTail starts a pass of P's loop.
@@ -102,28 +110,34 @@ func (j *joiner) enterTail() {
 	}
 }
 
-// hoist computes ∩F for a pass of P's loop at the pass's first match — a
-// pass without one, common where P's inputs are selective, costs nothing —
-// and reports whether it has members. With one F input ∩F is its leaf,
-// taken again only when the leaf is another node than last pass's (a
-// one-level input's leaf is its root, one node for the whole join); with
-// several it is their kernel intersection. A uint ∩F that V's leaves probe
-// is marked, when its range fits maxMarkWords; a bitset one is probed
-// through its own words, and decoded when there is no V and it is emitted
-// whole.
+// hoist computes ∩F — for a pass of P's loop at the pass's first match (a
+// pass without one, common where P's inputs are selective, costs nothing),
+// or for L's own step — and reports whether it has members. With one F
+// input ∩F is its leaf, read straight from the arena when the leaf level
+// holds uint arrays only, and taken again only when the leaf is another
+// node than last time (a one-level input's leaf is its root, one node for
+// the whole join); with several it is their kernel intersection. A uint ∩F
+// that V's leaves probe is marked, when its range fits maxMarkWords. A
+// bitset one is kept when V's leaves probe it or it is the lone leaf L's
+// own step walks; else it is emitted whole — at every match of a tail
+// without V, or once, as the kernels' full result — and decoded once.
 func (j *joiner) hoist() bool {
 	var s *set.Set
+	var vals []uint32
 	switch len(j.fix) {
 	case 0:
 		return true
 	case 1:
-		n := j.fix[0].node()
+		n := j.fix[0].in.node()
 		if n == j.fixLeaf {
 			return len(j.hv) > 0 || j.hbits != nil
 		}
 		j.unmark()
 		j.fixLeaf = n
-		s = n.Set()
+		var ok bool
+		if vals, ok = n.UintValues(); !ok {
+			s = n.Set()
+		}
 	default:
 		// Unmark first: the marks may record values in the scratch that
 		// the intersection is about to overwrite.
@@ -132,33 +146,59 @@ func (j *joiner) hoist() bool {
 			j.sets = make([]*set.Set, 0, len(j.inputs))
 		}
 		sets := j.sets[:0]
-		for _, in := range j.fix {
-			sets = append(sets, in.currentSet())
+		for _, x := range j.fix {
+			sets = append(sets, x.in.currentSet())
 		}
 		if j.sc == nil {
 			j.sc = new(set.Scratch)
 		}
 		s = j.sc.IntersectMany(sets)
 	}
-	j.hv, j.hbits = nil, nil
+	j.hv, j.hbits = vals, nil
 	switch {
-	case s.IsEmpty():
-		return false
-	case s.Layout() == set.Bitset && j.vary != nil:
+	case s == nil:
+	case s.Layout() != set.Bitset:
+		j.hv = s.RawSortedValues()
+	case j.vary != nil || j.tailAt < 0 && len(j.fix) == 1:
 		j.hbits = s
-	case s.Layout() == set.Bitset:
+		return true
+	default:
 		j.fvals = s.AppendValues(j.fvals[:0])
 		j.hv = j.fvals
-	default:
-		j.hv = s.RawSortedValues()
-		if j.vary != nil {
-			if j.marks == nil {
-				j.marks = marksPool.Get().(*set.Marks)
-			}
-			j.markedOK = j.marks.Mark(j.hv, maxMarkWords)
+	}
+	if len(j.hv) == 0 {
+		return false
+	}
+	if j.vary != nil {
+		if j.marks == nil {
+			j.marks = marksPool.Get().(*set.Marks)
 		}
+		j.markedOK = j.marks.Mark(j.hv, maxMarkWords)
 	}
 	return true
+}
+
+// last is L's own step, taken when P's step is not the fused tail: one
+// pass with V empty, emitting the members of ∩F at or above the symmetry
+// bound. A lone bitset leaf is walked by an iterator from the bound, not
+// decoded, so a LIMIT that wants a few rows of a large leaf reads only
+// those; the iterator is the leaf's own, which L's leapfrog would have used.
+func (j *joiner) last(l int) error {
+	if !j.hoist() {
+		return nil
+	}
+	lo := j.lowerBound(l)
+	if j.hbits == nil {
+		return j.emitRows(l, trimBelow(j.hv, lo))
+	}
+	it := &j.fix[0].it
+	it.Reset(j.hbits)
+	for it.SeekGE(lo); !it.Done(); it.Next() {
+		if err := j.emitRows(l, []uint32{it.Cur()}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // flush runs the block's last two phases: it reads the V leaf below each
@@ -167,8 +207,8 @@ func (j *joiner) hoist() bool {
 // counting each match and each row against the cancellation countdown.
 // Reading a leaf also loads its first member, so that the block's cache
 // misses on the leaves are taken in one loop of independent loads rather
-// than one per probe; j.touch keeps those loads. The block is empty afterwards, even when emit or the countdown
-// stops it part way.
+// than one per probe; j.touch keeps those loads. The block is empty
+// afterwards, even when emit or the countdown stops it part way.
 func (j *joiner) flush(p int) error {
 	blk := j.block
 	j.block = blk[:0]
@@ -200,24 +240,39 @@ func (j *joiner) flush(p int) error {
 		if bounded {
 			vals = trimBelow(vals, j.binding[j.sym.a])
 		}
-		for _, v := range vals {
-			if err := j.tick(); err != nil {
-				return err
-			}
-			j.binding[l] = v
-			if err := j.emit(j.binding); err != nil {
-				return err
-			}
+		if err := j.emitRows(l, vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emitRows binds each of the ascending vals at L and emits the row,
+// counting it against the cancellation countdown — skipping, when L is the
+// attribute the workers partition on, a value outside this worker's
+// residue class.
+func (j *joiner) emitRows(l int, vals []uint32) error {
+	filter := j.filterMod != 0 && l == j.filterAt
+	for _, v := range vals {
+		if filter && v%j.filterMod != j.filterRes {
+			continue
+		}
+		if err := j.tick(); err != nil {
+			return err
+		}
+		j.binding[l] = v
+		if err := j.emit(j.binding); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // probe returns the members of the V leaf that ∩F holds, ascending: the
-// leaf itself when there is no F, else one bit test per member through
-// the bitmap or the bitset, or — when the leaf is set.GallopRatio times
-// ∩F, or ∩F was too wide to mark — the uint kernel, which gallops or
-// merges.
+// leaf itself when there is no F, else the leaf probed into the bitset or
+// the bitmap — or, when ∩F was too wide to mark, intersected with it by
+// the uint kernel. internal/set chooses between testing every member of
+// the leaf and galloping it, by their sizes.
 func (j *joiner) probe(leaf []uint32) []uint32 {
 	if len(j.fix) == 0 {
 		return leaf
@@ -227,7 +282,7 @@ func (j *joiner) probe(leaf []uint32) []uint32 {
 	switch {
 	case j.hbits != nil:
 		n = j.hbits.Probe(j.vals, leaf)
-	case j.markedOK && len(leaf) < set.GallopRatio*len(j.hv):
+	case j.markedOK:
 		n = j.marks.Probe(j.vals, leaf)
 	default:
 		n = set.IntersectSorted(j.vals, j.hv, leaf)

@@ -143,7 +143,7 @@ const knowsClique = `SELECT ?a ?b ?c ?d WHERE {
 // out-neighbours, whose intersection is hoisted out of ?c's loop and probed
 // by each ?c's out-neighbours. At 30 out-neighbours in 2k ids those leaves
 // are bitsets under the adaptive policy, which leaves ?c to the leapfrog and
-// ?d to the kernels, match by match; the uint policy times the tail. Either
+// ?d to its own step, match by match; the uint policy times the tail. Either
 // way most of the time is ?c's leapfrog, whose third input, every subject,
 // its seeks gallop through; the tail itself is a few percent.
 func BenchmarkCliqueKnows(b *testing.B) {

@@ -56,8 +56,14 @@ func BenchmarkIntersectDensitySweep(b *testing.B) {
 	}
 }
 
-// BenchmarkIntersectSizeRatio shows the merge-to-galloping crossover for
-// skewed operand sizes.
+// BenchmarkIntersectSizeRatio shows the crossovers behind the kernels' size
+// rules. ratio=N is uint×uint at N times (merge below gallopRatio, gallop
+// from it). uint×bitset and marks time both ways of intersecting a
+// 64-member set with a uint array N times its size, drawn from the same
+// ids: probe tests every array member against the bitset's words (or the
+// Marks bitmap), gallop seeks the array from each member of the small side
+// — decoded from the bitset first. The crossovers are where the kernels
+// switch, bitGallopRatio and gallopRatio.
 func BenchmarkIntersectSizeRatio(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	large := genSorted(rng, 1<<16, 0.001)
@@ -71,6 +77,37 @@ func BenchmarkIntersectSizeRatio(b *testing.B) {
 			}
 		})
 	}
+	// A 64-member small side at density 1/128: a bitset under PolicyAuto.
+	const small, domain = 64, 64 * 128
+	smallVals := genSorted(rand.New(rand.NewSource(6)), small, float64(small)/domain)
+	bs := FromSorted(smallVals, PolicyAuto)
+	if bs.Layout() != Bitset {
+		b.Fatal("the small side is not a bitset")
+	}
+	var m Marks
+	m.Mark(smallVals, domain)
+	sweep := func(name string, ratios []int, probe, gallop func(dst, arr []uint32) int) {
+		for _, ratio := range ratios {
+			arr := genSorted(rand.New(rand.NewSource(7)), ratio*small, float64(ratio*small)/domain)
+			dst := make([]uint32, len(arr))
+			for _, k := range []struct {
+				name string
+				run  func(dst, arr []uint32) int
+			}{{"probe", probe}, {"gallop", gallop}} {
+				b.Run(fmt.Sprintf("%s/ratio=%d/%s", name, ratio, k.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						k.run(dst, arr)
+					}
+				})
+			}
+		}
+	}
+	sweep("uint×bitset", []int{4, 8, 16, 32, 64},
+		func(dst, arr []uint32) int { return probeWords(dst, arr, bs.words, bs.base) },
+		func(dst, arr []uint32) int { return intersectGallop(dst, bs.AppendValues(dst[:0]), arr) })
+	sweep("marks", []int{8, 16, 32, 64},
+		func(dst, arr []uint32) int { return probeWords(dst, arr, m.words, m.base) },
+		func(dst, arr []uint32) int { return intersectGallop(dst, m.marked, arr) })
 }
 
 // BenchmarkContains compares the §III-A selection probe across layouts:

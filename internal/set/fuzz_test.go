@@ -67,6 +67,12 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0}, []byte{0, 1, 2, 0}, byte(9))
 	f.Add([]byte{}, []byte{0, 5}, byte(1))
 	f.Add([]byte{0, 1, 0, 2}, []byte{0, 64}, byte(0)) // probes the first value past a one-word bitmap
+	// A three-member bitset (under PolicyAuto) against a 60-member uint
+	// array holding one of them, past bitGallopRatio: the uint×bitset kernel
+	// gallops the array from the bitset's members. A one-value mark against
+	// 40 values, past gallopRatio: Marks.Probe gallops them from the mark.
+	f.Add(be16(256, 257, 258), skewedSeed(60, 257), byte(0))
+	f.Add(be16(1000), skewedSeed(40, 1000), byte(0))
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte, stride byte) {
 		av := fuzzVals(aRaw, uint32(stride))
 		bv := fuzzVals(bRaw, uint32(stride)%3)
@@ -140,6 +146,26 @@ func FuzzIntersectKernels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// be16 encodes vals as fuzzVals reads them at stride 0: two bytes each,
+// high byte first.
+func be16(vals ...uint16) []byte {
+	out := make([]byte, 0, 2*len(vals))
+	for _, v := range vals {
+		out = append(out, byte(v>>8), byte(v))
+	}
+	return out
+}
+
+// skewedSeed encodes n values for fuzzVals: hits, then values spread too
+// thinly for any policy to lay them out as a bitset.
+func skewedSeed(n int, hits ...uint16) []byte {
+	vals := append([]uint16(nil), hits...)
+	for i := 0; len(vals) < n; i++ {
+		vals = append(vals, 2000+uint16(i)*1000)
+	}
+	return be16(vals...)
 }
 
 // FuzzSeekGE checks the iterator's leapfrog contract on both layouts

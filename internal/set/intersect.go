@@ -14,12 +14,20 @@ import (
 //   uint × uint  — branch-free linear merge (sign-bit arithmetic instead of
 //                  a three-way compare, so random data stops paying one
 //                  mispredict per step), switching to galloping with a
-//                  4-candidate SWAR probe when the size ratio is large;
+//                  4-candidate SWAR probe once one side is gallopRatio
+//                  times the other;
 //   bit  × bit   — 4-way unrolled 64-bit word AND over the overlapping
 //                  range, writing into caller scratch;
-//   uint × bit   — probe each array element into the bitset; Marks builds
-//                  such a bitmap over a uint array that is intersected
-//                  repeatedly, so those intersections probe too.
+//   uint × bit   — probe each array element into the bitset, or, once the
+//                  array is bitGallopRatio times the bitset's members,
+//                  decode those members and gallop the array from them;
+//                  Marks builds such a bitmap over a uint array that is
+//                  intersected repeatedly, so those intersections probe too
+//                  — or gallop from the marked values, once the probed
+//                  array is gallopRatio times them.
+//
+// The size rules live here and nowhere else: a caller names the sets, and
+// the kernel their layouts and sizes call for runs.
 //
 // Results preserve the paper's layout decision: an intersection of two
 // bitsets stays a bitset (re-densifying is wasted work for intermediate
@@ -29,9 +37,15 @@ import (
 // multiway intersections (IntersectMany, exec's materialization steps)
 // never allocate per step.
 
-// GallopRatio is the size ratio beyond which uint×uint intersection switches
-// from a linear merge to galloping search.
-const GallopRatio = 32
+// Size ratios from which galloping the larger side from the members of the
+// smaller beats touching every member of the larger: gallopRatio against a
+// merge of two uint arrays or a probe into a Marks bitmap, bitGallopRatio
+// against a probe into a bitset, whose members must first be decoded.
+// BenchmarkIntersectSizeRatio measures both crossovers.
+const (
+	gallopRatio    = 32
+	bitGallopRatio = 16
+)
 
 // b2i converts a comparison to 0/1 without a branch (the compiler lowers
 // this idiom to SETcc).
@@ -229,9 +243,9 @@ func IntersectValues(dst []uint32, a, b *Set) []uint32 {
 // IntersectSorted writes a ∩ b into dst and returns the output count. a and
 // b must be sorted and duplicate-free, and dst must hold at least
 // min(len(a), len(b)) values. It is the uint×uint kernel on bare slices —
-// branch-free merge, or galloping once one side is GallopRatio times the
+// branch-free merge, or galloping once one side is gallopRatio times the
 // other — for callers that hold a set's members without its header (the
-// join's last attribute reads them straight out of a trie's value arena).
+// join's fused tail reads them straight out of a trie's value arena).
 func IntersectSorted(dst, a, b []uint32) int {
 	return intersectUintUint(dst, a, b)
 }
@@ -242,11 +256,21 @@ func intersectUintUint(dst []uint32, a, b []uint32) int {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	if len(b) >= GallopRatio*len(a) {
+	switch {
+	case len(b) >= gallopRatio*len(a):
 		return intersectGallop(dst, a, b)
+	case len(a) < twoLaneMin:
+		// Decided here rather than in intersectMerge, so that a small merge
+		// — the common one in a join — never enters the lanes' large stack
+		// frame, which can cost a goroutine stack growth.
+		return mergeScalar(dst, 0, a, b, 0, 0)
 	}
 	return intersectMerge(dst, a, b)
 }
+
+// twoLaneMin is the size from which both sides of a merge are split into
+// interleaved lanes.
+const twoLaneMin = 1024
 
 // intersectMerge is the sorted-list merge intersection, word-parallel in
 // two senses. First, cursor advances are branch-free (SETcc from the
@@ -255,12 +279,9 @@ func intersectUintUint(dst []uint32, a, b []uint32) int {
 // branch, and that one predicts well. Second, large inputs are split at the
 // median value into two independent merges interleaved in one loop: a merge
 // is latency-bound on its compare→advance→load chain, and two chains in
-// flight roughly double the throughput the ALUs actually deliver.
+// flight roughly double the throughput the ALUs actually deliver. a and b
+// must each hold at least twoLaneMin members.
 func intersectMerge(dst []uint32, a, b []uint32) int {
-	const twoLaneMin = 1024
-	if len(a) < twoLaneMin || len(b) < twoLaneMin {
-		return mergeScalar(dst, 0, a, b, 0, 0)
-	}
 	// Slice a into quarters by index and b at the matching value boundaries:
 	// lane L covers exactly the values in [aL[0], aL+1[0]), so lane outputs
 	// are disjoint and each is bounded by min(len(aL), len(bL)). Lanes write
@@ -414,12 +435,23 @@ func gallopSearch(large []uint32, lo int, v uint32) int {
 }
 
 // intersectUintBit writes the members of vals present in bs into dst
-// (len(dst) >= len(vals)) and returns the count. The probe is the bitset's
-// O(1) Contains, with the emit branch-free.
+// (len(dst) >= len(vals)) and returns the count. Once vals is
+// bitGallopRatio times bs's members, they are decoded into dst and vals is
+// galloped from them in place — the output never overtakes the member being
+// sought; otherwise every member of vals is probed into the words.
 func intersectUintBit(dst []uint32, vals []uint32, bs *Set) int {
-	base := bs.base
-	words := bs.words
-	limit := uint32(len(words) * 64)
+	if len(vals) >= bitGallopRatio*bs.card {
+		return intersectGallop(dst, bs.AppendValues(dst[:0]), vals)
+	}
+	return probeWords(dst, vals, bs.words, bs.base)
+}
+
+// probeWords writes the members of vals whose bit is set in words, bit i of
+// words[w] standing for base+64w+i, into dst (len(dst) >= len(vals)) and
+// returns the count, in vals' order: one unsigned compare and one word test
+// per value, with the emit branch-free.
+func probeWords(dst, vals []uint32, words []uint64, base uint32) int {
+	limit := uint32(len(words)) * 64
 	k := 0
 	for _, v := range vals {
 		off := v - base
@@ -435,8 +467,8 @@ func intersectUintBit(dst []uint32, vals []uint32, bs *Set) int {
 
 // Probe writes the members of vals, sorted and duplicate-free, that s holds
 // into dst (len(dst) >= len(vals)) and returns the count, in vals' order:
-// one bit test per value on a bitset — the uint×bitset kernel for a caller
-// holding the array as a bare slice — and the uint×uint kernel otherwise.
+// the uint×bitset kernel on a bitset, for a caller holding the array as a
+// bare slice, and the uint×uint kernel otherwise.
 func (s *Set) Probe(dst, vals []uint32) int {
 	if s.layout == Bitset {
 		return intersectUintBit(dst, vals, s)
@@ -449,9 +481,10 @@ func (s *Set) Probe(dst, vals []uint32) int {
 // merge: the §III-A idea of choosing a set's layout by how it is used,
 // applied to a set that is reused. Probe is the intersectUintBit shape —
 // one unsigned compare and one word test per probed value, no dependent
-// chain of loads. The zero value is ready to use, and a Marks that has been
-// cleared holds only zero words, so it can be pooled and reused for any
-// array. A Marks is not safe for concurrent use.
+// chain of loads — until the probed values outnumber the marked ones
+// gallopRatio times over. The zero value is ready to use, and a Marks that
+// has been cleared holds only zero words, so it can be pooled and reused
+// for any array. A Marks is not safe for concurrent use.
 type Marks struct {
 	words  []uint64 // len = words in the marked range; every word past it, to cap, is zero
 	base   uint32   // the first marked value rounded down to a multiple of 64
@@ -480,23 +513,15 @@ func (m *Marks) Mark(vals []uint32, maxWords int) bool {
 	return true
 }
 
-// Probe writes the members of vals that are marked into dst (len(dst) >=
-// len(vals)) and returns the count; the output keeps vals' order.
+// Probe writes the members of vals, sorted and duplicate-free, that are
+// marked into dst (len(dst) >= len(vals)) and returns the count; the output
+// keeps vals' order. Once vals is gallopRatio times the marked values, it
+// gallops vals from them instead of testing every member of vals.
 func (m *Marks) Probe(dst, vals []uint32) int {
-	base := m.base
-	words := m.words
-	limit := uint32(len(words)) * 64
-	k := 0
-	for _, v := range vals {
-		off := v - base
-		// One unsigned compare covers both v < base (wraps huge) and past-end.
-		if off >= limit {
-			continue
-		}
-		dst[k] = v
-		k += int((words[off/64] >> (off % 64)) & 1)
+	if len(vals) >= gallopRatio*len(m.marked) {
+		return intersectGallop(dst, m.marked, vals)
 	}
-	return k
+	return probeWords(dst, vals, m.words, m.base)
 }
 
 // Clear unmarks everything, zeroing only the words the marked values set,

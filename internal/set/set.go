@@ -392,12 +392,16 @@ func (s *Set) Values() []uint32 {
 
 // AppendValues appends the members to dst in ascending order and returns the
 // extended slice. It avoids the allocation of Values when a buffer is
-// available.
+// available, and decodes a bitset word by word, with no call per member.
 func (s *Set) AppendValues(dst []uint32) []uint32 {
-	s.Iterate(func(_ int, v uint32) bool {
-		dst = append(dst, v)
-		return true
-	})
+	if s.layout == UintArray {
+		return append(dst, s.vals...)
+	}
+	for w, word := range s.words {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, s.base+uint32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
 	return dst
 }
 

@@ -1,11 +1,13 @@
 package set
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func sorted(vals ...uint32) []uint32 {
@@ -275,12 +277,125 @@ func TestGallopPath(t *testing.T) {
 	if !reflect.DeepEqual(got2, []uint32{1998}) {
 		t.Errorf("gallop with misses = %v", got2)
 	}
-	// Via the public API: ratio 1000/3 > GallopRatio triggers gallop.
+	// Via the public API: ratio 1000/3 ≥ gallopRatio triggers gallop.
 	sa := FromSorted(small, PolicyUintOnly)
 	sb := FromSorted(large, PolicyUintOnly)
 	if !reflect.DeepEqual(Intersect(sa, sb).Values(), []uint32{0, 998, 1998}) {
 		t.Errorf("public gallop mismatch")
 	}
+}
+
+// TestSkewRulesAtTheirRatios intersects a uint array with a bitset at
+// 15, 16 and 17 times the bitset's members — either side of bitGallopRatio,
+// where intersectUintBit stops probing the array and gallops it from the
+// bitset's decoded members, in place in dst — and probes a Marks with
+// 31, 32 and 33 times its marked values, either side of gallopRatio. Every
+// entry that reaches the kernels must agree with the reference, through a
+// dst no longer than the contract asks.
+func TestSkewRulesAtTheirRatios(t *testing.T) {
+	// skewed returns n sorted values of which exactly hits are members of
+	// small: a few below small's range, the hits, the rest above it.
+	skewed := func(small []uint32, n, hits int) []uint32 {
+		vals := []uint32{3, 500}
+		for i := 0; i < hits; i++ {
+			vals = append(vals, small[i*len(small)/hits])
+		}
+		for i := 0; len(vals) < n; i++ {
+			vals = append(vals, 5000+uint32(i)*53)
+		}
+		return vals
+	}
+	// Eight members over three words: a bitset under PolicyAuto.
+	bits := []uint32{1000, 1001, 1040, 1070, 1100, 1130, 1160, 1190}
+	bs := FromSorted(bits, PolicyAuto)
+	if bs.Layout() != Bitset {
+		t.Fatalf("the small side is a %v, want a bitset", bs.Layout())
+	}
+	for _, ratio := range []int{bitGallopRatio - 1, bitGallopRatio, bitGallopRatio + 1} {
+		vals := skewed(bits, ratio*len(bits), 3)
+		arr := FromSorted(vals, PolicyUintOnly)
+		want := refIntersect(vals, bits)
+		dst := make([]uint32, len(vals))
+		if got := dst[:intersectUintBit(dst, vals, bs)]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%d×: intersectUintBit = %v, want %v", ratio, got, want)
+		}
+		if got := dst[:bs.Probe(dst, vals)]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%d×: Set.Probe = %v, want %v", ratio, got, want)
+		}
+		if got := IntersectValues(nil, bs, arr); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d×: IntersectValues = %v, want %v", ratio, got, want)
+		}
+		var sc Scratch
+		if got := sc.IntersectInto(arr, bs).Values(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d×: IntersectInto = %v, want %v", ratio, got, want)
+		}
+		if got := sc.IntersectMany([]*Set{bs, arr, bs}).Values(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d×: IntersectMany = %v, want %v", ratio, got, want)
+		}
+	}
+	marked := []uint32{1000, 1001, 1070, 1190}
+	var m Marks
+	for _, ratio := range []int{gallopRatio - 1, gallopRatio, gallopRatio + 1} {
+		if !m.Mark(marked, 64) {
+			t.Fatal("Mark refused four values in three words")
+		}
+		vals := skewed(marked, ratio*len(marked), 2)
+		want := refIntersect(vals, marked)
+		dst := make([]uint32, len(vals))
+		if got := dst[:m.Probe(dst, vals)]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%d×: Marks.Probe = %v, want %v", ratio, got, want)
+		}
+		m.Clear()
+	}
+}
+
+// TestMarksProbeGallopIsSublinear pins which way Marks.Probe gallops: from
+// the few marked values through the long probed slice, so that the cost
+// grows with the log of the slice's length. Four marks spread to the end
+// of the range are probed by 2^10 values and by 2^20 over the same range;
+// anything that walks the probed slice — a bit test per value, or a gallop
+// from each value through the marks — costs about 1,024 times as much on
+// the longer slice, the gallop from the marks a few times as much. Each
+// side's time is the least of several runs, which scheduling noise can
+// only lengthen.
+func TestMarksProbeGallopIsSublinear(t *testing.T) {
+	const shortLen, longLen, reps, runs, bound = 1 << 10, 1 << 20, 100, 9, 32
+	long := make([]uint32, longLen)
+	for i := range long {
+		long[i] = 4 * uint32(i)
+	}
+	short := make([]uint32, shortLen)
+	for i := range short {
+		short[i] = long[i*(longLen/shortLen)]
+	}
+	marked := []uint32{long[longLen/4], long[longLen/2], long[3*longLen/4], short[shortLen-1]}
+	var m Marks
+	if !m.Mark(marked, longLen) {
+		t.Fatal("Mark refused the marks")
+	}
+	dst := make([]uint32, longLen)
+	best := func(vals []uint32, stopBelow time.Duration) time.Duration {
+		least := time.Duration(math.MaxInt64)
+		for range runs {
+			start := time.Now()
+			for range reps {
+				if n := m.Probe(dst, vals); n != len(marked) {
+					t.Fatalf("Marks.Probe found %d of the %d marks", n, len(marked))
+				}
+			}
+			least = min(least, time.Since(start))
+			if least < stopBelow {
+				break
+			}
+		}
+		return least
+	}
+	s := best(short, 0)
+	l := best(long, bound*s)
+	if l >= bound*s {
+		t.Errorf("probing %d values took %v, %d values %v: at least %d times as long, want a gallop from the marks", longLen, l, shortLen, s, bound)
+	}
+	t.Logf("%d probes of %d values: %v; of %d values: %v", reps, longLen, l, shortLen, s)
 }
 
 func TestIntersectMany(t *testing.T) {
