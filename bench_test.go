@@ -60,10 +60,9 @@ func BenchmarkTableI(b *testing.B) {
 		opts repro.Options
 	}{
 		{"allopts", repro.AllOptimizations},
-		{"nolayout", repro.Options{Layout: false, AttributeReorder: true, GHDPushdown: true, Pipelining: true}},
-		{"noattribute", repro.Options{Layout: true, AttributeReorder: false, GHDPushdown: true, Pipelining: true}},
-		{"noghd", repro.Options{Layout: true, AttributeReorder: true, GHDPushdown: false, Pipelining: true}},
-		{"nopipelining", repro.Options{Layout: true, AttributeReorder: true, GHDPushdown: true, Pipelining: false}},
+		{"nolayout", repro.Options{Layout: false, AttributeReorder: true, GHDPushdown: true}},
+		{"noattribute", repro.Options{Layout: true, AttributeReorder: false, GHDPushdown: true}},
+		{"noghd", repro.Options{Layout: true, AttributeReorder: true, GHDPushdown: false}},
 	}
 	for _, qn := range []int{1, 2, 4, 7, 8, 14} {
 		q := repro.MustParse(repro.LUBMQuery(qn, benchScale))
@@ -136,23 +135,6 @@ func BenchmarkAblationGHD(b *testing.B) {
 		pushdown bool
 	}{{"chain", true}, {"star", false}} {
 		e := repro.NewEmptyHeaded(d, repro.Options{Layout: true, AttributeReorder: true, GHDPushdown: cfg.pushdown})
-		b.Run(cfg.name, func(b *testing.B) { run(b, e, q) })
-	}
-}
-
-// BenchmarkAblationPipelining isolates §III-C on Q8 with GHD pushdown
-// disabled, which is the configuration where the root-child pair
-// materializes a large intermediate unless pipelined (the fully optimized
-// plan subsumes this effect: compare the rows of `go run ./cmd/benchtables
-// -table 1`, README "Benchmarks").
-func BenchmarkAblationPipelining(b *testing.B) {
-	d := dataset(b)
-	q := repro.MustParse(repro.LUBMQuery(8, benchScale))
-	for _, cfg := range []struct {
-		name     string
-		pipeline bool
-	}{{"pipelined", true}, {"materialized", false}} {
-		e := repro.NewEmptyHeaded(d, repro.Options{Layout: true, AttributeReorder: true, Pipelining: cfg.pipeline})
 		b.Run(cfg.name, func(b *testing.B) { run(b, e, q) })
 	}
 }

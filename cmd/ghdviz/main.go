@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/lubm"
@@ -21,6 +22,9 @@ func main() {
 	scale := flag.Int("scale", 1, "LUBM scale used for statistics")
 	compare := flag.Bool("compare", false, "show the plan with and without the +GHD/+Attribute optimizations")
 	flag.Parse()
+	if !slices.Contains(lubm.QueryNumbers, *qn) {
+		log.Fatalf("ghdviz: no LUBM query %d (valid numbers: %v)", *qn, lubm.QueryNumbers)
+	}
 
 	b := store.NewBuilder()
 	lubm.GenerateTo(lubm.Config{Universities: *scale}, b.Add)

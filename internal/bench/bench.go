@@ -121,7 +121,6 @@ type TableIRow struct {
 	Layout     float64
 	Attribute  float64
 	GHD        float64
-	Pipelining float64
 	BaseMillis float64 // fully optimized runtime
 	Rows       int
 }
@@ -145,10 +144,9 @@ func TableI(st *store.Store, cfg Config) ([]TableIRow, error) {
 			out  *float64
 			opts core.Options
 		}{
-			{&row.Layout, core.Options{Layout: false, AttributeReorder: true, GHDPushdown: true, Pipelining: true}},
-			{&row.Attribute, core.Options{Layout: true, AttributeReorder: false, GHDPushdown: true, Pipelining: true}},
-			{&row.GHD, core.Options{Layout: true, AttributeReorder: true, GHDPushdown: false, Pipelining: true}},
-			{&row.Pipelining, core.Options{Layout: true, AttributeReorder: true, GHDPushdown: true, Pipelining: false}},
+			{&row.Layout, core.Options{Layout: false, AttributeReorder: true, GHDPushdown: true}},
+			{&row.Attribute, core.Options{Layout: true, AttributeReorder: false, GHDPushdown: true}},
+			{&row.GHD, core.Options{Layout: true, AttributeReorder: true, GHDPushdown: false}},
 		}
 		for _, ab := range ablations {
 			t, _, err := Measure(cfg.Reps, core.New(st, ab.opts), q)
@@ -165,11 +163,11 @@ func TableI(st *store.Store, cfg Config) ([]TableIRow, error) {
 // FormatTableI renders rows in the paper's Table I layout.
 func FormatTableI(rows []TableIRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %10s %11s %8s %12s %12s %8s\n",
-		"Query", "+Layout", "+Attribute", "+GHD", "+Pipelining", "base(ms)", "rows")
+	fmt.Fprintf(&b, "%-6s %10s %11s %8s %12s %8s\n",
+		"Query", "+Layout", "+Attribute", "+GHD", "base(ms)", "rows")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %9.2fx %10.2fx %7.2fx %11.2fx %12.3f %8d\n",
-			r.Query, r.Layout, r.Attribute, r.GHD, r.Pipelining, r.BaseMillis, r.Rows)
+		fmt.Fprintf(&b, "%-6d %9.2fx %10.2fx %7.2fx %12.3f %8d\n",
+			r.Query, r.Layout, r.Attribute, r.GHD, r.BaseMillis, r.Rows)
 	}
 	return b.String()
 }

@@ -58,12 +58,12 @@ func TestTableISmoke(t *testing.T) {
 		if r.BaseMillis <= 0 {
 			t.Errorf("query %d base time %v", r.Query, r.BaseMillis)
 		}
-		if r.Layout <= 0 || r.Attribute <= 0 || r.GHD <= 0 || r.Pipelining <= 0 {
+		if r.Layout <= 0 || r.Attribute <= 0 || r.GHD <= 0 {
 			t.Errorf("query %d has non-positive speedup: %+v", r.Query, r)
 		}
 	}
 	out := FormatTableI(rows)
-	if !strings.Contains(out, "+Layout") || !strings.Contains(out, "+Pipelining") {
+	if !strings.Contains(out, "+Layout") || !strings.Contains(out, "+GHD") {
 		t.Errorf("FormatTableI output missing headers:\n%s", out)
 	}
 }

@@ -1,9 +1,10 @@
 // Package core implements the EmptyHeaded-style engine that is the paper's
 // primary subject: trie storage over dictionary-encoded vertically
 // partitioned relations, the generic worst-case optimal join, GHD query
-// plans, and the three classic optimizations of §III (index layouts,
-// selection pushdown within and across GHD nodes, and pipelining), each
-// independently toggleable so the Table I ablations can be reproduced.
+// plans, and the classic optimizations of §III (index layouts, and
+// selection pushdown within and across GHD nodes), each independently
+// toggleable so the Table I ablations can be reproduced. §III-C's
+// pipelining is not among them: package plan says why.
 package core
 
 import (
@@ -26,8 +27,6 @@ type Options struct {
 	AttributeReorder bool
 	// GHDPushdown pushes selections down across GHD nodes (§III-B2).
 	GHDPushdown bool
-	// Pipelining streams pipelineable root-child pairs (§III-C).
-	Pipelining bool
 	// Workers parallelizes the final enumeration over goroutines (the
 	// paper's testbed ran 48 cores). Values <= 1 keep execution
 	// sequential, which is the deterministic default used in benchmarks.
@@ -40,7 +39,6 @@ var AllOptimizations = Options{
 	Layout:           true,
 	AttributeReorder: true,
 	GHDPushdown:      true,
-	Pipelining:       true,
 }
 
 // NoOptimizations is the fully un-optimized worst-case optimal baseline.
@@ -94,7 +92,6 @@ func (e *Engine) Plan(q *query.BGP) (*plan.Plan, error) {
 		Layout:           e.Policy(),
 		AttributeReorder: e.opts.AttributeReorder,
 		GHDPushdown:      e.opts.GHDPushdown,
-		Pipelining:       e.opts.Pipelining,
 	})
 }
 

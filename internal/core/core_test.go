@@ -62,12 +62,11 @@ func TestAllTogglesProduceSameResults(t *testing.T) {
 	st := lubmStore(t)
 	q := query.MustParseSPARQL(lubm.Query(4, 1))
 	var want string
-	for mask := 0; mask < 16; mask++ {
+	for mask := 0; mask < 8; mask++ {
 		opts := core.Options{
 			Layout:           mask&1 != 0,
 			AttributeReorder: mask&2 != 0,
 			GHDPushdown:      mask&4 != 0,
-			Pipelining:       mask&8 != 0,
 		}
 		got, err := engine.Execute(core.New(st, opts), q)
 		if err != nil {

@@ -6,12 +6,12 @@
 // single flat node (no GHD factorization), with the natural attribute order
 // (selections are probed at their pattern positions rather than hoisted
 // first) and unsigned-integer-array set layouts only. Those are exactly the
-// deltas Table I/II attribute to LogicBlox versus EmptyHeaded.
+// deltas Table I/II attribute to LogicBlox versus EmptyHeaded. Its plans
+// come from the same compiler as EmptyHeaded's: plan.CompileFlat is
+// plan.Compile over a one-node decomposition.
 package logicblox
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/engine"
@@ -71,110 +71,9 @@ func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, er
 	})
 }
 
-// Plan builds the flat single-node plan directly (bypassing the GHD
-// optimizer on purpose).
+// Plan compiles q to the flat single-node plan (plan.CompileFlat).
 func (e *Engine) Plan(q *query.BGP) (*plan.Plan, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	d := e.st.Dict()
-
-	type patAttrs struct {
-		attrs      []plan.Attr
-		useTriples bool
-		pred       uint32
-	}
-	var pats []patAttrs
-	var order []string // global attribute order: first appearance
-	seen := map[string]bool{}
-	appendAttr := func(a plan.Attr) {
-		if !seen[a.Name] {
-			seen[a.Name] = true
-			order = append(order, a.Name)
-		}
-	}
-
-	for i, pat := range q.Patterns {
-		var pa patAttrs
-		mk := func(n query.Node, pos int) (plan.Attr, bool) {
-			if n.IsVar {
-				return plan.Attr{Name: n.Var, Pos: pos}, true
-			}
-			id, ok := d.Lookup(n.Term)
-			if !ok {
-				return plan.Attr{}, false
-			}
-			return plan.Attr{Name: fmt.Sprintf("$%d.%d", i, pos), IsSel: true, Value: id, Pos: pos}, true
-		}
-		if pat.P.IsVar {
-			pa.useTriples = true
-			for pos, n := range []query.Node{pat.S, pat.P, pat.O} {
-				a, ok := mk(n, pos)
-				if !ok {
-					return &plan.Plan{Empty: true, Select: q.Select, Distinct: q.Distinct}, nil
-				}
-				pa.attrs = append(pa.attrs, a)
-				appendAttr(a)
-			}
-		} else {
-			pid, ok := d.Lookup(pat.P.Term)
-			if !ok || e.st.Relation(pid) == nil {
-				return &plan.Plan{Empty: true, Select: q.Select, Distinct: q.Distinct}, nil
-			}
-			pa.pred = pid
-			for _, pn := range []struct {
-				n   query.Node
-				pos int
-			}{{pat.S, 0}, {pat.O, 2}} {
-				a, ok := mk(pn.n, pn.pos)
-				if !ok {
-					return &plan.Plan{Empty: true, Select: q.Select, Distinct: q.Distinct}, nil
-				}
-				pa.attrs = append(pa.attrs, a)
-				appendAttr(a)
-			}
-		}
-		pats = append(pats, pa)
-	}
-
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	node := &plan.Node{}
-	attrSeen := map[string]bool{}
-	var nodeAttrs []plan.Attr
-	for _, pa := range pats {
-		for _, a := range pa.attrs {
-			if !attrSeen[a.Name] {
-				attrSeen[a.Name] = true
-				nodeAttrs = append(nodeAttrs, a)
-			}
-		}
-	}
-	sort.Slice(nodeAttrs, func(i, j int) bool { return pos[nodeAttrs[i].Name] < pos[nodeAttrs[j].Name] })
-	node.Attrs = nodeAttrs
-	for _, a := range nodeAttrs {
-		if !a.IsSel {
-			node.Vars = append(node.Vars, a.Name)
-		}
-	}
-	for i, pa := range pats {
-		levels := append([]plan.Attr(nil), pa.attrs...)
-		sort.SliceStable(levels, func(a, b int) bool { return pos[levels[a].Name] < pos[levels[b].Name] })
-		node.Rels = append(node.Rels, plan.RelRef{
-			PatternIdx: i,
-			UseTriples: pa.useTriples,
-			Pred:       pa.pred,
-			Levels:     levels,
-		})
-	}
-	return &plan.Plan{
-		Root:        node,
-		GlobalOrder: order,
-		Select:      q.Select,
-		Distinct:    q.Distinct,
-	}, nil
+	return plan.CompileFlat(q, e.st)
 }
 
 var _ engine.Engine = (*Engine)(nil)

@@ -53,7 +53,6 @@ func newAuto(st *store.Store) *autoEngine {
 			plan.ClassScanEnumerate: core.New(st, core.Options{
 				AttributeReorder: true,
 				GHDPushdown:      true,
-				Pipelining:       true,
 			}),
 		},
 		routes: map[*query.BGP]plan.EngineClass{},

@@ -6,8 +6,7 @@
 // generic join inside every node and materializing each non-root node's
 // result as a trie that its parent joins like any other relation; then a
 // final enumeration pass joins the root's relations with all materialized
-// node results (and with the raw relations of a pipelined child, §III-C) to
-// produce output tuples.
+// node results to produce output tuples.
 //
 // Each generic join (join.go) binds one attribute at a time. Which inputs
 // take part at each attribute is resolved once per join, with trie levels
@@ -233,25 +232,15 @@ func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, ou
 // node failed to match: the result is empty and nothing is returned.
 func (e *executor) prepare(p *plan.Plan) ([]*input, []plan.Attr, error) {
 	// The root is streamed (its generic join feeds the output enumeration
-	// directly) when no top-down pass is necessary — single-node plans,
+	// directly) when no top-down pass is necessary: single-node plans, and
 	// plans whose root bag covers every query variable (children act as
 	// pure semijoin filters; §II-C: "if necessary, we traverse the GHD
-	// top-down") — and when a pipelined child exists (§III-C). Otherwise
-	// the root's result is materialized like any other node, which is the
-	// paper's default two-phase execution.
-	hasPipelined := false
-	for _, child := range p.Root.Children {
-		if child.Pipelined {
-			hasPipelined = true
-		}
-	}
-	streamRoot := len(p.Root.Children) == 0 || hasPipelined || p.RootCoversAllVars()
+	// top-down"). Otherwise the root's result is materialized like any
+	// other node, which is the paper's default two-phase execution.
+	streamRoot := len(p.Root.Children) == 0 || p.RootCoversAllVars()
 
-	// Bottom-up pass: materialize every non-pipelined node.
+	// Bottom-up pass: materialize every non-root node.
 	for _, child := range p.Root.Children {
-		if child.Pipelined {
-			continue
-		}
 		if _, err := e.materialize(child); err != nil {
 			return nil, nil, err
 		}
@@ -269,8 +258,7 @@ func (e *executor) prepare(p *plan.Plan) ([]*input, []plan.Attr, error) {
 	}
 
 	// Final pass: join the root (its raw relations when streaming, its
-	// materialized result otherwise) with every materialized node result
-	// and the pipelined child's raw relations.
+	// materialized result otherwise) with every materialized node result.
 	return e.finalInputs(p, streamRoot)
 }
 
@@ -453,10 +441,9 @@ func (e *executor) relTrie(ref plan.RelRef) (*trie.Trie, error) {
 }
 
 // finalInputs assembles the final enumeration join: the root (raw
-// relations when streaming, materialized result otherwise), all
-// materialized node results, and pipelined children's raw relations. The
-// returned attribute order is the plan's global order restricted to the
-// participating attributes.
+// relations when streaming, materialized result otherwise) and all
+// materialized node results. The returned attribute order is the plan's
+// global order restricted to the participating attributes.
 func (e *executor) finalInputs(p *plan.Plan, streamRoot bool) ([]*input, []plan.Attr, error) {
 	var inputs []*input
 	attrByName := map[string]plan.Attr{}
@@ -485,26 +472,15 @@ func (e *executor) finalInputs(p *plan.Plan, streamRoot bool) ([]*input, []plan.
 	var walk func(n *plan.Node) error
 	walk = func(n *plan.Node) error {
 		for _, child := range n.Children {
-			if child.Pipelined {
-				childInputs, err := e.nodeInputs(child)
-				if err != nil {
-					return err
-				}
-				inputs = append(inputs, childInputs...)
-				for _, a := range child.Attrs {
-					attrByName[a.Name] = a
-				}
-			} else {
-				t, ok := e.results[child]
-				if !ok {
-					return fmt.Errorf("exec: child result missing (bottom-up pass skipped?)")
-				}
-				if t != nil { // nil = neutral zero-variable node
-					inputs = append(inputs, newInput(t, varAttrs(child.Vars)))
-					for _, v := range child.Vars {
-						if _, ok := attrByName[v]; !ok {
-							attrByName[v] = plan.Attr{Name: v}
-						}
+			t, ok := e.results[child]
+			if !ok {
+				return fmt.Errorf("exec: child result missing (bottom-up pass skipped?)")
+			}
+			if t != nil { // nil = neutral zero-variable node
+				inputs = append(inputs, newInput(t, varAttrs(child.Vars)))
+				for _, v := range child.Vars {
+					if _, ok := attrByName[v]; !ok {
+						attrByName[v] = plan.Attr{Name: v}
 					}
 				}
 			}

@@ -14,15 +14,14 @@ import (
 	"repro/internal/store"
 )
 
-// allOptionCombos enumerates all 16 optimization configurations.
+// allOptionCombos enumerates all 8 optimization configurations.
 func allOptionCombos() []core.Options {
 	var out []core.Options
-	for mask := 0; mask < 16; mask++ {
+	for mask := 0; mask < 8; mask++ {
 		out = append(out, core.Options{
 			Layout:           mask&1 != 0,
 			AttributeReorder: mask&2 != 0,
 			GHDPushdown:      mask&4 != 0,
-			Pipelining:       mask&8 != 0,
 		})
 	}
 	return out
@@ -184,7 +183,7 @@ func TestLUBMAllQueriesMatchNaive(t *testing.T) {
 			t.Fatalf("Q%d naive: %v", n, err)
 		}
 		// Check the two extreme configurations (all opts, no opts) plus
-		// one mixed one; the full 16-combo sweep runs on smaller data.
+		// one mixed one; the full 8-combo sweep runs on smaller data.
 		for _, opts := range []core.Options{
 			core.AllOptimizations,
 			core.NoOptimizations,

@@ -144,26 +144,6 @@ func Choose(edges []hypergraph.Edge, selVerts map[string]bool, opts Options) (*G
 	return best, nil
 }
 
-// Enumerate returns every candidate decomposition (deduplicated, capped),
-// scored. Exposed for tests and the ghdviz tool.
-func Enumerate(edges []hypergraph.Edge, selVerts map[string]bool, opts Options) ([]*GHD, error) {
-	cands, err := enumerate(edges, opts)
-	if err != nil {
-		return nil, err
-	}
-	sc := newScorer(edges, selVerts)
-	out := make([]*GHD, 0, len(cands))
-	for _, root := range cands {
-		g, err := sc.score(root)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j], opts.PushdownAcrossNodes) })
-	return out, nil
-}
-
 const widthEps = 1e-6
 
 // less orders candidates best-first under the paper's objectives.
@@ -537,7 +517,7 @@ func intersectVars(vs []string, set map[string]bool) []string {
 	return out
 }
 
-// --- validity & pipelining --------------------------------------------------
+// --- validity ---------------------------------------------------------------
 
 // Validate checks the four GHD properties of Definition 1 plus the
 // edge-partition invariant our construction maintains (every input edge
@@ -616,32 +596,4 @@ func Validate(g *GHD, edges []hypergraph.Edge) error {
 		}
 	})
 	return badBag
-}
-
-// Pipelineable reports whether parent and child satisfy Definition 2 of the
-// paper: χ(t0) ∩ χ(t1) must be a prefix of the trie (attribute) orders of
-// both nodes. The attribute orders are supplied by the planner (global
-// attribute order restricted to each bag, selections excluded — result
-// tries only carry variables).
-func Pipelineable(parentOrder, childOrder []string) bool {
-	shared := map[string]bool{}
-	inChild := toSet(childOrder)
-	for _, v := range parentOrder {
-		if inChild[v] {
-			shared[v] = true
-		}
-	}
-	if len(shared) == 0 {
-		return false
-	}
-	// The shared set must be a prefix of both orders.
-	for i, order := range [][]string{parentOrder, childOrder} {
-		_ = i
-		for j := 0; j < len(shared); j++ {
-			if j >= len(order) || !shared[order[j]] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -168,14 +168,19 @@ func TestEveryEnumeratedGHDIsValid(t *testing.T) {
 		"q4": q4Edges,
 	} {
 		edges, sel := mk()
-		all, err := Enumerate(edges, sel, Options{MaxCandidates: 500})
+		cands, err := enumerate(edges, Options{MaxCandidates: 500})
 		if err != nil {
-			t.Fatalf("%s: Enumerate: %v", name, err)
+			t.Fatalf("%s: enumerate: %v", name, err)
 		}
-		if len(all) < 2 {
-			t.Fatalf("%s: expected multiple candidates, got %d", name, len(all))
+		if len(cands) < 2 {
+			t.Fatalf("%s: expected multiple candidates, got %d", name, len(cands))
 		}
-		for i, g := range all {
+		sc := newScorer(edges, sel)
+		for i, root := range cands {
+			g, err := sc.score(root)
+			if err != nil {
+				t.Fatalf("%s candidate %d: score: %v", name, i, err)
+			}
 			if err := Validate(g, edges); err != nil {
 				t.Errorf("%s candidate %d invalid: %v\n%s", name, i, err, g)
 			}
@@ -267,26 +272,6 @@ func TestTriangleOnlyGHD(t *testing.T) {
 	// relations with width 1.5.
 	if g.NumNodes != 1 || math.Abs(g.Width-1.5) > 1e-6 {
 		t.Errorf("triangle GHD = %s", g)
-	}
-}
-
-func TestPipelineable(t *testing.T) {
-	cases := []struct {
-		parent, child []string
-		want          bool
-	}{
-		{[]string{"x", "y"}, []string{"x", "z"}, true},  // Q8 example from Def. 2
-		{[]string{"x", "y"}, []string{"z", "x"}, false}, // shared var not a child prefix
-		{[]string{"y", "x"}, []string{"x", "z"}, false}, // shared var not a parent prefix
-		{[]string{"x", "y"}, []string{"x", "y"}, true},  // identical orders
-		{[]string{"x"}, []string{"x"}, true},            // trivial shared prefix
-		{[]string{"x", "y"}, []string{"z", "w"}, false}, // disjoint
-		{[]string{"x", "y", "z"}, []string{"x", "y", "w"}, true},
-	}
-	for _, c := range cases {
-		if got := Pipelineable(c.parent, c.child); got != c.want {
-			t.Errorf("Pipelineable(%v, %v) = %v, want %v", c.parent, c.child, got, c.want)
-		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package hypergraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -67,7 +68,7 @@ func (h *Hypergraph) Vertices() []string {
 			}
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -184,11 +185,11 @@ func Connected(edges []int, all []Edge, separator map[string]bool) [][]int {
 	for r := range comps {
 		roots = append(roots, r)
 	}
-	sort.Slice(roots, func(i, j int) bool { return comps[roots[i]][0] < comps[roots[j]][0] })
+	slices.SortFunc(roots, func(a, b int) int { return cmp.Compare(comps[a][0], comps[b][0]) })
 	out := make([][]int, 0, len(roots))
 	for _, r := range roots {
 		c := comps[r]
-		sort.Ints(c)
+		slices.Sort(c)
 		out = append(out, c)
 	}
 	return out

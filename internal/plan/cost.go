@@ -1,8 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/query"
 	"repro/internal/set"
@@ -28,7 +29,7 @@ type EngineClass int
 
 const (
 	// ClassHybridGHD is the fully optimized EmptyHeaded configuration: GHD
-	// factorization, selection pushdown, pipelining, adaptive set layouts.
+	// factorization, selection pushdown, adaptive set layouts.
 	ClassHybridGHD EngineClass = iota
 	// ClassPureWCOJ is a single-node worst-case optimal leapfrog join with
 	// array layouts (the LogicBlox-style plan) — no intermediate
@@ -197,7 +198,7 @@ func ProfileQuery(q *query.BGP, st *store.Store) (Profile, error) {
 
 	// Output estimate: fold patterns in ascending size order; each shared
 	// variable divides by its largest distinct count.
-	sort.Slice(pats, func(i, j int) bool { return pats[i].size < pats[j].size })
+	slices.SortFunc(pats, func(a, b pat) int { return cmp.Compare(a.size, b.size) })
 	rows := 1.0
 	bound := map[string]bool{}
 	for _, pt := range pats {

@@ -2,9 +2,15 @@
 // worst-case optimal executor (internal/exec): it builds the query
 // hypergraph (selection positions become synthetic selection vertices),
 // selects a GHD via internal/ghd, derives the global attribute order (BFS
-// over the GHD with the §III-B1 selection-first heuristic when enabled),
-// chooses trie level orders for every relation, and marks pipelineable
-// root-child pairs (§III-C).
+// over the GHD with the §III-B1 selection-first heuristic when enabled) and
+// chooses trie level orders for every relation. CompileFlat runs the same
+// steps over one node holding every pattern, in natural attribute order:
+// the LogicBlox model's flat plan.
+//
+// The paper's §III-C pipelining, which streams one root child instead of
+// materializing it, is not implemented: no LUBM plan that auto serves
+// qualifies. Where a plan did qualify it went both ways: the barbell
+// drained slower streamed, LUBM q4 under the -GHD ablation faster.
 //
 // Beyond the paper, it also finds the BGP's automorphism group (sym.go):
 // the permutations of its variables that map its set of triple patterns
@@ -17,9 +23,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/dict"
 	"repro/internal/ghd"
@@ -29,8 +35,8 @@ import (
 	"repro/internal/store"
 )
 
-// Options toggles the paper's three classic optimizations plus the set
-// layout policy. The zero value is the fully un-optimized configuration.
+// Options toggles the paper's selection pushdowns plus the set layout
+// policy. The zero value is the fully un-optimized configuration.
 type Options struct {
 	// Layout selects set layouts (PolicyAuto = the paper's optimizer,
 	// PolicyUintOnly = the "-Layout" ablation).
@@ -43,9 +49,6 @@ type Options struct {
 	// GHDPushdown enables pushing selections down across GHD nodes
 	// (§III-B2).
 	GHDPushdown bool
-	// Pipelining enables streaming a pipelineable root-child pair instead
-	// of materializing the child (§III-C, Definition 2).
-	Pipelining bool
 }
 
 // AllOptimizations is the fully optimized EmptyHeaded configuration.
@@ -53,7 +56,6 @@ var AllOptimizations = Options{
 	Layout:           set.PolicyAuto,
 	AttributeReorder: true,
 	GHDPushdown:      true,
-	Pipelining:       true,
 }
 
 // Key renders the options into a short canonical string, used as part of
@@ -66,7 +68,7 @@ func (o Options) Key() string {
 		}
 		return '0'
 	}
-	return string([]byte{'L', byte('0' + int(o.Layout)), 'A', mark(o.AttributeReorder), 'G', mark(o.GHDPushdown), 'P', mark(o.Pipelining)})
+	return string([]byte{'L', byte('0' + int(o.Layout)), 'A', mark(o.AttributeReorder), 'G', mark(o.GHDPushdown)})
 }
 
 // Attr is one attribute processed by the executor: either a query variable
@@ -113,9 +115,6 @@ type Node struct {
 	// Interface lists the variables shared with the parent, in global
 	// order (a prefix of Vars by construction).
 	Interface []string
-	// Pipelined marks a root child that is streamed rather than
-	// materialized (§III-C).
-	Pipelined bool
 }
 
 // Plan is a compiled query.
@@ -226,7 +225,42 @@ func Compile(q *query.BGP, st *store.Store, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	c := &compiler{q: q, st: st, opts: opts}
-	return c.compile()
+	if !c.resolve() {
+		return &Plan{Empty: true, Select: q.Select, Distinct: q.Distinct}, nil
+	}
+	decomp, err := ghd.Choose(c.edges, c.selVerts, ghd.Options{PushdownAcrossNodes: opts.GHDPushdown})
+	if err != nil {
+		return nil, err
+	}
+	p, err := c.build(decomp.Root)
+	if err != nil {
+		return nil, err
+	}
+	p.Decomposition = decomp
+	p.Sym = p.symmetry(q)
+	return p, nil
+}
+
+// CompileFlat builds the LogicBlox model's plan for q over st (§I, §IV): a
+// single node joining every pattern, with attributes in order of first
+// appearance — selections probed at their pattern positions, not hoisted —
+// and neither a decomposition nor an automorphism group.
+func CompileFlat(q *query.BGP, st *store.Store) (*Plan, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	c := &compiler{q: q, st: st}
+	if !c.resolve() {
+		return &Plan{Empty: true, Select: q.Select, Distinct: q.Distinct}, nil
+	}
+	root := &ghd.Node{}
+	for i, e := range c.edges {
+		root.Edges = append(root.Edges, i)
+		root.Bag = append(root.Bag, e.Vertices...)
+	}
+	slices.Sort(root.Bag)
+	root.Bag = slices.Compact(root.Bag)
+	return c.build(root)
 }
 
 type patternInfo struct {
@@ -247,15 +281,15 @@ type compiler struct {
 	selVerts map[string]bool
 }
 
-func (c *compiler) compile() (*Plan, error) {
+// resolve compiles every pattern and adds its hypergraph edge. It reports
+// false when a constant is absent from the dictionary, which makes the
+// result empty.
+func (c *compiler) resolve() bool {
 	c.selVerts = map[string]bool{}
 	for i, pat := range c.q.Patterns {
-		info, empty, err := c.compilePattern(i, pat)
-		if err != nil {
-			return nil, err
-		}
-		if empty {
-			return &Plan{Empty: true, Select: c.q.Select, Distinct: c.q.Distinct}, nil
+		info, ok := c.compilePattern(i, pat)
+		if !ok {
+			return false
 		}
 		c.patterns = append(c.patterns, info)
 		var verts []string
@@ -272,37 +306,27 @@ func (c *compiler) compile() (*Plan, error) {
 			Size:     info.size,
 		})
 	}
+	return true
+}
 
-	decomp, err := ghd.Choose(c.edges, c.selVerts, ghd.Options{PushdownAcrossNodes: c.opts.GHDPushdown})
-	if err != nil {
-		return nil, err
-	}
-	order := c.globalOrder(decomp)
+// build derives the global attribute order over the decomposition rooted
+// at root and builds its physical nodes.
+func (c *compiler) build(root *ghd.Node) (*Plan, error) {
+	order := c.globalOrder(root)
 	orderPos := map[string]int{}
 	for i, a := range order {
 		orderPos[a] = i
 	}
-	root, err := c.buildNode(decomp.Root, orderPos, nil)
+	n, err := c.buildNode(root, orderPos, nil)
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{
-		Root:          root,
-		GlobalOrder:   order,
-		Select:        c.q.Select,
-		Distinct:      c.q.Distinct,
-		Decomposition: decomp,
-	}
-	if c.opts.Pipelining {
-		markPipelined(p.Root)
-	}
-	p.Sym = p.symmetry(c.q)
-	return p, nil
+	return &Plan{Root: n, GlobalOrder: order, Select: c.q.Select, Distinct: c.q.Distinct}, nil
 }
 
 // compilePattern resolves one triple pattern to a relation and attributes.
-// empty=true means a constant is absent from the dictionary.
-func (c *compiler) compilePattern(i int, pat query.Pattern) (patternInfo, bool, error) {
+// ok=false means a constant is absent from the dictionary.
+func (c *compiler) compilePattern(i int, pat query.Pattern) (patternInfo, bool) {
 	info := patternInfo{idx: i}
 	mkAttr := func(n query.Node, pos int) (Attr, bool) {
 		if n.IsVar {
@@ -322,35 +346,35 @@ func (c *compiler) compilePattern(i int, pat query.Pattern) (patternInfo, bool, 
 		for pos, n := range []query.Node{pat.S, pat.P, pat.O} {
 			a, ok := mkAttr(n, pos)
 			if !ok {
-				return info, true, nil
+				return info, false
 			}
 			info.attrs = append(info.attrs, a)
 		}
 		info.size = c.st.NumTriples()
-		return info, false, nil
+		return info, true
 	}
 
 	// Constant predicate: vertically partitioned relation over (S, O).
 	pid, ok := c.st.Dict().Lookup(pat.P.Term)
 	if !ok {
-		return info, true, nil
+		return info, false
 	}
 	rel := c.st.Relation(pid)
 	if rel == nil {
-		return info, true, nil
+		return info, false
 	}
 	info.pred = pid
 	sAttr, ok := mkAttr(pat.S, 0)
 	if !ok {
-		return info, true, nil
+		return info, false
 	}
 	oAttr, ok := mkAttr(pat.O, 2)
 	if !ok {
-		return info, true, nil
+		return info, false
 	}
 	info.attrs = []Attr{sAttr, oAttr}
 	info.size = estimateSize(rel, sAttr, oAttr)
-	return info, false, nil
+	return info, true
 }
 
 // estimateSize returns the relation cardinality after equality selections,
@@ -375,10 +399,10 @@ func estimateSize(rel *store.Relation, s, o Attr) int {
 // and, within each node, variables with small post-selection cardinalities
 // come before large ones ("forcing the attributes with selections or small
 // initial cardinalities to come first").
-func (c *compiler) globalOrder(d *ghd.GHD) []string {
+func (c *compiler) globalOrder(root *ghd.Node) []string {
 	var sels, vars []string
 	seen := map[string]bool{}
-	queue := []*ghd.Node{d.Root}
+	queue := []*ghd.Node{root}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -397,8 +421,8 @@ func (c *compiler) globalOrder(d *ghd.GHD) []string {
 			}
 		}
 		if c.opts.AttributeReorder {
-			sort.SliceStable(nodeVars, func(i, j int) bool {
-				return c.varCardinality(nodeVars[i]) < c.varCardinality(nodeVars[j])
+			slices.SortStableFunc(nodeVars, func(a, b string) int {
+				return cmp.Compare(c.varCardinality(a), c.varCardinality(b))
 			})
 		}
 		vars = append(vars, nodeVars...)
@@ -411,7 +435,7 @@ func (c *compiler) globalOrder(d *ghd.GHD) []string {
 	// each pattern's subject-predicate-object positions.
 	var nat []string
 	seen = map[string]bool{}
-	queue = []*ghd.Node{d.Root}
+	queue = []*ghd.Node{root}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -455,7 +479,7 @@ func (c *compiler) buildNode(g *ghd.Node, orderPos map[string]int, parentVars ma
 		}
 	}
 	names := append([]string(nil), g.Bag...)
-	sort.Slice(names, func(i, j int) bool { return orderPos[names[i]] < orderPos[names[j]] })
+	slices.SortFunc(names, func(a, b string) int { return cmp.Compare(orderPos[a], orderPos[b]) })
 	for _, name := range names {
 		a, ok := attrByName[name]
 		if !ok {
@@ -476,8 +500,8 @@ func (c *compiler) buildNode(g *ghd.Node, orderPos map[string]int, parentVars ma
 	for _, ei := range g.Edges {
 		info := c.patterns[ei]
 		levels := append([]Attr(nil), info.attrs...)
-		sort.SliceStable(levels, func(i, j int) bool {
-			return nodePos[levels[i].Name] < nodePos[levels[j].Name]
+		slices.SortStableFunc(levels, func(a, b Attr) int {
+			return cmp.Compare(nodePos[a.Name], nodePos[b.Name])
 		})
 		n.Rels = append(n.Rels, RelRef{
 			PatternIdx: info.idx,
@@ -515,37 +539,6 @@ func (c *compiler) buildNode(g *ghd.Node, orderPos map[string]int, parentVars ma
 		n.Children = append(n.Children, child)
 	}
 	return n, nil
-}
-
-// markPipelined applies Definition 2 restricted to the profitable case: a
-// leaf child of the root whose shared variables are a prefix of both
-// attribute orders and which carries at least one variable the root does
-// not (otherwise the child is a pure semijoin filter and materializing it
-// is what we want). At most one child is pipelined, as in the paper.
-func markPipelined(root *Node) {
-	rootVars := map[string]bool{}
-	for _, v := range root.Vars {
-		rootVars[v] = true
-	}
-	for _, child := range root.Children {
-		if len(child.Children) != 0 {
-			continue
-		}
-		extra := false
-		for _, v := range child.Vars {
-			if !rootVars[v] {
-				extra = true
-				break
-			}
-		}
-		if !extra {
-			continue
-		}
-		if ghd.Pipelineable(root.Vars, child.Vars) {
-			child.Pipelined = true
-			return
-		}
-	}
 }
 
 // Nodes returns all plan nodes in pre-order, for tests and tools.
@@ -601,9 +594,6 @@ func (p *Plan) String() string {
 		s += indent + "node vars=" + fmt.Sprint(n.Vars)
 		if len(n.Interface) > 0 {
 			s += " iface=" + fmt.Sprint(n.Interface)
-		}
-		if n.Pipelined {
-			s += " pipelined"
 		}
 		s += " rels="
 		for i, r := range n.Rels {

@@ -142,41 +142,6 @@ func TestRelationLevelsFollowNodeOrder(t *testing.T) {
 	}
 }
 
-func TestPipeliningMarksOnlyProfitableLeafChild(t *testing.T) {
-	// Q8-shaped query: root [x,y] with a big leaf child [x,z].
-	st := store.FromTriples([]rdf.Triple{
-		t3("s1", "member", "d1"), t3("s2", "member", "d1"),
-		t3("d1", "sub", "u1"),
-		t3("s1", "email", "e1"), t3("s2", "email", "e2"),
-	})
-	p := compile(t, st, `SELECT ?x ?y ?z WHERE {
-	  ?x <member> ?y . ?y <sub> <u1> . ?x <email> ?z .
-	}`, plan.Options{Layout: set.PolicyAuto, AttributeReorder: true, Pipelining: true})
-	pipelined := 0
-	for _, n := range p.Nodes() {
-		if n.Pipelined {
-			pipelined++
-			// A pipelined child must be a leaf with a variable the root
-			// does not have.
-			if len(n.Children) != 0 {
-				t.Errorf("pipelined node has children")
-			}
-		}
-	}
-	if pipelined > 1 {
-		t.Errorf("more than one pipelined child: %d", pipelined)
-	}
-	// Without the toggle, nothing is pipelined.
-	p = compile(t, st, `SELECT ?x ?y ?z WHERE {
-	  ?x <member> ?y . ?y <sub> <u1> . ?x <email> ?z .
-	}`, plan.Options{Layout: set.PolicyAuto, AttributeReorder: true})
-	for _, n := range p.Nodes() {
-		if n.Pipelined {
-			t.Errorf("pipelining marked with toggle off")
-		}
-	}
-}
-
 func TestPlanStringRendering(t *testing.T) {
 	st := lubmStore(t)
 	p := compile(t, st, lubm.Query(2, 1), plan.AllOptimizations)

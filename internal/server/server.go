@@ -505,7 +505,6 @@ func planKey(le *live.Engine) (key string, compiles bool) {
 			Layout:           ce.Policy(),
 			AttributeReorder: o.AttributeReorder,
 			GHDPushdown:      o.GHDPushdown,
-			Pipelining:       o.Pipelining,
 		}.Key()
 	}
 	return key, compiles
