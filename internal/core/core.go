@@ -5,11 +5,13 @@
 // selection pushdown within and across GHD nodes), each independently
 // toggleable so the Table I ablations can be reproduced. §III-C's
 // pipelining is not among them: package plan says why.
+//
+// The engine is its Options turned into plan.Options: Plan compiles, and
+// the compiled plan carries everything execution reads, the set layout
+// policy included, so OpenPlan is exec.Open.
 package core
 
 import (
-	"sync"
-
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -27,10 +29,6 @@ type Options struct {
 	AttributeReorder bool
 	// GHDPushdown pushes selections down across GHD nodes (§III-B2).
 	GHDPushdown bool
-	// Workers parallelizes the final enumeration over goroutines (the
-	// paper's testbed ran 48 cores). Values <= 1 keep execution
-	// sequential, which is the deterministic default used in benchmarks.
-	Workers int
 }
 
 // AllOptimizations is the fully optimized configuration benchmarked as
@@ -47,17 +45,15 @@ var NoOptimizations = Options{}
 // Engine is an EmptyHeaded-style worst-case optimal engine bound to a
 // dataset.
 type Engine struct {
-	st   *store.Store
-	opts Options
-	name string
-
-	mu    sync.Mutex
-	plans map[*query.BGP]*plan.Plan
+	st    *store.Store
+	opts  Options
+	name  string
+	plans plan.Memo
 }
 
 // New returns an engine over st with the given optimization configuration.
 func New(st *store.Store, opts Options) *Engine {
-	return &Engine{st: st, opts: opts, name: "emptyheaded", plans: map[*query.BGP]*plan.Plan{}}
+	return &Engine{st: st, opts: opts, name: "emptyheaded"}
 }
 
 // WithName overrides the engine's reported name (used when benchmarking
@@ -73,65 +69,41 @@ func (e *Engine) Name() string { return e.name }
 // Options returns the engine's optimization configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// Policy returns the set layout policy implied by the Layout toggle. With
-// layout optimization on, the engine now uses the statistics-driven adaptive
-// rule (measured 1-in-128 crossover with a minimum-cardinality floor) rather
-// than the paper's static 1-in-256 rule; the -layout ablation still degrades
-// to uint-only.
-func (e *Engine) Policy() set.Policy {
-	if e.opts.Layout {
-		return set.PolicyAdaptive
-	}
-	return set.PolicyUintOnly
-}
-
 // Plan compiles a query without executing it (used by the ghdviz tool and
-// the planner tests).
+// the planner tests). With the Layout toggle on, the plan's sets follow the
+// statistics-driven adaptive rule (measured 1-in-128 crossover with a
+// minimum-cardinality floor) rather than the paper's static 1-in-256 rule;
+// off, the -Layout ablation, every set is a uint array.
 func (e *Engine) Plan(q *query.BGP) (*plan.Plan, error) {
+	layout := set.PolicyUintOnly
+	if e.opts.Layout {
+		layout = set.PolicyAdaptive
+	}
 	return plan.Compile(q, e.st, plan.Options{
-		Layout:           e.Policy(),
+		Layout:           layout,
 		AttributeReorder: e.opts.AttributeReorder,
 		GHDPushdown:      e.opts.GHDPushdown,
 	})
 }
 
-// Open implements engine.Engine: compile to a GHD plan (cached per parsed
+// Open implements engine.Engine: compile to a GHD plan (memoized per parsed
 // query, mirroring the paper's exclusion of EmptyHeaded's compilation time
 // from measurements) and stream the bottom-up worst-case optimal pass plus
 // the final enumeration through a cursor.
 func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
-	e.mu.Lock()
-	p, ok := e.plans[q]
-	e.mu.Unlock()
-	if !ok {
-		var err error
-		p, err = e.Plan(q)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.plans[q] = p
-		e.mu.Unlock()
+	p, _, err := e.plans.Get(q, e.Plan)
+	if err != nil {
+		return nil, err
 	}
 	return e.OpenPlan(p, opts)
 }
 
 // OpenPlan streams a plan previously compiled with Plan (or pulled from an
 // external plan cache, as the query server does). The plan must have been
-// compiled over this engine's store with its options. opts.Workers > 0
-// overrides the engine's configured parallelism for this execution.
+// compiled over this engine's store. opts.Workers > 1 parallelizes the
+// final enumeration.
 func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
-	workers := e.opts.Workers
-	if opts.Workers > 0 {
-		workers = opts.Workers
-	}
-	return exec.Open(p, e.st, exec.Options{
-		Policy:  e.Policy(),
-		Workers: workers,
-		Ctx:     opts.Ctx,
-		MaxRows: opts.MaxRows,
-		Offset:  opts.Offset,
-	})
+	return exec.Open(p, e.st, opts)
 }
 
 var _ engine.Engine = (*Engine)(nil)

@@ -19,11 +19,18 @@ func lubmStore(t *testing.T) *store.Store {
 
 func TestPolicyFollowsLayoutToggle(t *testing.T) {
 	st := lubmStore(t)
-	if core.New(st, core.AllOptimizations).Policy() != set.PolicyAdaptive {
-		t.Errorf("Layout on should use PolicyAdaptive")
-	}
-	if core.New(st, core.NoOptimizations).Policy() != set.PolicyUintOnly {
-		t.Errorf("Layout off should use PolicyUintOnly")
+	q := query.MustParseSPARQL(lubm.Query(2, 1))
+	for _, tc := range []struct {
+		opts core.Options
+		want set.Policy
+	}{{core.AllOptimizations, set.PolicyAdaptive}, {core.NoOptimizations, set.PolicyUintOnly}} {
+		p, err := core.New(st, tc.opts).Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Policy != tc.want {
+			t.Errorf("Layout=%v: plan policy %d, want %d", tc.opts.Layout, p.Policy, tc.want)
+		}
 	}
 }
 

@@ -40,8 +40,8 @@ type ExecOpts struct {
 	// before MaxRows, after DISTINCT deduplication).
 	Offset int
 	// Workers requests intra-query parallelism (final-enumeration
-	// partitioning in the WCOJ engines). Values <= 1 mean the engine's
-	// default; engines without a parallel path ignore it.
+	// partitioning in the WCOJ engines). Values <= 1 mean sequential;
+	// engines without a parallel path ignore it.
 	Workers int
 }
 

@@ -12,48 +12,34 @@
 package logicblox
 
 import (
-	"sync"
-
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/set"
 	"repro/internal/store"
 )
 
 // Engine is the LogicBlox-like baseline.
 type Engine struct {
-	st *store.Store
-
-	mu    sync.Mutex
-	plans map[*query.BGP]*plan.Plan
+	st    *store.Store
+	plans plan.Memo
 }
 
 // New returns the engine over st.
 func New(st *store.Store) *Engine {
-	return &Engine{st: st, plans: map[*query.BGP]*plan.Plan{}}
+	return &Engine{st: st}
 }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "logicblox" }
 
 // Open compiles the query to a single-node plan (flat generic join over
-// every relation, attributes in order of first appearance) and streams it
-// with uint-array layouts. Plans are cached per parsed query.
+// every relation, attributes in order of first appearance, uint-array
+// layouts) and streams it. Plans are memoized per parsed query.
 func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
-	e.mu.Lock()
-	p, ok := e.plans[q]
-	e.mu.Unlock()
-	if !ok {
-		var err error
-		p, err = e.Plan(q)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.plans[q] = p
-		e.mu.Unlock()
+	p, _, err := e.plans.Get(q, e.Plan)
+	if err != nil {
+		return nil, err
 	}
 	return e.OpenPlan(p, opts)
 }
@@ -63,12 +49,8 @@ func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error)
 // store. The LogicBlox model has no parallel enumeration; opts.Workers is
 // ignored.
 func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
-	return exec.Open(p, e.st, exec.Options{
-		Policy:  set.PolicyUintOnly,
-		Ctx:     opts.Ctx,
-		MaxRows: opts.MaxRows,
-		Offset:  opts.Offset,
-	})
+	opts.Workers = 0
+	return exec.Open(p, e.st, opts)
 }
 
 // Plan compiles q to the flat single-node plan (plan.CompileFlat).

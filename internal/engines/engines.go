@@ -2,6 +2,11 @@
 // is the single place that knows how to build every benchmarked engine over
 // a store, shared by the root repro package, cmd/rdfq, and the query
 // server's per-request ?engine= selection.
+//
+// It also holds the cost-model router, auto (auto.go). Each of its three
+// engine classes is a way to compile a query; the compiled plan records
+// its class and its set layout policy, so auto runs every plan with
+// exec.Open and holds no engine per class.
 package engines
 
 import (

@@ -14,6 +14,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
+	"repro/internal/set"
 	"repro/internal/store"
 )
 
@@ -23,10 +24,10 @@ const goldenPath = "testdata/plans.golden"
 
 // TestPlansMatchGolden pins every plan a served or benchmarked engine
 // compiles for LUBM's 12 queries at scale 1 and for seven shapes over a
-// small knows graph: auto's chosen class and its plan, each of auto's three
-// class engines, the fully optimized core engine and Table I's ablations of
-// it, and core.NoOptimizations. A planner refactor that means to move no
-// plan must leave the rendering byte-identical; one that does move a plan
+// small knows graph: auto's chosen class, the plan of each of auto's three
+// classes, the fully optimized core engine and Table I's ablations of it,
+// and core.NoOptimizations. A planner refactor that means to move no plan
+// must leave the rendering byte-identical; one that does move a plan
 // rewrites the file with -update and shows the diff.
 func TestPlansMatchGolden(t *testing.T) {
 	var b strings.Builder
@@ -94,7 +95,7 @@ func renderPlans(t *testing.T, b *strings.Builder, name, text string, st *store.
 	}
 	fmt.Fprintf(b, "== %s / auto chooses %s\n", name, p.Class)
 	for _, cls := range plan.Classes() {
-		p, err := auto.planClass(q, cls)
+		p, err := compileClass(q, st, cls)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, cls, err)
 		}
@@ -126,9 +127,9 @@ func renderPlans(t *testing.T, b *strings.Builder, name, text string, st *store.
 }
 
 // renderPlan prints everything of p that execution reads: the order, the
-// projection, the kept group and, per node, its attributes (a selection
-// with its value and triple position), interface, relations with their
-// trie levels and children.
+// projection, the kept group, the set layout policy and, per node, its
+// attributes (a selection with its value and triple position), interface,
+// relations with their trie levels and children.
 func renderPlan(b *strings.Builder, p *plan.Plan) {
 	if p.Empty {
 		fmt.Fprintf(b, "empty select=%v distinct=%v\n", p.Select, p.Distinct)
@@ -138,7 +139,7 @@ func renderPlan(b *strings.Builder, p *plan.Plan) {
 	if p.Sym != nil {
 		sym = p.SymString()
 	}
-	fmt.Fprintf(b, "order=%v select=%v distinct=%v %s\n", p.GlobalOrder, p.Select, p.Distinct, sym)
+	fmt.Fprintf(b, "order=%v select=%v distinct=%v %s policy=%s\n", p.GlobalOrder, p.Select, p.Distinct, sym, policyNames[p.Policy])
 	var walk func(n *plan.Node, indent string)
 	walk = func(n *plan.Node, indent string) {
 		attrs := make([]string, len(n.Attrs))
@@ -170,6 +171,8 @@ func renderPlan(b *strings.Builder, p *plan.Plan) {
 	}
 	walk(p.Root, "  ")
 }
+
+var policyNames = map[set.Policy]string{set.PolicyAuto: "auto", set.PolicyUintOnly: "uint", set.PolicyAdaptive: "adaptive"}
 
 // goldenKnows builds a seeded random digraph over one predicate,
 // <http://bench/knows>, without self-loops or repeated edges.

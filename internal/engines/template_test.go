@@ -35,7 +35,6 @@ func TestBindEqualsCompile(t *testing.T) {
 		b.Add(tr)
 	})
 	st := b.Build()
-	auto := newAuto(st)
 
 	const prefixes = `PREFIX ub: <http://www.lehigh.edu/~zhp2/2004/0401/univ-bench.owl#> `
 	texts := map[string]string{
@@ -52,7 +51,7 @@ func TestBindEqualsCompile(t *testing.T) {
 	for name, text := range texts {
 		norm, _ := query.Normalize(query.MustParseSPARQL(text))
 		for _, cls := range plan.Classes() {
-			tmpl, err := auto.planClass(norm, cls)
+			tmpl, err := compileClass(norm, st, cls)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, cls, err)
 			}
@@ -64,12 +63,12 @@ func TestBindEqualsCompile(t *testing.T) {
 			}
 			check := func(label string, q *query.BGP) {
 				t.Helper()
-				want, err := auto.planClass(q, cls)
+				want, err := compileClass(q, st, cls)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				got := plan.Bind(tmpl, q, st.Dict())
-				if got.Empty != want.Empty || got.Distinct != want.Distinct || got.Class != want.Class ||
+				if got.Empty != want.Empty || got.Distinct != want.Distinct || got.Class != want.Class || got.Policy != want.Policy ||
 					!reflect.DeepEqual(got.Select, want.Select) ||
 					!reflect.DeepEqual(got.GlobalOrder, want.GlobalOrder) ||
 					!reflect.DeepEqual(got.Root, want.Root) ||

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
@@ -31,7 +32,8 @@ func wideLastLevelSetup(t *testing.T, sources, sinks int) (*plan.Plan, *store.St
 }
 
 // triangleSetup builds the digraph over n vertices with the edges i → j
-// for which edge(i, j) holds, and compiles the triangle query over it.
+// for which edge(i, j) holds, and compiles the triangle query over it with
+// the paper's layout rule.
 func triangleSetup(t *testing.T, n int, edge func(i, j int) bool) (*plan.Plan, *store.Store) {
 	t.Helper()
 	b := store.NewBuilder()
@@ -49,7 +51,9 @@ func triangleSetup(t *testing.T, n int, edge func(i, j int) bool) (*plan.Plan, *
 	}
 	st := b.Build()
 	q := query.MustParseSPARQL(`SELECT ?x ?y ?z WHERE { ?x <http://ex/p> ?y . ?y <http://ex/p> ?z . ?x <http://ex/p> ?z }`)
-	pl, err := plan.Compile(q, st, plan.AllOptimizations)
+	opts := plan.AllOptimizations
+	opts.Layout = set.PolicyAuto
+	pl, err := plan.Compile(q, st, opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -60,7 +64,7 @@ func TestRunCancelledContext(t *testing.T) {
 	pl, st := denseTriangleSetup(t, 20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunOpts(pl, st, Options{Policy: set.PolicyAuto, Ctx: ctx})
+	_, err := RunOpts(pl, st, engine.ExecOpts{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -87,7 +91,7 @@ func TestRunCancelMidJoin(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
-				_, err := RunOpts(tc.pl, tc.st, Options{Policy: tc.policy, Ctx: ctx})
+				_, err := RunOpts(WithPolicy(tc.pl, tc.policy), tc.st, engine.ExecOpts{Ctx: ctx})
 				done <- err
 			}()
 			time.Sleep(20 * time.Millisecond)
@@ -141,7 +145,7 @@ func TestRunDeadlineParallel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := RunOpts(pl, st, Options{Policy: set.PolicyAuto, Workers: 4, Ctx: ctx})
+	_, err := RunOpts(pl, st, engine.ExecOpts{Workers: 4, Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -154,7 +158,7 @@ func TestRunDeadlineParallel(t *testing.T) {
 // caller) still runs to completion.
 func TestRunNilContextUnchanged(t *testing.T) {
 	pl, st := denseTriangleSetup(t, 8)
-	res, err := RunOpts(pl, st, Options{Policy: set.PolicyAuto})
+	res, err := RunOpts(pl, st, engine.ExecOpts{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -183,7 +187,7 @@ func TestRunMaxRows(t *testing.T) {
 		for _, policy := range []set.Policy{set.PolicyAuto, set.PolicyUintOnly} {
 			run := func(maxRows int) *Result {
 				t.Helper()
-				res, err := RunOpts(tc.pl, tc.st, Options{Policy: policy, MaxRows: maxRows})
+				res, err := RunOpts(WithPolicy(tc.pl, policy), tc.st, engine.ExecOpts{MaxRows: maxRows})
 				if err != nil {
 					t.Fatalf("%s policy %d: run: %v", tc.name, policy, err)
 				}
@@ -214,7 +218,7 @@ func TestRunMaxRows(t *testing.T) {
 
 func TestRunMaxRowsParallel(t *testing.T) {
 	pl, st := denseTriangleSetup(t, 12)
-	res, err := RunOpts(pl, st, Options{Policy: set.PolicyAuto, Workers: 4, MaxRows: 100})
+	res, err := RunOpts(pl, st, engine.ExecOpts{Workers: 4, MaxRows: 100})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -5,11 +5,11 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/lubm"
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/set"
 	"repro/internal/store"
 )
 
@@ -33,7 +33,7 @@ func BenchmarkCursorDrain(b *testing.B) {
 	p, st := benchPlan(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur, err := exec.Open(p, st, exec.Options{})
+		cur, err := exec.Open(p, st, engine.ExecOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkCursorFirstRow(b *testing.B) {
 	p, st := benchPlan(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur, err := exec.Open(p, st, exec.Options{})
+		cur, err := exec.Open(p, st, engine.ExecOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkCursorMaxRows(b *testing.B) {
 	for _, cap := range []int{1, 100} {
 		b.Run(fmt.Sprintf("max=%d", cap), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := exec.RunOpts(p, st, exec.Options{MaxRows: cap})
+				res, err := exec.RunOpts(p, st, engine.ExecOpts{MaxRows: cap})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -111,12 +111,12 @@ func BenchmarkLeapfrogJoin(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Warm the lazy tries so the benchmark isolates the join.
-		if _, err := exec.Run(p, st, set.PolicyAuto); err != nil {
+		if _, err := exec.RunOpts(p, st, engine.ExecOpts{}); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cur, err := exec.Open(p, st, exec.Options{})
+				cur, err := exec.Open(p, st, engine.ExecOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}

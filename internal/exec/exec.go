@@ -42,8 +42,13 @@
 // (the query server above all) hold O(batch) rows in memory, see their
 // first row before enumeration finishes, and can abandon a result early by
 // closing the cursor — which cancels the producing goroutine within one
-// cancellation stride. Run/RunOpts materialize the stream for callers that
+// cancellation stride. RunOpts materializes the stream for callers that
 // want the whole result.
+//
+// Open takes the plan, the store and the per-execution engine.ExecOpts
+// (context, row cap and offset, workers), nothing else: the plan decides
+// what runs, the set layout policy of every trie included (Plan.Policy).
+// So an engine over this executor is a compiler plus exec.Open.
 package exec
 
 import (
@@ -62,48 +67,24 @@ import (
 // shared engine.Result representation.
 type Result = engine.Result
 
-// Options configures execution.
-type Options struct {
-	// Policy selects set layouts.
-	Policy set.Policy
-	// Workers parallelizes the final enumeration across goroutines by
-	// partitioning the first variable's domain (the paper's engine ran on
-	// 48 cores; values ≤ 1 mean sequential). The bottom-up pass stays
-	// sequential — node results are shared. Row order is deterministic
-	// regardless: workers stream their partitions in worker order.
-	Workers int
-	// Ctx, when non-nil, is checked periodically during join recursion;
-	// execution aborts with the context's error once it is cancelled or its
-	// deadline passes. This is how the query server bounds per-request work.
-	Ctx context.Context
-	// MaxRows, when positive, stops enumeration after that many output rows
-	// and marks the cursor Truncated — exactly: truncation is reported iff
-	// a further row existed. With Distinct, the cap applies to the
-	// deduplicated stream, so a truncated distinct result holds exactly
-	// MaxRows distinct rows.
-	MaxRows int
-	// Offset skips that many output rows (after deduplication, before the
-	// MaxRows cap).
-	Offset int
-}
-
-// Run executes p against st with the given set layout policy,
-// sequentially.
-func Run(p *plan.Plan, st *store.Store, policy set.Policy) (*Result, error) {
-	return RunOpts(p, st, Options{Policy: policy})
-}
-
-// RunOpts executes p with full execution options and materializes the
-// result (a Collect over Open, preserved for tests and benchmarks).
-func RunOpts(p *plan.Plan, st *store.Store, opts Options) (*Result, error) {
+// RunOpts executes p with execution options and materializes the result
+// (a Collect over Open, preserved for tests and benchmarks).
+func RunOpts(p *plan.Plan, st *store.Store, opts engine.ExecOpts) (*Result, error) {
 	return engine.Collect(Open(p, st, opts))
 }
 
-// Open starts executing p and returns the cursor over its output rows. The
-// bottom-up materialization pass and the final enumeration both run on the
-// cursor's producer goroutine, so Open itself returns immediately; plan
-// errors surface from the first Next. A pre-cancelled Ctx fails fast.
-func Open(p *plan.Plan, st *store.Store, opts Options) (engine.Cursor, error) {
+// Open starts executing p and returns the cursor over its output rows. Every
+// trie it reads or builds has p.Policy's set layouts. The bottom-up
+// materialization pass and the final enumeration both run on the cursor's
+// producer goroutine, so Open itself returns immediately; plan errors
+// surface from the first Next. A pre-cancelled Ctx fails fast.
+//
+// opts.Workers > 1 parallelizes the final enumeration across goroutines by
+// partitioning the first variable's domain (the paper's engine ran on 48
+// cores). The bottom-up pass stays sequential — node results are shared.
+// Row order is deterministic regardless: workers stream their partitions
+// in worker order.
+func Open(p *plan.Plan, st *store.Store, opts engine.ExecOpts) (engine.Cursor, error) {
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, err
@@ -120,11 +101,11 @@ func Open(p *plan.Plan, st *store.Store, opts Options) (engine.Cursor, error) {
 // generator's context — cancelled both by the caller's Ctx and by the
 // consumer closing the cursor — so every phase, including node
 // materialization, stops cooperatively.
-func stream(p *plan.Plan, st *store.Store, opts Options, ctx context.Context, out *engine.Emitter) error {
+func stream(p *plan.Plan, st *store.Store, opts engine.ExecOpts, ctx context.Context, out *engine.Emitter) error {
 	if p.Empty {
 		return nil
 	}
-	e := &executor{st: st, policy: opts.Policy, ctx: ctx}
+	e := &executor{st: st, policy: p.Policy, ctx: ctx}
 	inputs, attrs, err := e.prepare(p)
 	if err != nil || e.dead {
 		return err
@@ -286,9 +267,13 @@ type executor struct {
 	dead bool
 }
 
+// materializeHook, when set by a test, is called with each node whose
+// result a join builds (not a relationView).
+var materializeHook func(*plan.Node)
+
 // materialize computes the node's result (recursively materializing its
-// children first) and caches it. A selection-only leaf node whose trie
-// order puts the selected attributes first is answered as a zero-copy view
+// children first) and caches it. A leaf node that is one relation, its
+// selections (if any) first in trie order, is answered as a zero-copy view
 // into the base trie — the covering-index effect of §IV-B ("EmptyHeaded is
 // able to provide covering indexes ... using only our trie data structure
 // and the attribute order").
@@ -299,11 +284,14 @@ func (e *executor) materialize(n *plan.Node) (*trie.Trie, error) {
 	if t, ok := e.results[n]; ok {
 		return t, nil
 	}
-	if t, ok, err := e.selectionView(n); err != nil {
+	if t, ok, err := e.relationView(n); err != nil {
 		return nil, err
 	} else if ok {
 		e.results[n] = t
 		return t, nil
+	}
+	if materializeHook != nil {
+		materializeHook(n)
 	}
 	inputs, err := e.nodeInputs(n)
 	if err != nil {
@@ -362,12 +350,12 @@ func (e *executor) materialize(n *plan.Node) (*trie.Trie, error) {
 	return t, nil
 }
 
-// selectionView answers a leaf node holding one relation whose trie order
-// is [selections..., vars...] by descending the base trie with the
-// selection constants and viewing the reached subtree. Returns ok=false
-// when the node does not have that shape (multiple relations, children, or
-// selections not forming a trie prefix — e.g. with AttributeReorder off).
-func (e *executor) selectionView(n *plan.Node) (*trie.Trie, bool, error) {
+// relationView answers a leaf node holding one relation whose trie order
+// is [selections..., vars...], selections possibly none, by descending the
+// base trie with the selection constants and viewing the reached subtree. Returns ok=false when the node does not have that shape
+// (multiple relations, children, a repeated variable, or selections not
+// forming a trie prefix — e.g. with AttributeReorder off).
+func (e *executor) relationView(n *plan.Node) (*trie.Trie, bool, error) {
 	if len(n.Children) != 0 || len(n.Rels) != 1 || len(n.Vars) == 0 {
 		return nil, false, nil
 	}
@@ -375,9 +363,6 @@ func (e *executor) selectionView(n *plan.Node) (*trie.Trie, bool, error) {
 	k := 0
 	for k < len(ref.Levels) && ref.Levels[k].IsSel {
 		k++
-	}
-	if k == 0 {
-		return nil, false, nil
 	}
 	// The remaining levels must be exactly the node's variables, in order
 	// (repeated variables within the pattern disqualify the shortcut).

@@ -8,7 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/naive"
+	"repro/internal/exec"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -197,6 +199,67 @@ func TestLUBMAllQueriesMatchNaive(t *testing.T) {
 				t.Errorf("Q%d opts=%+v: got %d rows, want %d rows", n, opts, got.Len(), want.Len())
 			}
 		}
+	}
+}
+
+// TestOneRelationLeavesAreViewed: a leaf child that is one relation, its
+// variables in trie level order, enters its parent as a view of the base
+// trie, selection or not, and is never rebuilt by a join. Rows still equal
+// the naive engine's, on the lollipop, the barbell and the 2-hop DISTINCT
+// path under the fully optimized plans and on LUBM q4 under -GHD, whose
+// three attribute children are such leaves.
+func TestOneRelationLeavesAreViewed(t *testing.T) {
+	const k = `<http://bench/knows>`
+	knows := knowsGraph(200, 1500, 1)
+	lubm1 := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
+	noGHD := core.AllOptimizations
+	noGHD.GHDPushdown = false
+	leaves := 0
+	for _, tc := range []struct {
+		name, text string
+		st         *store.Store
+		opts       core.Options
+	}{
+		{"lollipop", `SELECT ?a ?b ?c ?d WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d }`, knows, core.AllOptimizations},
+		{"barbell", `SELECT ?a ?b ?c ?d ?e ?f WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d . ?d ` + k + ` ?e . ?e ` + k + ` ?f . ?f ` + k + ` ?d }`, knows, core.AllOptimizations},
+		{"2-hop distinct", `SELECT DISTINCT ?x WHERE { ?x ` + k + ` ?y . ?y ` + k + ` ?z }`, knows, core.AllOptimizations},
+		{"lubm q4 -GHD", lubm.Query(4, 1), lubm1, noGHD},
+	} {
+		q := query.MustParseSPARQL(tc.text)
+		want, err := engine.Execute(naive.New(tc.st), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := core.New(tc.st, tc.opts)
+		p, err := e.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneRelLeaf := func(n *plan.Node) bool {
+			return n != p.Root && len(n.Children) == 0 && len(n.Rels) == 1 && len(n.Rels[0].Levels) == len(n.Attrs)
+		}
+		for _, n := range p.Nodes() {
+			if oneRelLeaf(n) {
+				leaves++
+			}
+		}
+		built, restore := exec.TrackMaterialized()
+		got, err := engine.Collect(e.OpenPlan(p, engine.ExecOpts{}))
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Canonical() != want.Canonical() {
+			t.Errorf("%s: %d rows, want %d", tc.name, got.Len(), want.Len())
+		}
+		for _, n := range built() {
+			if oneRelLeaf(n) {
+				t.Errorf("%s: leaf %v (pattern %d) was rebuilt by a join", tc.name, n.Vars, n.Rels[0].PatternIdx)
+			}
+		}
+	}
+	if leaves < 4 {
+		t.Fatalf("%d one-relation leaf children across the plans, want at least 4", leaves)
 	}
 }
 

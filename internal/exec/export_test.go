@@ -1,6 +1,40 @@
 package exec
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/plan"
+	"repro/internal/set"
+)
+
+// WithPolicy returns a copy of p that runs with the set layout policy pol,
+// for tests that run one plan under several layouts.
+func WithPolicy(p *plan.Plan, pol set.Policy) *plan.Plan {
+	c := *p
+	c.Policy = pol
+	return &c
+}
+
+// TrackMaterialized makes every execution, on any goroutine, record each
+// node whose result a join builds rather than views. It returns a func
+// reading the nodes recorded so far and one restoring the old hook.
+func TrackMaterialized() (nodes func() []*plan.Node, restore func()) {
+	var mu sync.Mutex
+	var seen []*plan.Node
+	old := materializeHook
+	materializeHook = func(n *plan.Node) {
+		mu.Lock()
+		seen = append(seen, n)
+		mu.Unlock()
+	}
+	nodes = func() []*plan.Node {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*plan.Node(nil), seen...)
+	}
+	return nodes, func() { materializeHook = old }
+}
 
 // SetMaxMarkWords sets the cap on the tail's bitmap, so that a test graph's
 // leaves can exceed it, and returns a func restoring the old cap.

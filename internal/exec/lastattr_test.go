@@ -204,7 +204,7 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 			for _, policy := range []set.Policy{set.PolicyAdaptive, set.PolicyUintOnly} {
 				for _, workers := range []int{0, 2, 4, 7} {
 					tails, untrack := exec.CountTails()
-					got, err := exec.RunOpts(p, st, exec.Options{Policy: policy, Workers: workers})
+					got, err := exec.RunOpts(exec.WithPolicy(p, policy), st, engine.ExecOpts{Workers: workers})
 					untrack()
 					if err != nil {
 						t.Fatalf("%s policy=%d workers=%d markWords=%d: %v", tc.name, policy, workers, markWords, err)

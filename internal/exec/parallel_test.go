@@ -21,21 +21,18 @@ import (
 func TestParallelMatchesSequentialOnLUBM(t *testing.T) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
 	for _, layout := range []bool{true, false} {
-		base := core.AllOptimizations
-		base.Layout = layout
-		seq := core.New(st, base)
+		opts := core.AllOptimizations
+		opts.Layout = layout
+		e := core.New(st, opts)
 		for _, workers := range []int{2, 4, 7} {
-			opts := base
-			opts.Workers = workers
-			par := core.New(st, opts)
 			for _, qn := range lubm.QueryNumbers {
 				q := query.MustParseSPARQL(lubm.Query(qn, 1))
-				want, err := engine.Execute(seq, q)
+				want, err := engine.Execute(e, q)
 				if err != nil {
 					t.Fatalf("Q%d sequential: %v", qn, err)
 				}
 				tails, untrack := exec.CountTails()
-				got, err := engine.Execute(par, q)
+				got, err := executeWorkers(e, q, workers)
 				untrack()
 				if err != nil {
 					t.Fatalf("Q%d layout=%v workers=%d: %v", qn, layout, workers, err)
@@ -69,17 +66,14 @@ func TestParallelMatchesSequentialOnRandomGraphs(t *testing.T) {
 			})
 		}
 		st := store.FromTriples(triples)
-		seq := core.New(st, core.AllOptimizations)
-		opts := core.AllOptimizations
-		opts.Workers = 4
-		par := core.New(st, opts)
+		e := core.New(st, core.AllOptimizations)
 		for i, shape := range shapes {
 			q := query.MustParseSPARQL(shape)
-			want, err := engine.Execute(seq, q)
+			want, err := engine.Execute(e, q)
 			if err != nil {
 				t.Fatalf("trial %d shape %d: %v", trial, i, err)
 			}
-			got, err := engine.Execute(par, q)
+			got, err := executeWorkers(e, q, 4)
 			if err != nil {
 				t.Fatalf("trial %d shape %d parallel: %v", trial, i, err)
 			}
@@ -92,16 +86,14 @@ func TestParallelMatchesSequentialOnRandomGraphs(t *testing.T) {
 
 func TestParallelDeterministicRowOrder(t *testing.T) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
-	opts := core.AllOptimizations
-	opts.Workers = 4
-	e := core.New(st, opts)
+	e := core.New(st, core.AllOptimizations)
 	q := query.MustParseSPARQL(lubm.Query(8, 1))
-	first, err := engine.Execute(e, q)
+	first, err := executeWorkers(e, q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := engine.Execute(e, q)
+		again, err := executeWorkers(e, q, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,19 +113,22 @@ func TestParallelDeterministicRowOrder(t *testing.T) {
 func BenchmarkParallelTriangle(b *testing.B) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 2}))
 	q := query.MustParseSPARQL(lubm.Query(9, 2))
+	e := core.New(st, core.AllOptimizations)
 	for _, workers := range []int{1, 4, 8} {
-		opts := core.AllOptimizations
-		opts.Workers = workers
-		e := core.New(st, opts)
-		if _, err := engine.Execute(e, q); err != nil {
+		if _, err := executeWorkers(e, q, workers); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Execute(e, q); err != nil {
+				if _, err := executeWorkers(e, q, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// executeWorkers runs q on e to completion with the given parallelism.
+func executeWorkers(e engine.Engine, q *query.BGP, workers int) (*engine.Result, error) {
+	return engine.Collect(e.Open(q, engine.ExecOpts{Workers: workers}))
 }

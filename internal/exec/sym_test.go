@@ -101,8 +101,8 @@ func TestSymmetricMatchesNaive(t *testing.T) {
 					for _, policy := range []set.Policy{set.PolicyAdaptive, set.PolicyUintOnly} {
 						for _, workers := range []int{0, 2, 4, 7} {
 							label := fmt.Sprintf("%s/%s seed=%d order=%v policy=%d workers=%d", sh.name, proj, seed, p.GlobalOrder, policy, workers)
-							opts := exec.Options{Policy: policy, Workers: workers}
-							got, err := exec.RunOpts(p, st, opts)
+							pp, opts := exec.WithPolicy(p, policy), engine.ExecOpts{Workers: workers}
+							got, err := exec.RunOpts(pp, st, opts)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
@@ -110,7 +110,7 @@ func TestSymmetricMatchesNaive(t *testing.T) {
 								t.Errorf("%s: %d rows, want %d", label, got.Len(), want.Len())
 								continue
 							}
-							if pages := pageThrough(t, p, st, opts, got.Len()/5+1); !slices.EqualFunc(pages, got.Rows, slices.Equal) {
+							if pages := pageThrough(t, pp, st, opts, got.Len()/5+1); !slices.EqualFunc(pages, got.Rows, slices.Equal) {
 								t.Errorf("%s: LIMIT/OFFSET pages differ from the full sequence", label)
 							}
 						}
@@ -123,7 +123,7 @@ func TestSymmetricMatchesNaive(t *testing.T) {
 
 // pageThrough reads p's rows in pages of size rows, each a fresh execution
 // with MaxRows and Offset, and concatenates them.
-func pageThrough(t *testing.T, p *plan.Plan, st *store.Store, opts exec.Options, size int) [][]uint32 {
+func pageThrough(t *testing.T, p *plan.Plan, st *store.Store, opts engine.ExecOpts, size int) [][]uint32 {
 	t.Helper()
 	var rows [][]uint32
 	for off := 0; ; off += size {
@@ -173,7 +173,7 @@ func FuzzSymmetricJoin(f *testing.F) {
 		}
 		for _, policy := range []set.Policy{set.PolicyAdaptive, set.PolicyUintOnly} {
 			for _, workers := range []int{0, 3} {
-				got, err := exec.RunOpts(pl, st, exec.Options{Policy: policy, Workers: workers})
+				got, err := exec.RunOpts(exec.WithPolicy(pl, policy), st, engine.ExecOpts{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -62,7 +62,7 @@ func BenchmarkTriangleKnows(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := exec.Options{Policy: set.PolicyAdaptive}
+	var opts engine.ExecOpts
 	// Warm the lazy tries so the benchmark isolates the join.
 	if _, err := exec.RunOpts(p, st, opts); err != nil {
 		b.Fatal(err)
@@ -169,7 +169,7 @@ func BenchmarkFourCycleKnows(b *testing.B) {
 	if len(p.Sym) != 4 {
 		b.Fatalf("plan keeps %d group elements, want 4:\n%s", len(p.Sym), p)
 	}
-	opts := exec.Options{Policy: set.PolicyAdaptive}
+	var opts engine.ExecOpts
 	res, err := exec.RunOpts(p, st, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -215,11 +215,11 @@ func BenchmarkCliqueKnows(b *testing.B) {
 		policy set.Policy
 		tail   bool
 	}{{"uint", set.PolicyUintOnly, true}, {"adaptive", set.PolicyAdaptive, false}} {
-		opts := exec.Options{Policy: tc.policy}
+		p := exec.WithPolicy(p, tc.policy)
 		// Warm the lazy tries so the benchmark isolates the join, and check
 		// which path it times.
 		tails, untrack := exec.CountTails()
-		res, err := exec.RunOpts(p, st, opts)
+		res, err := exec.RunOpts(p, st, engine.ExecOpts{})
 		untrack()
 		if err != nil {
 			b.Fatal(err)
@@ -230,7 +230,7 @@ func BenchmarkCliqueKnows(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.RunOpts(p, st, opts); err != nil {
+				if _, err := exec.RunOpts(p, st, engine.ExecOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,6 +6,16 @@ import (
 	"repro/internal/query"
 )
 
+// MemoCap exposes the bound on a Memo.
+const MemoCap = memoCap
+
+// Len returns how many plans m holds.
+func (m *Memo) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
+}
+
 // Automorphisms and SharesPredicate expose the group search to the
 // package's external tests.
 var (

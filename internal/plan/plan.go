@@ -3,8 +3,11 @@
 // hypergraph (selection positions become synthetic selection vertices),
 // selects a GHD via internal/ghd, derives the global attribute order (BFS
 // over the GHD with the §III-B1 selection-first heuristic when enabled) and
-// chooses trie level orders for every relation. CompileFlat runs the same
-// steps over one node holding every pattern, in natural attribute order:
+// chooses trie level orders for every relation. The plan also records the
+// set layout policy it runs with (Plan.Policy, from Options.Layout), so a
+// compiled plan says everything internal/exec needs: engines hand it to
+// exec as it is. CompileFlat runs the same steps over one node holding
+// every pattern, in natural attribute order and with uint-array layouts:
 // the LogicBlox model's flat plan.
 //
 // The paper's §III-C pipelining, which streams one root child instead of
@@ -35,11 +38,14 @@ import (
 	"repro/internal/store"
 )
 
-// Options toggles the paper's selection pushdowns plus the set layout
-// policy. The zero value is the fully un-optimized configuration.
+// Options toggles the paper's selection pushdowns and chooses the plan's
+// set layout policy. The zero value is the fully un-optimized
+// configuration but for Layout, whose zero value is the paper's static
+// rule (set.PolicyAuto).
 type Options struct {
-	// Layout selects set layouts (PolicyAuto = the paper's optimizer,
-	// PolicyUintOnly = the "-Layout" ablation).
+	// Layout is the set layout policy the plan runs with (Plan.Policy):
+	// set.PolicyAdaptive is the layout optimizer the engines serve,
+	// set.PolicyUintOnly the "-Layout" ablation.
 	Layout set.Policy
 	// AttributeReorder enables pushing selections down within GHD nodes
 	// (§III-B1): selection vertices go first in the global attribute order
@@ -51,24 +57,12 @@ type Options struct {
 	GHDPushdown bool
 }
 
-// AllOptimizations is the fully optimized EmptyHeaded configuration.
+// AllOptimizations is the fully optimized EmptyHeaded configuration, the
+// one core.AllOptimizations compiles.
 var AllOptimizations = Options{
-	Layout:           set.PolicyAuto,
+	Layout:           set.PolicyAdaptive,
 	AttributeReorder: true,
 	GHDPushdown:      true,
-}
-
-// Key renders the options into a short canonical string, used as part of
-// compiled-plan cache keys (two engines with different options must not
-// share plans).
-func (o Options) Key() string {
-	mark := func(b bool) byte {
-		if b {
-			return '1'
-		}
-		return '0'
-	}
-	return string([]byte{'L', byte('0' + int(o.Layout)), 'A', mark(o.AttributeReorder), 'G', mark(o.GHDPushdown)})
 }
 
 // Attr is one attribute processed by the executor: either a query variable
@@ -135,9 +129,13 @@ type Plan struct {
 	// Decomposition is the chosen GHD, kept for inspection and the ghdviz
 	// tool.
 	Decomposition *ghd.GHD
+	// Policy is the set layout policy of every trie the executor reads or
+	// builds for the plan: Options.Layout for Compile, uint arrays for
+	// CompileFlat. Only Compile, CompileFlat and Bind write it.
+	Policy set.Policy
 	// Class is the engine class the plan was compiled for. The auto router
-	// (internal/engines) sets it so that opening the plan dispatches to the
-	// class's engine; plans compiled by a static engine leave it zero.
+	// (internal/engines) sets it for its ledger and to keep the pure-wcoj
+	// class sequential; plans compiled by a static engine leave it zero.
 	Class EngineClass
 	// Sym is the BGP's automorphism group when the plan keeps one (nil
 	// otherwise): every element, identity first, as a permutation of
@@ -167,7 +165,7 @@ func Bind(t *Plan, q *query.BGP, d *dict.Dictionary) *Plan {
 			}
 			id, ok := d.Lookup(n.Term)
 			if !ok {
-				return &Plan{Empty: true, Select: t.Select, Distinct: t.Distinct, Class: t.Class}
+				return &Plan{Empty: true, Select: t.Select, Distinct: t.Distinct, Policy: t.Policy, Class: t.Class}
 			}
 			ids[i][pos] = id
 		}
@@ -226,7 +224,7 @@ func Compile(q *query.BGP, st *store.Store, opts Options) (*Plan, error) {
 	}
 	c := &compiler{q: q, st: st, opts: opts}
 	if !c.resolve() {
-		return &Plan{Empty: true, Select: q.Select, Distinct: q.Distinct}, nil
+		return c.empty(), nil
 	}
 	decomp, err := ghd.Choose(c.edges, c.selVerts, ghd.Options{PushdownAcrossNodes: opts.GHDPushdown})
 	if err != nil {
@@ -244,14 +242,15 @@ func Compile(q *query.BGP, st *store.Store, opts Options) (*Plan, error) {
 // CompileFlat builds the LogicBlox model's plan for q over st (§I, §IV): a
 // single node joining every pattern, with attributes in order of first
 // appearance — selections probed at their pattern positions, not hoisted —
-// and neither a decomposition nor an automorphism group.
+// uint-array set layouts, and neither a decomposition nor an automorphism
+// group.
 func CompileFlat(q *query.BGP, st *store.Store) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	c := &compiler{q: q, st: st}
+	c := &compiler{q: q, st: st, opts: Options{Layout: set.PolicyUintOnly}}
 	if !c.resolve() {
-		return &Plan{Empty: true, Select: q.Select, Distinct: q.Distinct}, nil
+		return c.empty(), nil
 	}
 	root := &ghd.Node{}
 	for i, e := range c.edges {
@@ -321,7 +320,12 @@ func (c *compiler) build(root *ghd.Node) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Root: n, GlobalOrder: order, Select: c.q.Select, Distinct: c.q.Distinct}, nil
+	return &Plan{Root: n, GlobalOrder: order, Select: c.q.Select, Distinct: c.q.Distinct, Policy: c.opts.Layout}, nil
+}
+
+// empty is the plan of a query a missing constant makes empty.
+func (c *compiler) empty() *Plan {
+	return &Plan{Empty: true, Select: c.q.Select, Distinct: c.q.Distinct, Policy: c.opts.Layout}
 }
 
 // compilePattern resolves one triple pattern to a relation and attributes.

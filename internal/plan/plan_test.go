@@ -171,3 +171,58 @@ func TestInvalidQueryRejected(t *testing.T) {
 		t.Errorf("empty BGP accepted")
 	}
 }
+
+// TestPlanRecordsPolicy: the plan carries the layout it runs with —
+// Options.Layout under Compile, uint arrays under CompileFlat — empty plans
+// and bound copies included.
+func TestPlanRecordsPolicy(t *testing.T) {
+	st := lubmStore(t)
+	absent := `SELECT ?x WHERE { ?x <http://absent.example/p> ?y }`
+	for _, text := range []string{lubm.Query(2, 1), absent} {
+		q := query.MustParseSPARQL(text)
+		for _, pol := range []set.Policy{set.PolicyAuto, set.PolicyUintOnly, set.PolicyAdaptive} {
+			p, err := plan.Compile(q, st, plan.Options{Layout: pol, AttributeReorder: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Policy != pol {
+				t.Errorf("Compile with Layout %d: plan policy %d (empty=%v)", pol, p.Policy, p.Empty)
+			}
+		}
+		p, err := plan.CompileFlat(q, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Policy != set.PolicyUintOnly {
+			t.Errorf("CompileFlat: plan policy %d, want uint (empty=%v)", p.Policy, p.Empty)
+		}
+	}
+}
+
+// TestMemoBounded: a Memo compiles each parsed query once and never holds
+// more than its cap, however many distinct pointers it is handed.
+func TestMemoBounded(t *testing.T) {
+	var m plan.Memo
+	compiles := 0
+	compile := func(q *query.BGP) (*plan.Plan, error) {
+		compiles++
+		return &plan.Plan{Empty: true, Select: q.Select}, nil
+	}
+	q := query.MustParseSPARQL(`SELECT ?x WHERE { ?x <p> ?y }`)
+	for i := 0; i < 2; i++ {
+		if _, hit, err := m.Get(q, compile); err != nil || hit != (i == 1) {
+			t.Fatalf("Get %d: hit=%v err=%v", i, hit, err)
+		}
+	}
+	for i := 0; i < plan.MemoCap+100; i++ {
+		if _, _, err := m.Get(&query.BGP{}, compile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Len() != plan.MemoCap {
+		t.Fatalf("memo holds %d plans, want its cap %d", m.Len(), plan.MemoCap)
+	}
+	if compiles != plan.MemoCap+101 {
+		t.Fatalf("%d compiles, want one per distinct query", compiles)
+	}
+}

@@ -78,9 +78,6 @@ func (t Term) IsIRI() bool { return t.Kind == IRI }
 // IsLiteral reports whether the term is a literal.
 func (t Term) IsLiteral() bool { return t.Kind == Literal }
 
-// IsBlank reports whether the term is a blank node.
-func (t Term) IsBlank() bool { return t.Kind == Blank }
-
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
 	var buf [128]byte

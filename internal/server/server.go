@@ -16,8 +16,8 @@
 //   - Queries are α-normalized (internal/query.Normalize) so requests that
 //     differ only in variable naming share one compiled plan.
 //   - Compiled plans are held in a bounded LRU keyed by store epoch +
-//     normalized query + engine + plan options, with hit/miss counters
-//     surfaced at /stats. The epoch in the key means a compaction can never
+//     normalized query + engine (each engine name is one configuration),
+//     with hit/miss counters surfaced at /stats. The epoch in the key means a compaction can never
 //     serve a plan compiled against dropped statistics: post-swap requests
 //     miss and recompile against the new base. A miss binds the query's
 //     constants into the plan template of its shape when one is cached,
@@ -433,16 +433,15 @@ type preparedQuery struct {
 //
 // On a text miss, an engine that compiles plans looks up a template: the
 // plan compiled for q's shape (query.Shape — S/O constants lifted) under
-// the same epoch, engine, options and cost-model class. The class is in
-// the key because routing is value-sensitive; the plan itself is not, so
+// the same epoch, engine and cost-model class. The class is in the key
+// because routing is value-sensitive; the plan itself is not, so
 // binding q's constants into a copy of the template (plan.Bind) gives
 // exactly the plan compiling q would. A template miss compiles q and
 // stores the plan as the shape's template unless it is empty. template
 // reports "hit" or "miss", or "" when no template was consulted.
 func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (pq *preparedQuery, hit bool, template string, err error) {
 	norm, key := query.Normalize(q)
-	optsKey, compiles := planKey(le)
-	prefix := "e" + strconv.FormatUint(le.Epoch(), 10) + "|" + engineName + "|" + optsKey + "|"
+	prefix := "e" + strconv.FormatUint(le.Epoch(), 10) + "|" + engineName + "|"
 	if pq, ok := s.cache.get(prefix + key); ok {
 		return pq, true, "", nil
 	}
@@ -460,7 +459,7 @@ func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (pq *
 		}
 	}
 	var tkey string
-	if compiles && pq.profiled {
+	if pq.profiled && compilesPlans(le) {
 		tkey = "t|" + prefix + pq.class.String() + "|" + query.Shape(norm)
 		if t, ok := s.cache.getTemplate(tkey); ok {
 			pq.plan, pq.epoch = plan.Bind(t.plan, norm, s.ls.Dict()), t.epoch
@@ -487,27 +486,17 @@ func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (pq *
 	return pq, false, template, nil
 }
 
-// planKey renders the plan-relevant options of the wrapped engine into the
-// cache key, so engines with different optimization configurations never
-// share plans, and reports whether the engine compiles plans apart from
-// executing them — only such engines have templates.
-func planKey(le *live.Engine) (key string, compiles bool) {
+// compilesPlans reports whether the wrapped engine compiles plans apart
+// from executing them: only such engines have templates.
+func compilesPlans(le *live.Engine) bool {
 	eng, err := le.Inner()
 	if err != nil {
-		return "", false
+		return false
 	}
-	_, compiles = eng.(interface {
+	_, ok := eng.(interface {
 		OpenPlan(*plan.Plan, engine.ExecOpts) (engine.Cursor, error)
 	})
-	if ce, ok := eng.(*core.Engine); ok {
-		o := ce.Options()
-		key = plan.Options{
-			Layout:           ce.Policy(),
-			AttributeReorder: o.AttributeReorder,
-			GHDPushdown:      o.GHDPushdown,
-		}.Key()
-	}
-	return key, compiles
+	return ok
 }
 
 // open starts the prepared query: the live engine reuses the cached plan

@@ -72,9 +72,9 @@ func TestPlanTemplates(t *testing.T) {
 }
 
 // TestAutoPicksOnServedPath: auto's plans carry their class, so a
-// plan-cache hit opens the plan on its class's engine without the routing
-// memo, and still stamps engine_class on the execute span and counts one
-// pick in /stats.
+// plan-cache hit opens the plan without auto's memo of routed plans, and
+// still stamps engine_class on the execute span and counts one pick in
+// /stats.
 func TestAutoPicksOnServedPath(t *testing.T) {
 	_, ts := newTestServer(t, lubmScale1(), Config{DefaultEngine: "auto"})
 	q := lubm.Query(1, 1)
@@ -191,4 +191,52 @@ func TestTemplateHeapFlat(t *testing.T) {
 		t.Fatalf("live heap grew %.1f MB over %d texts, want < 2 MB", float64(grown)/(1<<20), texts-warm)
 	}
 	t.Logf("live heap %+.2f MB over %d texts; templates %d hits / %d misses", float64(grown)/(1<<20), texts-warm, pc.TemplateHits, pc.TemplateMisses)
+}
+
+// TestShardedHeapFlat is the sharded served path's leak check: distinct
+// two-pattern texts through a 3-shard Server.Handler() leave the live heap
+// flat once the shard engine's scatter-plan cache and the engines' plan
+// memos are full. The per-shard engines and the one that runs declined
+// queries memoize plans per sub-query pointer, and the server's 64-entry
+// cache drops each text long before they would; only the memos' caps bound
+// them (without caps the heap grew 11 MB over this run).
+func TestShardedHeapFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap measurements are meaningless under the race detector")
+	}
+	const texts, warm = 14000, 8000
+	s, err := New(Config{Store: denseStore(60), PlanCacheSize: 64, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	serve := func(i int) {
+		text := fmt.Sprintf(`SELECT ?y WHERE { <http://ex/n%d> <http://ex/p> ?y . ?y <http://ex/p> <http://ex/n%d> } LIMIT %d`, i%60, i/60%60, 1+i/3600)
+		req := httptest.NewRequest(http.MethodGet, queryURL("http://heap", text, nil), nil)
+		w := &discardWriter{h: http.Header{}, status: http.StatusOK}
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("text %d: status %d", i, w.status)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+
+	for i := 0; i < warm; i++ {
+		serve(i)
+	}
+	base := liveHeap()
+	for i := warm; i < texts; i++ {
+		serve(i)
+	}
+	grown := int64(liveHeap()) - int64(base)
+	runtime.KeepAlive(s)
+	if grown >= 2<<20 {
+		t.Fatalf("live heap grew %.1f MB over %d texts, want < 2 MB", float64(grown)/(1<<20), texts-warm)
+	}
+	t.Logf("live heap %+.2f MB over %d texts", float64(grown)/(1<<20), texts-warm)
 }

@@ -599,59 +599,3 @@ func intersectBitBitInto(buf *scratchBuf, a, b *Set) *Set {
 	InitBitset(&buf.set, words, ranks[:len(words)], lo+uint32(first*64), card)
 	return &buf.set
 }
-
-// Union returns the union of a and b as a new Set using the auto layout
-// policy. Unions appear when assembling result tries.
-func Union(a, b *Set) *Set {
-	if a.card == 0 {
-		return b
-	}
-	if b.card == 0 {
-		return a
-	}
-	out := make([]uint32, 0, a.card+b.card)
-	av := a.AppendValues(nil)
-	bv := b.AppendValues(nil)
-	i, j := 0, 0
-	for i < len(av) && j < len(bv) {
-		switch {
-		case av[i] < bv[j]:
-			out = append(out, av[i])
-			i++
-		case av[i] > bv[j]:
-			out = append(out, bv[j])
-			j++
-		default:
-			out = append(out, av[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, av[i:]...)
-	out = append(out, bv[j:]...)
-	return FromSorted(out, PolicyAuto)
-}
-
-// Difference returns the members of a not in b, always as a uint array
-// (differences of selective filters are sparse in practice).
-func Difference(a, b *Set) *Set {
-	if a.card == 0 {
-		return Empty
-	}
-	if b.card == 0 {
-		return a
-	}
-	out := make([]uint32, 0, a.card)
-	a.Iterate(func(_ int, v uint32) bool {
-		if !b.Contains(v) {
-			out = append(out, v)
-		}
-		return true
-	})
-	if len(out) == 0 {
-		return Empty
-	}
-	s := &Set{layout: UintArray, vals: out, card: len(out)}
-	attachDir(s)
-	return s
-}

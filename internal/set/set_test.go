@@ -418,26 +418,6 @@ func TestIntersectMany(t *testing.T) {
 	}
 }
 
-func TestUnionAndDifference(t *testing.T) {
-	a := FromSorted(sorted(1, 3, 5), PolicyUintOnly)
-	b := FromSorted(sorted(2, 3, 6), PolicyUintOnly)
-	if got := Union(a, b).Values(); !reflect.DeepEqual(got, []uint32{1, 2, 3, 5, 6}) {
-		t.Errorf("Union = %v", got)
-	}
-	if Union(a, Empty) != a || Union(Empty, b) != b {
-		t.Errorf("Union with Empty should be identity")
-	}
-	if got := Difference(a, b).Values(); !reflect.DeepEqual(got, []uint32{1, 5}) {
-		t.Errorf("Difference = %v", got)
-	}
-	if Difference(Empty, a) != Empty || Difference(a, Empty) != a {
-		t.Errorf("Difference with Empty misbehaves")
-	}
-	if !Difference(a, a).IsEmpty() {
-		t.Errorf("a \\ a should be empty")
-	}
-}
-
 func TestMemoryBytes(t *testing.T) {
 	u := FromSorted([]uint32{1, 1000000}, PolicyUintOnly)
 	if u.MemoryBytes() != 8 {
@@ -556,18 +536,6 @@ func TestPropertyRankSelectInverse(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyUnionDeMorganish(t *testing.T) {
-	// |A ∪ B| = |A| + |B| - |A ∩ B|
-	f := func(rawA, rawB []uint32) bool {
-		sa := FromValues(genVals(rawA), PolicyAuto)
-		sb := FromValues(genVals(rawB), PolicyAuto)
-		return Union(sa, sb).Len() == sa.Len()+sb.Len()-Intersect(sa, sb).Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -52,9 +52,6 @@ type RemoteOpener interface {
 // serving; the engine does not synchronize the swap against in-flight opens.
 func (e *Engine) SetRemote(r RemoteOpener) { e.remote = r }
 
-// Remote reports the installed opener (nil when scatter is in-process).
-func (e *Engine) Remote() RemoteOpener { return e.remote }
-
 // drainHints builds the hints for an ownership-filtered shard drain.
 func (e *Engine) drainHints(sh int, sub *query.BGP, rootIdx, perShardCap, workers int) RemoteHints {
 	return RemoteHints{

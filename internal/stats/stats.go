@@ -136,9 +136,9 @@ func (c *Chooser) RecordEnginePick(engine string) {
 	c.mu.Unlock()
 }
 
-// RecordCostLookup notes one consultation of the auto router's routing
-// memo, which only its direct Open path uses: a served plan carries its
-// class.
+// RecordCostLookup notes one consultation of the auto router's memo of
+// routed plans, which only its direct Open path uses: a served plan
+// carries its class.
 func (c *Chooser) RecordCostLookup(hit bool) {
 	c.costLookups.Add(1)
 	if hit {

@@ -312,23 +312,13 @@ func (l *Log) InjectFailure() {
 // policy: under SyncAlways the record is on stable storage when AppendPatch
 // returns; under SyncInterval it becomes durable within one flush interval.
 func (l *Log) AppendPatch(b Batch) error {
-	return l.append(encodeBatch(b), true)
-}
-
-// Seal appends the clean-shutdown marker and fsyncs. A log whose last
-// record is a seal reports Sealed=true on the next Open — recovery can tell
-// a clean restart from a crash.
-func (l *Log) Seal() error {
-	return l.append([]byte{recSeal}, false)
-}
-
-func (l *Log) append(payload []byte, isPatch bool) error {
+	payload := encodeBatch(b)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("wal: log is closed")
 	}
-	return l.appendLocked(payload, isPatch)
+	return l.appendLocked(payload, true)
 }
 
 func (l *Log) appendLocked(payload []byte, isPatch bool) error {
