@@ -11,8 +11,8 @@ import (
 	"log"
 	"slices"
 
-	"repro/internal/core"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -36,9 +36,8 @@ func main() {
 	}
 	fmt.Printf("LUBM query %d:\n%s\n\n", *qn, q)
 
-	show := func(label string, opts core.Options) {
-		eng := core.New(st, opts)
-		p, err := eng.Plan(q)
+	show := func(label string, opts plan.Options) {
+		p, err := plan.Compile(q, st, opts)
 		if err != nil {
 			log.Fatalf("ghdviz: plan: %v", err)
 		}
@@ -51,9 +50,9 @@ func main() {
 	}
 
 	if *compare {
-		show("baseline (min fhw, min height; natural attribute order)", core.Options{Layout: true})
-		show("+Attribute +GHD (+ selection pushdown)", core.AllOptimizations)
+		show("baseline (min fhw, min height; natural attribute order)", plan.Options{Layout: true})
+		show("+Attribute +GHD (+ selection pushdown)", plan.AllOptimizations)
 	} else {
-		show("chosen plan (all optimizations)", core.AllOptimizations)
+		show("chosen plan (all optimizations)", plan.AllOptimizations)
 	}
 }

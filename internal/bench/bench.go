@@ -4,9 +4,11 @@
 // full benchmark). It is shared by cmd/benchtables and the root
 // bench_test.go.
 //
-// Timing follows §IV-A4 of the paper: each query runs Reps times (the
-// paper used seven), the best and worst runs are discarded, and the rest
-// are averaged. Data loading and index construction are excluded.
+// Timing follows §IV-A4 of the paper: each query is timed Reps times (the
+// paper used seven), the best and worst samples are discarded, and the rest
+// are averaged. A sample that one run would leave below 10 ms times a batch
+// of back-to-back runs instead. Data loading and index construction are
+// excluded.
 package bench
 
 import (
@@ -17,13 +19,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/engine/logicblox"
-	"repro/internal/engine/monetdb"
-	"repro/internal/engine/rdf3x"
-	"repro/internal/engine/triplebit"
+	"repro/internal/engines"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -34,8 +33,8 @@ type Config struct {
 	Scale int
 	// Seed selects the generator stream.
 	Seed int64
-	// Reps is the number of timed runs per query (≥1). With Reps ≥ 3 the
-	// best and worst runs are discarded, following the paper.
+	// Reps is the number of timed samples per query (≥1). With Reps ≥ 3
+	// the best and worst samples are discarded, following the paper.
 	Reps int
 }
 
@@ -46,11 +45,19 @@ func NewDataset(cfg Config) *store.Store {
 	return b.Build()
 }
 
-// Measure times one query execution protocol: Reps runs, best and worst
-// dropped when Reps >= 3, mean of the rest. It returns the mean duration
-// and the row count of the last run. Each run drains the engine's cursor
-// without materializing rows, so the timing covers exactly the work the
-// serving layer pays: enumeration, not result buffering.
+// sampleSpan is the least wall time one timed sample spans. A query that
+// runs in microseconds is timed as a batch of back-to-back runs, so that a
+// sample resolves it above timer and scheduling noise.
+const sampleSpan = 10 * time.Millisecond
+
+// Measure times one query execution protocol: Reps samples, best and worst
+// dropped when Reps >= 3, mean of the rest. Each sample times a batch of
+// back-to-back runs spanning at least sampleSpan (one run for a query that
+// takes that long) and counts as the time per run; the batch is sized from
+// the untimed warm-up. It returns the mean time per run and the row count.
+// Each run drains the engine's cursor without materializing rows, so the
+// timing covers exactly the work the serving layer pays: enumeration, not
+// result buffering.
 func Measure(reps int, e engine.Engine, q *query.BGP) (time.Duration, int, error) {
 	if reps < 1 {
 		reps = 1
@@ -61,21 +68,29 @@ func Measure(reps int, e engine.Engine, q *query.BGP) (time.Duration, int, error
 	// than per rep) because a GC cycle also flushes the CPU caches — run
 	// per-rep it quadruples microsecond-scale queries whose real cost is
 	// cache-warm trie descent. The untimed warmup re-warms those caches and
-	// builds any lazy indexes outside the measurement.
+	// builds any lazy indexes outside the measurement; its second run, warm,
+	// sizes the batch (a run under a microsecond counts as one).
 	runtime.GC()
-	if _, err := drain(e, q); err != nil {
-		return 0, 0, err
-	}
-	times := make([]time.Duration, 0, reps)
-	rows := 0
-	for i := 0; i < reps; i++ {
+	var rows int
+	var per time.Duration
+	for range 2 {
 		start := time.Now()
 		n, err := drain(e, q)
 		if err != nil {
 			return 0, 0, err
 		}
-		times = append(times, time.Since(start))
-		rows = n
+		rows, per = n, max(time.Since(start), time.Microsecond)
+	}
+	batch := int((sampleSpan + per - 1) / per)
+	times := make([]time.Duration, 0, reps)
+	for range reps {
+		start := time.Now()
+		for range batch {
+			if _, err := drain(e, q); err != nil {
+				return 0, 0, err
+			}
+		}
+		times = append(times, time.Since(start)/time.Duration(batch))
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	if len(times) >= 3 {
@@ -133,7 +148,7 @@ func TableI(st *store.Store, cfg Config) ([]TableIRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		full := core.New(st, core.AllOptimizations)
+		full := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 		baseTime, rows, err := Measure(cfg.Reps, full, q)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", qn, err)
@@ -142,14 +157,14 @@ func TableI(st *store.Store, cfg Config) ([]TableIRow, error) {
 
 		ablations := []struct {
 			out  *float64
-			opts core.Options
+			opts plan.Options
 		}{
-			{&row.Layout, core.Options{Layout: false, AttributeReorder: true, GHDPushdown: true}},
-			{&row.Attribute, core.Options{Layout: true, AttributeReorder: false, GHDPushdown: true}},
-			{&row.GHD, core.Options{Layout: true, AttributeReorder: true, GHDPushdown: false}},
+			{&row.Layout, plan.Options{Layout: false, AttributeReorder: true, GHDPushdown: true}},
+			{&row.Attribute, plan.Options{Layout: true, AttributeReorder: false, GHDPushdown: true}},
+			{&row.GHD, plan.Options{Layout: true, AttributeReorder: true, GHDPushdown: false}},
 		}
 		for _, ab := range ablations {
-			t, _, err := Measure(cfg.Reps, core.New(st, ab.opts), q)
+			t, _, err := Measure(cfg.Reps, engines.NewEmptyHeaded(st, ab.opts), q)
 			if err != nil {
 				return nil, fmt.Errorf("query %d ablation: %w", qn, err)
 			}
@@ -174,17 +189,6 @@ func FormatTableI(rows []TableIRow) string {
 
 // --- Table II ----------------------------------------------------------------
 
-// TableIIEngines lists the engines in the paper's column order.
-func TableIIEngines(st *store.Store) []engine.Engine {
-	return []engine.Engine{
-		core.New(st, core.AllOptimizations),
-		triplebit.New(st),
-		rdf3x.New(st),
-		monetdb.New(st),
-		logicblox.New(st),
-	}
-}
-
 // TableIIRow holds one query's results across engines.
 type TableIIRow struct {
 	Query      int
@@ -197,9 +201,9 @@ type TableIIRow struct {
 // TableII regenerates the Table II end-to-end comparison. Engines are
 // constructed once (index build excluded from timings, as in the paper).
 func TableII(st *store.Store, cfg Config) ([]TableIIRow, []string, error) {
-	engines := TableIIEngines(st)
-	names := make([]string, len(engines))
-	for i, e := range engines {
+	engs := engines.TableII(st)
+	names := make([]string, len(engs))
+	for i, e := range engs {
 		names[i] = e.Name()
 	}
 	var out []TableIIRow
@@ -210,7 +214,7 @@ func TableII(st *store.Store, cfg Config) ([]TableIIRow, []string, error) {
 		}
 		times := map[string]time.Duration{}
 		rows := 0
-		for _, e := range engines {
+		for _, e := range engs {
 			t, r, err := Measure(cfg.Reps, e, q)
 			if err != nil {
 				return nil, nil, fmt.Errorf("query %d on %s: %w", qn, e.Name(), err)

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/engines"
 	"repro/internal/lubm"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -20,12 +23,12 @@ func TestNewDataset(t *testing.T) {
 
 func TestMeasureProtocol(t *testing.T) {
 	st := NewDataset(smallConfig())
-	engines := TableIIEngines(st)
+	engs := engines.TableII(st)
 	q, err := query.ParseSPARQL(lubm.Query(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, rows, err := Measure(3, engines[0], q)
+	d, rows, err := Measure(3, engs[0], q)
 	if err != nil {
 		t.Fatalf("Measure: %v", err)
 	}
@@ -36,10 +39,37 @@ func TestMeasureProtocol(t *testing.T) {
 		t.Errorf("query 1 returned no rows")
 	}
 	// Reps < 1 clamps to a single run.
-	if _, _, err := Measure(0, engines[0], q); err != nil {
+	if _, _, err := Measure(0, engs[0], q); err != nil {
 		t.Errorf("Measure with reps 0: %v", err)
 	}
+	// A query that returns at once is timed as batches of runs, each
+	// sample spanning at least sampleSpan, not one run per sample.
+	var instant countingEngine
+	if _, _, err := Measure(3, &instant, q); err != nil {
+		t.Fatalf("Measure on an instant engine: %v", err)
+	}
+	if instant.opens < 100 {
+		t.Errorf("an instant query was opened %d times for 3 samples, want >= 100", instant.opens)
+	}
 }
+
+// countingEngine counts its Opens; each returns an empty cursor at once.
+type countingEngine struct{ opens int }
+
+func (e *countingEngine) Name() string { return "counting" }
+
+func (e *countingEngine) Open(*query.BGP, engine.ExecOpts) (engine.Cursor, error) {
+	e.opens++
+	return emptyCursor{}, nil
+}
+
+type emptyCursor struct{}
+
+func (emptyCursor) Vars() []string                  { return nil }
+func (emptyCursor) NextBlock(b *engine.Block) error { return io.EOF }
+func (emptyCursor) Truncated() bool                 { return false }
+func (emptyCursor) Close() error                    { return nil }
+func (emptyCursor) Next() ([]uint32, error)         { return nil, io.EOF }
 
 func TestTableISmoke(t *testing.T) {
 	if testing.Short() {
@@ -104,7 +134,7 @@ func TestTableIISmoke(t *testing.T) {
 func TestEngineListOrderMatchesPaper(t *testing.T) {
 	st := store.FromTriples(nil)
 	names := []string{}
-	for _, e := range TableIIEngines(st) {
+	for _, e := range engines.TableII(st) {
 		names = append(names, e.Name())
 	}
 	want := []string{"emptyheaded", "triplebit", "rdf3x", "monetdb", "logicblox"}

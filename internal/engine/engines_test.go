@@ -5,14 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/engine/logicblox"
 	"repro/internal/engine/monetdb"
 	"repro/internal/engine/naive"
 	"repro/internal/engine/rdf3x"
 	"repro/internal/engine/triplebit"
+	"repro/internal/engines"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -20,14 +20,23 @@ import (
 
 func allEngines(st *store.Store) []engine.Engine {
 	return []engine.Engine{
-		core.New(st, core.AllOptimizations),
-		core.New(st, core.NoOptimizations).WithName("emptyheaded-noopt"),
-		logicblox.New(st),
+		engines.NewEmptyHeaded(st, plan.AllOptimizations),
+		named{engines.NewEmptyHeaded(st, plan.NoOptimizations), "emptyheaded-noopt"},
+		engines.NewLogicBlox(st),
 		monetdb.New(st),
 		rdf3x.New(st),
 		triplebit.New(st),
 	}
 }
+
+// named reports an engine under another name, telling configurations of
+// one engine apart in failure messages.
+type named struct {
+	engine.Engine
+	name string
+}
+
+func (n named) Name() string { return n.name }
 
 func t3(s, p, o string) rdf.Triple {
 	return rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: rdf.NewIRI(o)}

@@ -1,12 +1,13 @@
-package core_test
+package engines_test
 
 import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/engines"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/set"
 	"repro/internal/store"
@@ -21,10 +22,10 @@ func TestPolicyFollowsLayoutToggle(t *testing.T) {
 	st := lubmStore(t)
 	q := query.MustParseSPARQL(lubm.Query(2, 1))
 	for _, tc := range []struct {
-		opts core.Options
+		opts plan.Options
 		want set.Policy
-	}{{core.AllOptimizations, set.PolicyAdaptive}, {core.NoOptimizations, set.PolicyUintOnly}} {
-		p, err := core.New(st, tc.opts).Plan(q)
+	}{{plan.AllOptimizations, set.PolicyAdaptive}, {plan.NoOptimizations, set.PolicyUintOnly}} {
+		p, err := engines.NewEmptyHeaded(st, tc.opts).Plan(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,23 +35,9 @@ func TestPolicyFollowsLayoutToggle(t *testing.T) {
 	}
 }
 
-func TestNameAndOptions(t *testing.T) {
-	st := lubmStore(t)
-	e := core.New(st, core.AllOptimizations)
-	if e.Name() != "emptyheaded" {
-		t.Errorf("Name = %q", e.Name())
-	}
-	if e.WithName("eh-v2").Name() != "eh-v2" {
-		t.Errorf("WithName did not apply")
-	}
-	if !e.Options().Layout {
-		t.Errorf("Options not preserved")
-	}
-}
-
 func TestPlanCacheReusesPlans(t *testing.T) {
 	st := lubmStore(t)
-	e := core.New(st, core.AllOptimizations)
+	e := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 	q := query.MustParseSPARQL(lubm.Query(14, 1))
 	r1, err := engine.Execute(e, q)
 	if err != nil {
@@ -70,12 +57,12 @@ func TestAllTogglesProduceSameResults(t *testing.T) {
 	q := query.MustParseSPARQL(lubm.Query(4, 1))
 	var want string
 	for mask := 0; mask < 8; mask++ {
-		opts := core.Options{
+		opts := plan.Options{
 			Layout:           mask&1 != 0,
 			AttributeReorder: mask&2 != 0,
 			GHDPushdown:      mask&4 != 0,
 		}
-		got, err := engine.Execute(core.New(st, opts), q)
+		got, err := engine.Execute(engines.NewEmptyHeaded(st, opts), q)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
@@ -91,7 +78,7 @@ func TestAllTogglesProduceSameResults(t *testing.T) {
 
 func TestPlanExposesDecomposition(t *testing.T) {
 	st := lubmStore(t)
-	e := core.New(st, core.AllOptimizations)
+	e := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 	p, err := e.Plan(query.MustParseSPARQL(lubm.Query(2, 1)))
 	if err != nil {
 		t.Fatalf("plan: %v", err)
@@ -106,7 +93,7 @@ func TestPlanExposesDecomposition(t *testing.T) {
 
 func TestParseErrorsPropagate(t *testing.T) {
 	st := lubmStore(t)
-	e := core.New(st, core.AllOptimizations)
+	e := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 	bad := &query.BGP{Select: []string{"x"}} // no patterns
 	if _, err := engine.Execute(e, bad); err == nil {
 		t.Errorf("invalid query accepted")

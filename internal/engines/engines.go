@@ -3,10 +3,12 @@
 // a store, shared by the root repro package, cmd/rdfq, and the query
 // server's per-request ?engine= selection.
 //
-// It also holds the cost-model router, auto (auto.go). Each of its three
-// engine classes is a way to compile a query; the compiled plan records
-// its class and its set layout policy, so auto runs every plan with
-// exec.Open and holds no engine per class.
+// It also holds the worst-case optimal engines themselves (engine.go):
+// emptyheaded, the LogicBlox model and the cost-model router auto are one
+// Engine type over internal/exec, each a way to compile a query into a
+// plan. The compiled plan records its set layout policy (and, under auto,
+// its class), so every plan runs with exec.Open; auto's three classes are
+// the other two engines' compile functions.
 package engines
 
 import (
@@ -14,14 +16,13 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/engine/logicblox"
 	"repro/internal/engine/monetdb"
 	"repro/internal/engine/naive"
 	"repro/internal/engine/rdf3x"
 	"repro/internal/engine/triplebit"
 	"repro/internal/live"
+	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/store"
 )
@@ -39,11 +40,11 @@ func Names() []string {
 func New(name string, st *store.Store) (engine.Engine, error) {
 	switch name {
 	case "emptyheaded":
-		return core.New(st, core.AllOptimizations), nil
+		return NewEmptyHeaded(st, plan.AllOptimizations), nil
 	case "auto":
-		return newAuto(st), nil
+		return NewAuto(st), nil
 	case "logicblox":
-		return logicblox.New(st), nil
+		return NewLogicBlox(st), nil
 	case "monetdb":
 		return monetdb.New(st), nil
 	case "rdf3x":
@@ -55,6 +56,12 @@ func New(name string, st *store.Store) (engine.Engine, error) {
 	default:
 		return nil, fmt.Errorf("unknown engine %q (available: %s)", name, strings.Join(Names(), ", "))
 	}
+}
+
+// TableII builds one instance of each of the paper's Table II engines over
+// st, in its column order (the first five of Names).
+func TableII(st *store.Store) []engine.Engine {
+	return []engine.Engine{NewEmptyHeaded(st, plan.AllOptimizations), triplebit.New(st), rdf3x.New(st), monetdb.New(st), NewLogicBlox(st)}
 }
 
 // NewSharded builds one instance of the named engine over every shard of p

@@ -1,4 +1,4 @@
-package logicblox
+package engines_test
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/engines"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -16,12 +17,12 @@ func t3(s, p, o string) rdf.Triple {
 	return rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: rdf.NewIRI(o)}
 }
 
-func build() (*Engine, *store.Store) {
+func build() (*engines.Engine, *store.Store) {
 	st := store.FromTriples([]rdf.Triple{
 		t3("a", "e", "b"), t3("b", "e", "c"), t3("c", "e", "a"),
 		t3("a", "type", "T"),
 	})
-	return New(st), st
+	return engines.NewLogicBlox(st), st
 }
 
 func TestFlatPlanSingleNode(t *testing.T) {
@@ -73,7 +74,7 @@ func TestTriangleKeepsLeapfrogOrder(t *testing.T) {
 		s, o := rng.Intn(40), rng.Intn(40)
 		triples = append(triples, t3(fmt.Sprint("n", s), "e", fmt.Sprint("n", o)), t3(fmt.Sprint("n", o), "e", fmt.Sprint("n", s)))
 	}
-	e := New(store.FromTriples(triples))
+	e := engines.NewLogicBlox(store.FromTriples(triples))
 	q := query.MustParseSPARQL(`SELECT ?x ?y ?z WHERE { ?x <e> ?y . ?y <e> ?z . ?z <e> ?x . }`)
 	p, err := e.Plan(q)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/lubm"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -25,8 +24,8 @@ const goldenPath = "testdata/plans.golden"
 // TestPlansMatchGolden pins every plan a served or benchmarked engine
 // compiles for LUBM's 12 queries at scale 1 and for seven shapes over a
 // small knows graph: auto's chosen class, the plan of each of auto's three
-// classes, the fully optimized core engine and Table I's ablations of it,
-// and core.NoOptimizations. A planner refactor that means to move no plan
+// classes, the fully optimized emptyheaded engine and Table I's ablations
+// of it, and plan.NoOptimizations. A planner refactor that means to move no plan
 // must leave the rendering byte-identical; one that does move a plan
 // rewrites the file with -update and shows the diff.
 func TestPlansMatchGolden(t *testing.T) {
@@ -88,7 +87,7 @@ func lineAt(lines []string, i int) string {
 func renderPlans(t *testing.T, b *strings.Builder, name, text string, st *store.Store) {
 	t.Helper()
 	q, _ := query.Normalize(query.MustParseSPARQL(text))
-	auto := newAuto(st)
+	auto := NewAuto(st)
 	p, err := auto.Plan(q)
 	if err != nil {
 		t.Fatalf("%s/auto: %v", name, err)
@@ -102,22 +101,22 @@ func renderPlans(t *testing.T, b *strings.Builder, name, text string, st *store.
 		fmt.Fprintf(b, "-- %s / class %s\n", name, cls)
 		renderPlan(b, p)
 	}
-	ablate := func(f func(*core.Options)) core.Options {
-		o := core.AllOptimizations
+	ablate := func(f func(*plan.Options)) plan.Options {
+		o := plan.AllOptimizations
 		f(&o)
 		return o
 	}
 	for _, c := range []struct {
 		name string
-		opts core.Options
+		opts plan.Options
 	}{
-		{"all", core.AllOptimizations},
-		{"-Layout", ablate(func(o *core.Options) { o.Layout = false })},
-		{"-Attribute", ablate(func(o *core.Options) { o.AttributeReorder = false })},
-		{"-GHD", ablate(func(o *core.Options) { o.GHDPushdown = false })},
-		{"none", core.NoOptimizations},
+		{"all", plan.AllOptimizations},
+		{"-Layout", ablate(func(o *plan.Options) { o.Layout = false })},
+		{"-Attribute", ablate(func(o *plan.Options) { o.AttributeReorder = false })},
+		{"-GHD", ablate(func(o *plan.Options) { o.GHDPushdown = false })},
+		{"none", plan.NoOptimizations},
 	} {
-		p, err := core.New(st, c.opts).Plan(q)
+		p, err := NewEmptyHeaded(st, c.opts).Plan(q)
 		if err != nil {
 			t.Fatalf("%s/core %s: %v", name, c.name, err)
 		}

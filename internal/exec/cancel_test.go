@@ -51,13 +51,11 @@ func triangleSetup(t *testing.T, n int, edge func(i, j int) bool) (*plan.Plan, *
 	}
 	st := b.Build()
 	q := query.MustParseSPARQL(`SELECT ?x ?y ?z WHERE { ?x <http://ex/p> ?y . ?y <http://ex/p> ?z . ?x <http://ex/p> ?z }`)
-	opts := plan.AllOptimizations
-	opts.Layout = set.PolicyAuto
-	pl, err := plan.Compile(q, st, opts)
+	pl, err := plan.Compile(q, st, plan.AllOptimizations)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return pl, st
+	return WithPolicy(pl, set.PolicyAuto), st
 }
 
 func TestRunCancelledContext(t *testing.T) {

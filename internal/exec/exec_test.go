@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/naive"
+	"repro/internal/engines"
 	"repro/internal/exec"
 	"repro/internal/lubm"
 	"repro/internal/plan"
@@ -17,10 +17,10 @@ import (
 )
 
 // allOptionCombos enumerates all 8 optimization configurations.
-func allOptionCombos() []core.Options {
-	var out []core.Options
+func allOptionCombos() []plan.Options {
+	var out []plan.Options
 	for mask := 0; mask < 8; mask++ {
-		out = append(out, core.Options{
+		out = append(out, plan.Options{
 			Layout:           mask&1 != 0,
 			AttributeReorder: mask&2 != 0,
 			GHDPushdown:      mask&4 != 0,
@@ -35,8 +35,9 @@ func t3(s, p, o string) rdf.Triple {
 	return rdf.Triple{S: iri(s), P: iri(p), O: iri(o)}
 }
 
-// checkAgainstNaive asserts that every optimization combo of the core
-// engine returns the same result multiset as the reference engine.
+// checkAgainstNaive asserts that every optimization combo of the
+// emptyheaded engine returns the same result multiset as the reference
+// engine.
 func checkAgainstNaive(t *testing.T, st *store.Store, queries map[string]string) {
 	t.Helper()
 	ref := naive.New(st)
@@ -51,7 +52,7 @@ func checkAgainstNaive(t *testing.T, st *store.Store, queries map[string]string)
 		}
 		wantC := want.Canonical()
 		for _, opts := range allOptionCombos() {
-			eh := core.New(st, opts)
+			eh := engines.NewEmptyHeaded(st, opts)
 			got, err := engine.Execute(eh, q)
 			if err != nil {
 				t.Fatalf("%s opts=%+v: execute: %v", name, opts, err)
@@ -186,12 +187,12 @@ func TestLUBMAllQueriesMatchNaive(t *testing.T) {
 		}
 		// Check the two extreme configurations (all opts, no opts) plus
 		// one mixed one; the full 8-combo sweep runs on smaller data.
-		for _, opts := range []core.Options{
-			core.AllOptimizations,
-			core.NoOptimizations,
+		for _, opts := range []plan.Options{
+			plan.AllOptimizations,
+			plan.NoOptimizations,
 			{Layout: true, GHDPushdown: true},
 		} {
-			got, err := engine.Execute(core.New(st, opts), q)
+			got, err := engine.Execute(engines.NewEmptyHeaded(st, opts), q)
 			if err != nil {
 				t.Fatalf("Q%d opts=%+v: %v", n, opts, err)
 			}
@@ -212,17 +213,17 @@ func TestOneRelationLeavesAreViewed(t *testing.T) {
 	const k = `<http://bench/knows>`
 	knows := knowsGraph(200, 1500, 1)
 	lubm1 := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
-	noGHD := core.AllOptimizations
+	noGHD := plan.AllOptimizations
 	noGHD.GHDPushdown = false
 	leaves := 0
 	for _, tc := range []struct {
 		name, text string
 		st         *store.Store
-		opts       core.Options
+		opts       plan.Options
 	}{
-		{"lollipop", `SELECT ?a ?b ?c ?d WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d }`, knows, core.AllOptimizations},
-		{"barbell", `SELECT ?a ?b ?c ?d ?e ?f WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d . ?d ` + k + ` ?e . ?e ` + k + ` ?f . ?f ` + k + ` ?d }`, knows, core.AllOptimizations},
-		{"2-hop distinct", `SELECT DISTINCT ?x WHERE { ?x ` + k + ` ?y . ?y ` + k + ` ?z }`, knows, core.AllOptimizations},
+		{"lollipop", `SELECT ?a ?b ?c ?d WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d }`, knows, plan.AllOptimizations},
+		{"barbell", `SELECT ?a ?b ?c ?d ?e ?f WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d . ?d ` + k + ` ?e . ?e ` + k + ` ?f . ?f ` + k + ` ?d }`, knows, plan.AllOptimizations},
+		{"2-hop distinct", `SELECT DISTINCT ?x WHERE { ?x ` + k + ` ?y . ?y ` + k + ` ?z }`, knows, plan.AllOptimizations},
 		{"lubm q4 -GHD", lubm.Query(4, 1), lubm1, noGHD},
 	} {
 		q := query.MustParseSPARQL(tc.text)
@@ -230,7 +231,7 @@ func TestOneRelationLeavesAreViewed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := core.New(tc.st, tc.opts)
+		e := engines.NewEmptyHeaded(tc.st, tc.opts)
 		p, err := e.Plan(q)
 		if err != nil {
 			t.Fatal(err)
@@ -266,7 +267,7 @@ func TestOneRelationLeavesAreViewed(t *testing.T) {
 func TestLUBMQuery11IsEmpty(t *testing.T) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
 	q := query.MustParseSPARQL(lubm.Query(11, 1))
-	got, err := engine.Execute(core.New(st, core.AllOptimizations), q)
+	got, err := engine.Execute(engines.NewEmptyHeaded(st, plan.AllOptimizations), q)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -278,7 +279,7 @@ func TestLUBMQuery11IsEmpty(t *testing.T) {
 func TestResultDecode(t *testing.T) {
 	st := store.FromTriples([]rdf.Triple{t3("a", "p", "b")})
 	q := query.MustParseSPARQL(`SELECT ?x ?y WHERE { ?x <p> ?y . }`)
-	got, err := engine.Execute(core.New(st, core.AllOptimizations), q)
+	got, err := engine.Execute(engines.NewEmptyHeaded(st, plan.AllOptimizations), q)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}

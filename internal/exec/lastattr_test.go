@@ -6,9 +6,9 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/naive"
+	"repro/internal/engines"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -262,7 +262,7 @@ func TestLimitOverBitsetLeafStaysLazy(t *testing.T) {
 	if leaf := st.RelationByIRI("http://ex/p").TrieOS(set.PolicyAdaptive).Stats()[1]; leaf.BitsetNodes != 1 {
 		t.Fatalf("the subject leaf has %d bitset nodes, want 1", leaf.BitsetNodes)
 	}
-	e := core.New(st, core.AllOptimizations)
+	e := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 	// The query server turns a LIMIT into the cursor's row cap.
 	q := query.MustParseSPARQL(`SELECT ?x WHERE { ?x <http://ex/p> <http://ex/o> } LIMIT 1`)
 	run := func() {

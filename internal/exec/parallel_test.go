@@ -5,42 +5,54 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/engines"
 	"repro/internal/exec"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
 // TestParallelMatchesSequentialOnLUBM runs every LUBM query with 2, 4 and 7
-// workers under both layouts. Under the uint layout Q7's join ends in the
-// fused tail at its first variable, the attribute the workers partition
-// on, so the tail must filter its matches to each worker's residue class.
+// workers on the emptyheaded engine under both layouts, on the logicblox
+// engine's flat plans and on auto's per-query choice. Under the uint layout
+// Q7's join ends in the fused tail at its first variable, the attribute the
+// workers partition on, so the tail must filter its matches to each
+// worker's residue class.
 func TestParallelMatchesSequentialOnLUBM(t *testing.T) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
-	for _, layout := range []bool{true, false} {
-		opts := core.AllOptimizations
-		opts.Layout = layout
-		e := core.New(st, opts)
+	noLayout := plan.AllOptimizations
+	noLayout.Layout = false
+	for _, tc := range []struct {
+		name string
+		e    *engines.Engine
+		// q7Tail marks the engine whose Q7 must end in the fused tail.
+		q7Tail bool
+	}{
+		{"layout=true", engines.NewEmptyHeaded(st, plan.AllOptimizations), false},
+		{"layout=false", engines.NewEmptyHeaded(st, noLayout), true},
+		{"logicblox", engines.NewLogicBlox(st), false},
+		{"auto", engines.NewAuto(st), false},
+	} {
 		for _, workers := range []int{2, 4, 7} {
 			for _, qn := range lubm.QueryNumbers {
 				q := query.MustParseSPARQL(lubm.Query(qn, 1))
-				want, err := engine.Execute(e, q)
+				want, err := engine.Execute(tc.e, q)
 				if err != nil {
-					t.Fatalf("Q%d sequential: %v", qn, err)
+					t.Fatalf("Q%d %s sequential: %v", qn, tc.name, err)
 				}
 				tails, untrack := exec.CountTails()
-				got, err := executeWorkers(e, q, workers)
+				got, err := executeWorkers(tc.e, q, workers)
 				untrack()
 				if err != nil {
-					t.Fatalf("Q%d layout=%v workers=%d: %v", qn, layout, workers, err)
+					t.Fatalf("Q%d %s workers=%d: %v", qn, tc.name, workers, err)
 				}
 				if got.Canonical() != want.Canonical() {
-					t.Errorf("Q%d layout=%v workers=%d: %d rows, want %d", qn, layout, workers, got.Len(), want.Len())
+					t.Errorf("Q%d %s workers=%d: %d rows, want %d", qn, tc.name, workers, got.Len(), want.Len())
 				}
-				if qn == 7 && !layout && tails(1, 1) == 0 {
+				if qn == 7 && tc.q7Tail && tails(1, 1) == 0 {
 					t.Errorf("Q7 workers=%d: the join did not end in the tail", workers)
 				}
 			}
@@ -66,7 +78,7 @@ func TestParallelMatchesSequentialOnRandomGraphs(t *testing.T) {
 			})
 		}
 		st := store.FromTriples(triples)
-		e := core.New(st, core.AllOptimizations)
+		e := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 		for i, shape := range shapes {
 			q := query.MustParseSPARQL(shape)
 			want, err := engine.Execute(e, q)
@@ -86,7 +98,7 @@ func TestParallelMatchesSequentialOnRandomGraphs(t *testing.T) {
 
 func TestParallelDeterministicRowOrder(t *testing.T) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
-	e := core.New(st, core.AllOptimizations)
+	e := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 	q := query.MustParseSPARQL(lubm.Query(8, 1))
 	first, err := executeWorkers(e, q, 4)
 	if err != nil {
@@ -113,7 +125,7 @@ func TestParallelDeterministicRowOrder(t *testing.T) {
 func BenchmarkParallelTriangle(b *testing.B) {
 	st := store.FromTriples(lubm.Generate(lubm.Config{Universities: 2}))
 	q := query.MustParseSPARQL(lubm.Query(9, 2))
-	e := core.New(st, core.AllOptimizations)
+	e := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 	for _, workers := range []int{1, 4, 8} {
 		if _, err := executeWorkers(e, q, workers); err != nil {
 			b.Fatal(err)

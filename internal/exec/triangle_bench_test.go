@@ -6,8 +6,8 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/engines"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -104,14 +104,14 @@ const knowsBarbell = `SELECT ?a ?b ?c ?d ?e ?f WHERE {
 
 // BenchmarkBarbellKnows drains the barbell, two triangles joined by a
 // bridge edge ?c→?d, over the seeded 20k-node, 200k-edge knows graph under
-// the fully optimized core engine. Its GHD has the bridge at the root and
+// the fully optimized emptyheaded engine. Its GHD has the bridge at the root and
 // one triangle in each child; both children are materialized before the
 // root's join binds ?c and ?d and reads their tries. (The paper's §III-C
 // would stream the ?c triangle's relations into the root's join instead:
 // on this graph that drained slower.)
 func BenchmarkBarbellKnows(b *testing.B) {
 	st := knowsGraph(20000, 200000, 1)
-	e := core.New(st, core.AllOptimizations)
+	e := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 	p, err := e.Plan(query.MustParseSPARQL(knowsBarbell))
 	if err != nil {
 		b.Fatal(err)

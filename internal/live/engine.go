@@ -14,14 +14,14 @@ import (
 // BuildFunc constructs the wrapped engine over one epoch's base: from the
 // shard partition when the live store is sharded (part non-nil), from the
 // plain store otherwise. The registry supplies this (engines.NewLive);
-// direct users can pass e.g. func(st, _) { return core.New(st, opts), nil }.
+// direct users can pass e.g.
+// func(st, _) { return engines.NewEmptyHeaded(st, opts), nil }.
 type BuildFunc func(st *store.Store, part *shard.Partitioned) (engine.Engine, error)
 
-// planOpener matches engines that separate compilation from execution (core,
-// logicblox and the auto router) — structurally, so live imports none of
-// them.
+// planOpener matches engines that separate compilation from execution
+// (internal/engines' Engine: emptyheaded, logicblox and the auto router) —
+// structurally, so live does not import the registry that imports it.
 type planOpener interface {
-	engine.Engine
 	Plan(*query.BGP) (*plan.Plan, error)
 	OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, error)
 }

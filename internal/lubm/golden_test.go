@@ -3,9 +3,10 @@ package lubm_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/engines"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -24,7 +25,7 @@ func TestGoldenCardinalitiesScale1(t *testing.T) {
 		t.Fatalf("LUBM(1) triple count = %d, want %d (the generator's stream changed)", len(triples), wantTriples)
 	}
 	st := store.FromTriples(triples)
-	eng := core.New(st, core.AllOptimizations)
+	eng := engines.NewEmptyHeaded(st, plan.AllOptimizations)
 	want := map[int]int{
 		1:  5,
 		2:  2063,

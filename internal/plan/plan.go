@@ -38,15 +38,16 @@ import (
 	"repro/internal/store"
 )
 
-// Options toggles the paper's selection pushdowns and chooses the plan's
-// set layout policy. The zero value is the fully un-optimized
-// configuration but for Layout, whose zero value is the paper's static
-// rule (set.PolicyAuto).
+// Options toggles the paper's optimizations, the columns of Table I. The
+// zero value is the fully un-optimized worst-case optimal configuration.
 type Options struct {
-	// Layout is the set layout policy the plan runs with (Plan.Policy):
-	// set.PolicyAdaptive is the layout optimizer the engines serve,
-	// set.PolicyUintOnly the "-Layout" ablation.
-	Layout set.Policy
+	// Layout enables the set layout optimizer (§III-A): bitsets for dense
+	// sets, uint arrays otherwise, by the statistics-driven adaptive rule
+	// (set.PolicyAdaptive: a measured 1-in-128 crossover with a
+	// minimum-cardinality floor) rather than the paper's static 1-in-256
+	// rule. Disabled, the "-Layout" ablation, every set is a uint array
+	// (set.PolicyUintOnly). Plan.Policy records the choice.
+	Layout bool
 	// AttributeReorder enables pushing selections down within GHD nodes
 	// (§III-B1): selection vertices go first in the global attribute order
 	// so equality selections become O(1)/O(log n) probes on the first trie
@@ -57,12 +58,23 @@ type Options struct {
 	GHDPushdown bool
 }
 
-// AllOptimizations is the fully optimized EmptyHeaded configuration, the
-// one core.AllOptimizations compiles.
+// AllOptimizations is the fully optimized configuration benchmarked as
+// "EmptyHeaded" in Table II.
 var AllOptimizations = Options{
-	Layout:           set.PolicyAdaptive,
+	Layout:           true,
 	AttributeReorder: true,
 	GHDPushdown:      true,
+}
+
+// NoOptimizations is the fully un-optimized worst-case optimal baseline.
+var NoOptimizations = Options{}
+
+// policy is the set layout policy the Layout toggle selects.
+func (o Options) policy() set.Policy {
+	if o.Layout {
+		return set.PolicyAdaptive
+	}
+	return set.PolicyUintOnly
 }
 
 // Attr is one attribute processed by the executor: either a query variable
@@ -130,12 +142,12 @@ type Plan struct {
 	// tool.
 	Decomposition *ghd.GHD
 	// Policy is the set layout policy of every trie the executor reads or
-	// builds for the plan: Options.Layout for Compile, uint arrays for
-	// CompileFlat. Only Compile, CompileFlat and Bind write it.
+	// builds for the plan: the one Options.Layout selects for Compile, uint
+	// arrays for CompileFlat. Only Compile, CompileFlat and Bind write it.
 	Policy set.Policy
 	// Class is the engine class the plan was compiled for. The auto router
-	// (internal/engines) sets it for its ledger and to keep the pure-wcoj
-	// class sequential; plans compiled by a static engine leave it zero.
+	// (internal/engines) sets it for its chooser ledger; plans compiled by
+	// a static engine leave it zero.
 	Class EngineClass
 	// Sym is the BGP's automorphism group when the plan keeps one (nil
 	// otherwise): every element, identity first, as a permutation of
@@ -248,7 +260,7 @@ func CompileFlat(q *query.BGP, st *store.Store) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	c := &compiler{q: q, st: st, opts: Options{Layout: set.PolicyUintOnly}}
+	c := &compiler{q: q, st: st} // NoOptimizations: natural order, uint layouts
 	if !c.resolve() {
 		return c.empty(), nil
 	}
@@ -320,12 +332,12 @@ func (c *compiler) build(root *ghd.Node) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Root: n, GlobalOrder: order, Select: c.q.Select, Distinct: c.q.Distinct, Policy: c.opts.Layout}, nil
+	return &Plan{Root: n, GlobalOrder: order, Select: c.q.Select, Distinct: c.q.Distinct, Policy: c.opts.policy()}, nil
 }
 
 // empty is the plan of a query a missing constant makes empty.
 func (c *compiler) empty() *Plan {
-	return &Plan{Empty: true, Select: c.q.Select, Distinct: c.q.Distinct, Policy: c.opts.Layout}
+	return &Plan{Empty: true, Select: c.q.Select, Distinct: c.q.Distinct, Policy: c.opts.policy()}
 }
 
 // compilePattern resolves one triple pattern to a relation and attributes.

@@ -77,7 +77,7 @@ func TestSelectionFirstGlobalOrderQuery2(t *testing.T) {
 
 func TestNaturalOrderWithoutAttributeReorder(t *testing.T) {
 	st := lubmStore(t)
-	p := compile(t, st, lubm.Query(14, 1), plan.Options{Layout: set.PolicyAuto})
+	p := compile(t, st, lubm.Query(14, 1), plan.NoOptimizations)
 	// Q14 is type(X, 'UndergraduateStudent'): natural order puts the
 	// subject variable X before the selection vertex (the slow plan the
 	// +Attribute column of Table I measures against).
@@ -97,7 +97,7 @@ func TestNaturalOrderWithoutAttributeReorder(t *testing.T) {
 func TestInterfaceIsPrefixOfChildVars(t *testing.T) {
 	st := lubmStore(t)
 	for _, qn := range lubm.QueryNumbers {
-		for _, opts := range []plan.Options{plan.AllOptimizations, {Layout: set.PolicyAuto}} {
+		for _, opts := range []plan.Options{plan.AllOptimizations, plan.NoOptimizations} {
 			p := compile(t, st, lubm.Query(qn, 1), opts)
 			if p.Empty {
 				continue
@@ -172,21 +172,24 @@ func TestInvalidQueryRejected(t *testing.T) {
 	}
 }
 
-// TestPlanRecordsPolicy: the plan carries the layout it runs with —
-// Options.Layout under Compile, uint arrays under CompileFlat — empty plans
-// and bound copies included.
+// TestPlanRecordsPolicy: the plan carries the layout it runs with — the
+// adaptive rule or uint arrays as Options.Layout says under Compile, uint
+// arrays under CompileFlat — empty plans and bound copies included.
 func TestPlanRecordsPolicy(t *testing.T) {
 	st := lubmStore(t)
 	absent := `SELECT ?x WHERE { ?x <http://absent.example/p> ?y }`
 	for _, text := range []string{lubm.Query(2, 1), absent} {
 		q := query.MustParseSPARQL(text)
-		for _, pol := range []set.Policy{set.PolicyAuto, set.PolicyUintOnly, set.PolicyAdaptive} {
-			p, err := plan.Compile(q, st, plan.Options{Layout: pol, AttributeReorder: true})
+		for _, tc := range []struct {
+			layout bool
+			want   set.Policy
+		}{{false, set.PolicyUintOnly}, {true, set.PolicyAdaptive}} {
+			p, err := plan.Compile(q, st, plan.Options{Layout: tc.layout, AttributeReorder: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Policy != pol {
-				t.Errorf("Compile with Layout %d: plan policy %d (empty=%v)", pol, p.Policy, p.Empty)
+			if p.Policy != tc.want {
+				t.Errorf("Compile with Layout %v: plan policy %d, want %d (empty=%v)", tc.layout, p.Policy, tc.want, p.Empty)
 			}
 		}
 		p, err := plan.CompileFlat(q, st)

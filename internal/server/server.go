@@ -60,7 +60,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/engines"
@@ -377,29 +376,11 @@ func (s *Server) engine(name string) (*live.Engine, error) {
 	return le, nil
 }
 
-// engineSupportsWorkers reports whether the live engine's inner engine
-// honours ExecOpts.Workers: the core (EmptyHeaded) engine, directly or as
-// the per-shard engine behind the scatter-gather wrapper (shard.Engine
-// forwards Workers to every shard). A ?workers=N sharded request is charged
-// N slots like an unsharded one; the shard fan-out itself is deliberately
-// not charged — see Config.Shards for the accounting trade-off.
-func engineSupportsWorkers(le *live.Engine) bool {
-	eng, err := le.Inner()
-	if err != nil {
-		return false
-	}
-	if se, ok := eng.(*shard.Engine); ok {
-		eng = se.ShardEngine(0)
-	}
-	_, ok := eng.(*core.Engine)
-	return ok
-}
-
 // preparedQuery is one plan-cache entry: the interned normalized BGP and,
-// for engines that separate compilation from execution (core, logicblox,
-// auto), its compiled plan tagged with the epoch it was compiled at. A
-// template entry holds only the plan, epoch and cost. All fields are
-// immutable and shared by concurrent executions.
+// for engines that separate compilation from execution (emptyheaded,
+// logicblox, auto), its compiled plan tagged with the epoch it was
+// compiled at. A template entry holds only the plan, epoch and cost. All
+// fields are immutable and shared by concurrent executions.
 type preparedQuery struct {
 	bgp   *query.BGP
 	plan  *plan.Plan // nil for engines that plan internally per execution
@@ -459,7 +440,7 @@ func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (pq *
 		}
 	}
 	var tkey string
-	if pq.profiled && compilesPlans(le) {
+	if compiles, sharded := compilesPlans(le); pq.profiled && compiles && !sharded {
 		tkey = "t|" + prefix + pq.class.String() + "|" + query.Shape(norm)
 		if t, ok := s.cache.getTemplate(tkey); ok {
 			pq.plan, pq.epoch = plan.Bind(t.plan, norm, s.ls.Dict()), t.epoch
@@ -487,16 +468,23 @@ func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (pq *
 }
 
 // compilesPlans reports whether the wrapped engine compiles plans apart
-// from executing them: only such engines have templates.
-func compilesPlans(le *live.Engine) bool {
+// from executing them (emptyheaded, logicblox, auto), directly or as the
+// per-shard engine behind the scatter-gather wrapper; sharded reports the
+// latter. Only a direct one has templates. Either honours ExecOpts.Workers
+// (shard.Engine forwards Workers to every shard), so a ?workers=N request
+// on it is charged N slots; a sharded one is charged like an unsharded
+// one, and the shard fan-out itself is deliberately not charged — see
+// Config.Shards for the accounting trade-off.
+func compilesPlans(le *live.Engine) (compiles, sharded bool) {
 	eng, err := le.Inner()
 	if err != nil {
-		return false
+		return false, false
 	}
-	_, ok := eng.(interface {
-		OpenPlan(*plan.Plan, engine.ExecOpts) (engine.Cursor, error)
-	})
-	return ok
+	if se, ok := eng.(*shard.Engine); ok {
+		eng, sharded = se.ShardEngine(0), true
+	}
+	_, compiles = eng.(*engines.Engine)
+	return compiles, sharded
 }
 
 // open starts the prepared query: the live engine reuses the cached plan
@@ -703,10 +691,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if workers > s.cfg.MaxQueryWorkers {
 		workers = s.cfg.MaxQueryWorkers // clamp, don't reject: the ceiling is an operator policy
 	}
-	if !engineSupportsWorkers(eng) {
-		// Only the core (EmptyHeaded) enumeration has a parallel path —
-		// directly, or per shard behind the scatter-gather wrapper, which
-		// forwards Workers. Other engines run single-threaded regardless of
+	if compiles, _ := compilesPlans(eng); !compiles {
+		// Only the plans exec runs have a parallel enumeration — directly,
+		// or per shard behind the scatter-gather wrapper, which forwards
+		// Workers. Other engines run single-threaded regardless of
 		// opts.Workers, so charging them N slots would waste pool capacity
 		// and skew the admission EWMA.
 		workers = 0

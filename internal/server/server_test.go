@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/lubm"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -462,6 +464,45 @@ func TestWorkersParam(t *testing.T) {
 	// A request above the ceiling is clamped, not rejected.
 	if code, _ := get(t, queryURL(ts.URL, triangleQuery, map[string]string{"workers": "10000"})); code != http.StatusOK {
 		t.Fatalf("huge workers: status %d, want 200 (clamped)", code)
+	}
+}
+
+// TestWorkersOnAuto: ?workers=N on the auto engine, the one every
+// benchmark workload serves, holds N pool slots and returns the sequential
+// rows, unsharded and behind the scatter-gather wrapper (which forwards
+// Workers to every shard's engine).
+func TestWorkersOnAuto(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		_, ts := newTestServer(t, denseStore(12), Config{MaxConcurrent: 8, MaxQueryWorkers: 8, Shards: shards})
+		var out [2]struct {
+			Rows  [][]string         `json:"rows"`
+			Trace *obs.TraceSnapshot `json:"trace"`
+		}
+		for i, extra := range []map[string]string{
+			{"engine": "auto"},
+			{"engine": "auto", "workers": "2", "explain": "1"},
+		} {
+			code, body := get(t, queryURL(ts.URL, triangleQuery, extra))
+			if code != http.StatusOK {
+				t.Fatalf("shards=%d %v: status %d, body %.200s", shards, extra, code, body)
+			}
+			if err := json.Unmarshal([]byte(body), &out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq, par := out[0], out[1]
+		if par.Trace == nil {
+			t.Fatalf("shards=%d: explain=1 returned no trace", shards)
+		}
+		if sp := par.Trace.Root.Find("admission_wait"); sp == nil || sp.Attrs["slots"] != float64(2) {
+			t.Fatalf("shards=%d: workers=2 admission_wait span = %+v, want slots 2", shards, sp)
+		}
+		for _, rows := range [][][]string{seq.Rows, par.Rows} {
+			slices.SortFunc(rows, slices.Compare)
+		}
+		if len(seq.Rows) != 12*12*12 || !slices.EqualFunc(seq.Rows, par.Rows, slices.Equal) {
+			t.Fatalf("shards=%d: workers=2 gave %d rows, sequential %d (want %d, equal)", shards, len(par.Rows), len(seq.Rows), 12*12*12)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 	if code, body := get(t, queryURL(sharded.URL, scatteredPath, map[string]string{"explain": "plan"})); code != http.StatusOK || !strings.Contains(body, `"kind":"join"`) {
 		t.Fatalf("4-hop path not planned as a scattered join: %d %.400s", code, body)
 	}
-	// ?workers= is honoured (and accounted) for sharded core engines too:
+	// ?workers= is honoured (and accounted) for sharded emptyheaded too:
 	// same rows, parallel per-shard enumeration.
 	wantPar := collectTSV(t, plain.URL, triangleQuery, "emptyheaded")
 	pcode, pbody := get(t, queryURL(sharded.URL, triangleQuery,

@@ -10,6 +10,8 @@
 //   - the paper's four comparison engines, modelled per §IV-A2:
 //     LogicBlox-like (un-optimized WCOJ), MonetDB-like (pairwise column
 //     store), RDF-3X-like and TripleBit-like (specialized RDF engines);
+//     EmptyHeaded, the LogicBlox model and the cost-model router "auto"
+//     are one engine type that differ only in how they compile a query;
 //   - a deterministic LUBM data generator and the benchmark's queries;
 //   - N-Triples loading and a SPARQL basic-graph-pattern front end.
 //
@@ -23,10 +25,8 @@ package repro
 import (
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/engine"
-	"repro/internal/engine/logicblox"
 	"repro/internal/engine/monetdb"
 	"repro/internal/engine/naive"
 	"repro/internal/engine/rdf3x"
@@ -34,6 +34,7 @@ import (
 	"repro/internal/engines"
 	"repro/internal/live"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -72,16 +73,17 @@ type BGP = query.BGP
 type Triple = rdf.Triple
 
 // Options toggles the EmptyHeaded engine's classic optimizations
-// (Table I of the paper).
-type Options = core.Options
+// (Table I of the paper): the set layout optimizer and selection pushdown
+// within and across GHD nodes.
+type Options = plan.Options
 
 // AllOptimizations enables every optimization — the configuration
 // benchmarked as "EmptyHeaded" in Table II.
-var AllOptimizations = core.AllOptimizations
+var AllOptimizations = plan.AllOptimizations
 
 // NoOptimizations disables all of them — the bare worst-case optimal
 // engine.
-var NoOptimizations = core.NoOptimizations
+var NoOptimizations = plan.NoOptimizations
 
 // Dataset is a dictionary-encoded RDF dataset shared by any number of
 // engines: an immutable, fully-indexed base plus a mutable delta overlay
@@ -213,11 +215,13 @@ func (d *Dataset) Epoch() uint64 { return d.ls.Epoch() }
 // optimization configuration, bound to the dataset's current base snapshot
 // (later updates are invisible to it; use NewEngineByName for a live
 // engine).
-func NewEmptyHeaded(d *Dataset, opts Options) Engine { return core.New(d.ls.Base(), opts) }
+func NewEmptyHeaded(d *Dataset, opts Options) Engine {
+	return engines.NewEmptyHeaded(d.ls.Base(), opts)
+}
 
 // NewLogicBlox returns the LogicBlox-like baseline: worst-case optimal
 // joins without EmptyHeaded's layout/plan optimizations.
-func NewLogicBlox(d *Dataset) Engine { return logicblox.New(d.ls.Base()) }
+func NewLogicBlox(d *Dataset) Engine { return engines.NewLogicBlox(d.ls.Base()) }
 
 // NewMonetDB returns the MonetDB-like baseline: a pairwise column-store
 // engine over vertically partitioned tables.
@@ -249,15 +253,7 @@ func EngineNames() []string { return engines.Names() }
 
 // Engines returns one instance of every benchmarked engine (the five rows
 // of Table II), in the paper's column order.
-func Engines(d *Dataset) []Engine {
-	return []Engine{
-		NewEmptyHeaded(d, AllOptimizations),
-		NewTripleBit(d),
-		NewRDF3X(d),
-		NewMonetDB(d),
-		NewLogicBlox(d),
-	}
-}
+func Engines(d *Dataset) []Engine { return engines.TableII(d.ls.Base()) }
 
 // Parse parses a SPARQL basic-graph-pattern query (PREFIX + SELECT +
 // WHERE).
