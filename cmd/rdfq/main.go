@@ -141,7 +141,7 @@ func main() {
 		}
 	}
 	// With -explain, an execute span rides the context: the engines attach
-	// their decisions (engine class, scatter plan, per-shard drains) as the
+	// their decisions (scatter plan, per-shard drains) as the
 	// query runs, and the tree prints once the cursor is drained.
 	var tr *obs.Trace
 	var execSp *obs.Span

@@ -3,10 +3,8 @@ package engines
 import (
 	"repro/internal/engine"
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -14,15 +12,13 @@ import (
 // function and a memo of the plans it compiled. A compiled plan carries
 // everything execution reads, its set layout policy included, so Plan
 // compiles, OpenPlan is exec.Open and Open memoizes then opens; the
-// emptyheaded, logicblox and auto engines differ only in how they compile.
+// emptyheaded and logicblox engines differ only in how they compile, and
+// auto is emptyheaded under another name.
 type Engine struct {
 	name    string
 	st      *store.Store
 	compile compileFunc
-	// ledger receives auto's chooser records (nil for the static engines):
-	// a class pick per execution, a memo lookup per direct Open.
-	ledger *stats.Chooser
-	plans  plan.Memo
+	plans   plan.Memo
 }
 
 // compileFunc compiles a query into a plan over a store.
@@ -57,47 +53,12 @@ func NewLogicBlox(st *store.Store) *Engine {
 	return &Engine{name: "logicblox", st: st, compile: plan.CompileFlat}
 }
 
-// NewAuto returns the cost-model router over st: it profiles every query
-// and compiles it for the engine class the cost model (internal/plan)
-// prices cheapest — the fully optimized hybrid GHD plan for selective and
-// cyclic queries, a flat worst-case optimal leapfrog for
-// intersection-heavy big-output queries (where GHD materialization costs
-// more than it saves), and uint-layout scan enumeration for join-free
-// output-dominated queries (where bitset decode is pure overhead). The
-// plan records its class, and every pick is recorded in the stats.Default
-// ledger for /stats.
+// NewAuto returns the fully optimized emptyheaded engine under the name
+// "auto": one worst-case optimal engine with the classic optimizations of
+// §III all on, which the paper finds competitive on every LUBM query
+// without a router between engines.
 func NewAuto(st *store.Store) *Engine {
-	return &Engine{name: "auto", st: st, compile: route, ledger: stats.Default}
-}
-
-// route profiles q, picks the cheapest class and compiles q for it.
-func route(q *query.BGP, st *store.Store) (*plan.Plan, error) {
-	prof, err := plan.ProfileQuery(q, st)
-	if err != nil {
-		return nil, err
-	}
-	cls, _ := prof.ChooseClass()
-	return compileClass(q, st, cls)
-}
-
-// classes compiles each engine class: hybrid-ghd is the fully optimized
-// emptyheaded engine, pure-wcoj the logicblox engine, and scan-enumerate
-// emptyheaded with the layout optimizer off, so that enumeration streams
-// sorted uint arrays instead of decoding bitsets.
-var classes = [...]compileFunc{
-	plan.ClassHybridGHD:     emptyHeaded(plan.AllOptimizations),
-	plan.ClassPureWCOJ:      plan.CompileFlat,
-	plan.ClassScanEnumerate: emptyHeaded(plan.Options{AttributeReorder: true, GHDPushdown: true}),
-}
-
-// compileClass compiles q as class cls runs it and tags the plan.
-func compileClass(q *query.BGP, st *store.Store, cls plan.EngineClass) (*plan.Plan, error) {
-	p, err := classes[cls](q, st)
-	if err != nil {
-		return nil, err
-	}
-	p.Class = cls
-	return p, nil
+	return &Engine{name: "auto", st: st, compile: emptyHeaded(plan.AllOptimizations)}
 }
 
 // Name implements engine.Engine.
@@ -112,10 +73,6 @@ func (e *Engine) Plan(q *query.BGP) (*plan.Plan, error) { return e.compile(q, e.
 // over this engine's store. opts.Workers > 1 parallelizes the final
 // enumeration.
 func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
-	if e.ledger != nil {
-		e.ledger.RecordEnginePick(p.Class.String())
-		obs.SpanFrom(opts.Ctx).SetAttr("engine_class", p.Class.String())
-	}
 	return exec.Open(p, e.st, opts)
 }
 
@@ -123,10 +80,7 @@ func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, er
 // mirroring the paper's exclusion of compilation time from its
 // measurements) and stream the plan through a cursor.
 func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
-	p, hit, err := e.plans.Get(q, e.Plan)
-	if e.ledger != nil {
-		e.ledger.RecordCostLookup(hit)
-	}
+	p, err := e.plans.Get(q, e.Plan)
 	if err != nil {
 		return nil, err
 	}

@@ -4,11 +4,10 @@
 // server's per-request ?engine= selection.
 //
 // It also holds the worst-case optimal engines themselves (engine.go):
-// emptyheaded, the LogicBlox model and the cost-model router auto are one
-// Engine type over internal/exec, each a way to compile a query into a
-// plan. The compiled plan records its set layout policy (and, under auto,
-// its class), so every plan runs with exec.Open; auto's three classes are
-// the other two engines' compile functions.
+// emptyheaded and the LogicBlox model are one Engine type over
+// internal/exec, each a way to compile a query into a plan, and auto is
+// the fully optimized emptyheaded engine under its own name. The compiled
+// plan records its set layout policy, so every plan runs with exec.Open.
 package engines
 
 import (
@@ -28,7 +27,8 @@ import (
 )
 
 // Names lists the selectable engine names: the paper's Table II engines in
-// column order, plus the cost-model router and the naive reference engine.
+// column order, plus auto (the fully optimized emptyheaded engine) and the
+// naive reference engine.
 func Names() []string {
 	return []string{"emptyheaded", "triplebit", "rdf3x", "monetdb", "logicblox", "auto", "naive"}
 }

@@ -23,9 +23,10 @@ const goldenPath = "testdata/plans.golden"
 
 // TestPlansMatchGolden pins every plan a served or benchmarked engine
 // compiles for LUBM's 12 queries at scale 1 and for seven shapes over a
-// small knows graph: auto's chosen class, the plan of each of auto's three
-// classes, the fully optimized emptyheaded engine and Table I's ablations
-// of it, and plan.NoOptimizations. A planner refactor that means to move no plan
+// small knows graph: the logicblox engine's flat plan, the fully optimized
+// emptyheaded engine and Table I's ablations of it, and
+// plan.NoOptimizations; auto's plan must render as the fully optimized
+// one. A planner refactor that means to move no plan
 // must leave the rendering byte-identical; one that does move a plan
 // rewrites the file with -update and shows the diff.
 func TestPlansMatchGolden(t *testing.T) {
@@ -87,20 +88,13 @@ func lineAt(lines []string, i int) string {
 func renderPlans(t *testing.T, b *strings.Builder, name, text string, st *store.Store) {
 	t.Helper()
 	q, _ := query.Normalize(query.MustParseSPARQL(text))
-	auto := NewAuto(st)
-	p, err := auto.Plan(q)
+	fmt.Fprintf(b, "== %s\n", name)
+	p, err := NewLogicBlox(st).Plan(q)
 	if err != nil {
-		t.Fatalf("%s/auto: %v", name, err)
+		t.Fatalf("%s/logicblox: %v", name, err)
 	}
-	fmt.Fprintf(b, "== %s / auto chooses %s\n", name, p.Class)
-	for _, cls := range plan.Classes() {
-		p, err := compileClass(q, st, cls)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", name, cls, err)
-		}
-		fmt.Fprintf(b, "-- %s / class %s\n", name, cls)
-		renderPlan(b, p)
-	}
+	fmt.Fprintf(b, "-- %s / logicblox\n", name)
+	renderPlan(b, p)
 	ablate := func(f func(*plan.Options)) plan.Options {
 		o := plan.AllOptimizations
 		f(&o)
@@ -122,6 +116,19 @@ func renderPlans(t *testing.T, b *strings.Builder, name, text string, st *store.
 		}
 		fmt.Fprintf(b, "-- %s / core %s\n", name, c.name)
 		renderPlan(b, p)
+	}
+	// auto is the fully optimized emptyheaded engine: its plan renders as
+	// core all's, so the golden holds it once.
+	var got, want strings.Builder
+	for e, r := range map[*Engine]*strings.Builder{NewAuto(st): &got, NewEmptyHeaded(st, plan.AllOptimizations): &want} {
+		p, err := e.Plan(q)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", name, e.Name(), err)
+		}
+		renderPlan(r, p)
+	}
+	if got.String() != want.String() {
+		t.Errorf("%s: auto's plan differs from core all's\n got: %s\nwant: %s", name, got.String(), want.String())
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // server's plan templates rest on: compiling a query depends on which
 // positions carry constants and on predicate statistics, never on the
 // constants' values. For every LUBM query plus a triangle and a
-// variable-predicate star at LUBM 1, and for each of auto's three classes,
-// each S/O constant is re-bound to values taken from the data and to an
+// variable-predicate star at LUBM 1, and for each of three compile
+// functions — plan.Compile with every optimization, plan.Compile with the
+// layout optimizer off, and plan.CompileFlat — each S/O constant is re-bound to values taken from the data and to an
 // IRI absent from the dictionary; plan.Bind of the original query's plan
 // must then equal a fresh compile of the re-bound text, nil-versus-empty
 // slices included. The plan's automorphism group must be equal too: "sym"
@@ -48,35 +49,44 @@ func TestBindEqualsCompile(t *testing.T) {
 	}
 	absent := rdf.NewIRI("http://absent.example/none")
 
+	compilers := []struct {
+		name    string
+		compile compileFunc
+	}{
+		{"all", emptyHeaded(plan.AllOptimizations)},
+		{"-Layout", emptyHeaded(plan.Options{AttributeReorder: true, GHDPushdown: true})},
+		{"flat", plan.CompileFlat}, // keeps no automorphism group
+	}
+
 	for name, text := range texts {
 		norm, _ := query.Normalize(query.MustParseSPARQL(text))
-		for _, cls := range plan.Classes() {
-			tmpl, err := compileClass(norm, st, cls)
+		for _, c := range compilers {
+			tmpl, err := c.compile(norm, st)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, cls, err)
+				t.Fatalf("%s/%s: %v", name, c.name, err)
 			}
 			if tmpl.Empty {
-				t.Fatalf("%s/%s: template compiled empty", name, cls)
+				t.Fatalf("%s/%s: template compiled empty", name, c.name)
 			}
-			if (tmpl.Sym != nil) != (name == "sym" && cls != plan.ClassPureWCOJ) {
-				t.Fatalf("%s/%s: template keeps a group: %v", name, cls, tmpl.Sym != nil)
+			if (tmpl.Sym != nil) != (name == "sym" && c.name != "flat") {
+				t.Fatalf("%s/%s: template keeps a group: %v", name, c.name, tmpl.Sym != nil)
 			}
 			check := func(label string, q *query.BGP) {
 				t.Helper()
-				want, err := compileClass(q, st, cls)
+				want, err := c.compile(q, st)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				got := plan.Bind(tmpl, q, st.Dict())
-				if got.Empty != want.Empty || got.Distinct != want.Distinct || got.Class != want.Class || got.Policy != want.Policy ||
+				if got.Empty != want.Empty || got.Distinct != want.Distinct || got.Policy != want.Policy ||
 					!reflect.DeepEqual(got.Select, want.Select) ||
 					!reflect.DeepEqual(got.GlobalOrder, want.GlobalOrder) ||
 					!reflect.DeepEqual(got.Root, want.Root) ||
 					!reflect.DeepEqual(got.Sym, want.Sym) {
-					t.Fatalf("%s: bound plan differs from compiled plan\n got: %v %s\nwant: %v %s", label, got.Class, got, want.Class, want)
+					t.Fatalf("%s: bound plan differs from compiled plan\n got: %s\nwant: %s", label, got, want)
 				}
 			}
-			check(fmt.Sprintf("%s/%s unchanged", name, cls), norm)
+			check(fmt.Sprintf("%s/%s unchanged", name, c.name), norm)
 			for i, pat := range norm.Patterns {
 				for pos, n := range []query.Node{pat.S, pat.P, pat.O} {
 					if n.IsVar || pos == 1 {
@@ -97,7 +107,7 @@ func TestBindEqualsCompile(t *testing.T) {
 						if query.Shape(&q) != query.Shape(norm) {
 							t.Fatalf("%s: re-bound text changed shape", name)
 						}
-						check(fmt.Sprintf("%s/%s pattern %d position %d = %s", name, cls, i, pos, v), &q)
+						check(fmt.Sprintf("%s/%s pattern %d position %d = %s", name, c.name, i, pos, v), &q)
 					}
 				}
 			}

@@ -205,7 +205,8 @@ type joiner struct {
 	// nil when none) split L's inputs — F is all of them when L runs its
 	// own step — and block collects P's matches. ∩F is hv — marked in marks
 	// when markedOK — or the bitset hbits. fixLeaf is F's leaf node ∩F was
-	// taken from when F is one input, fvals a bitset ∩F's decoded members.
+	// taken from when F is one input, fvals a bitset ∩F's decoded members or
+	// the chunk L's own step decodes a lone bitset leaf into.
 	// marks comes from marksPool and goes back cleared. touch sinks the
 	// loads with which flush pulls a block's leaves in.
 	tailAt   int

@@ -109,6 +109,17 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 	if leaf := st.RelationByIRI("http://ex/e2").TrieSO(set.PolicyAdaptive).Stats()[1]; leaf.BitsetNodes != 0 {
 		t.Fatalf("e2 leaf level has %d bitset nodes, want a uint-only level", leaf.BitsetNodes)
 	}
+	// one-var-one-hub reads <n0>'s e0 out-neighbours alone at the last
+	// attribute: under PolicyAdaptive a bitset leaf of more than 256
+	// members, which L's own step decodes across a chunk boundary.
+	n0, _ := st.Dict().LookupIRI("http://ex/n0")
+	hub, ok := e0.TrieSO(set.PolicyAdaptive).Root().ChildByValue(uint32(n0))
+	if !ok {
+		t.Fatal("<n0> has no e0 out-neighbours")
+	}
+	if leaf := hub.Set(); leaf.Layout() != set.Bitset || leaf.Len() <= 256 {
+		t.Fatalf("<n0>'s e0 leaf under PolicyAdaptive is %v, want a bitset of more than 256 members", leaf)
+	}
 	// The triangle's invariant leaves, ?x's e0 in-neighbours, must both fit
 	// smallMarkWords and exceed it.
 	if fit, exceed := markSpans(e0.TrieOS(set.PolicyUintOnly), smallMarkWords); fit == 0 || exceed == 0 {

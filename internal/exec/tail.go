@@ -32,7 +32,8 @@ import (
 // tailBlock is how many of P's matches the tail collects before probing
 // them: enough that reading their leaves runs as one batch of independent
 // loads, few enough that the block stays at 8 KB and a LIMIT waits on at
-// most that many matches.
+// most that many matches. L's own step decodes a lone bitset leaf in chunks
+// of as many members, for the same LIMIT.
 const tailBlock = 256
 
 // match is one of P's values in the tail's block: the value, V's child rank
@@ -119,8 +120,9 @@ func (j *joiner) enterTail() {
 // the whole join); with several it is their kernel intersection. A uint ∩F
 // that V's leaves probe is marked, when its range fits maxMarkWords. A
 // bitset one is kept when V's leaves probe it or it is the lone leaf L's
-// own step walks; else it is emitted whole — at every match of a tail
-// without V, or once, as the kernels' full result — and decoded once.
+// own step decodes in chunks; else it is emitted whole — at every match of
+// a tail without V, or once, as the kernels' full result — and decoded
+// once.
 func (j *joiner) hoist() bool {
 	var s *set.Set
 	var vals []uint32
@@ -180,9 +182,9 @@ func (j *joiner) hoist() bool {
 
 // last is L's own step, taken when P's step is not the fused tail: one
 // pass with V empty, emitting the members of ∩F at or above the symmetry
-// bound. A lone bitset leaf is walked by an iterator from the bound, not
-// decoded, so a LIMIT that wants a few rows of a large leaf reads only
-// those; the iterator is the leaf's own, which L's leapfrog would have used.
+// bound. A lone bitset leaf is decoded from the bound word by word into
+// chunks of tailBlock members, each emitted whole, so a LIMIT that wants a
+// few rows of a large leaf decodes one chunk, not the leaf.
 func (j *joiner) last(l int) error {
 	if !j.hoist() {
 		return nil
@@ -191,14 +193,10 @@ func (j *joiner) last(l int) error {
 	if j.hbits == nil {
 		return j.emitRows(l, trimBelow(j.hv, lo))
 	}
-	it := &j.fix[0].it
-	it.Reset(j.hbits)
-	for it.SeekGE(lo); !it.Done(); it.Next() {
-		if err := j.emitRows(l, []uint32{it.Cur()}); err != nil {
-			return err
-		}
+	if cap(j.fvals) < tailBlock {
+		j.fvals = make([]uint32, tailBlock)
 	}
-	return nil
+	return j.hbits.DecodeChunks(j.fvals[:tailBlock], lo, func(vals []uint32) error { return j.emitRows(l, vals) })
 }
 
 // flush runs the block's last two phases: it reads the V leaf below each

@@ -34,16 +34,6 @@ func (e Edge) HasVertex(v string) bool {
 	return false
 }
 
-// Covers reports whether every vertex in vs is spanned by the edge.
-func (e Edge) Covers(vs []string) bool {
-	for _, v := range vs {
-		if !e.HasVertex(v) {
-			return false
-		}
-	}
-	return true
-}
-
 func (e Edge) String() string {
 	return fmt.Sprintf("%s(%s)", e.Name, strings.Join(e.Vertices, ","))
 }

@@ -156,9 +156,6 @@ func TestEdgeHelpers(t *testing.T) {
 	if !e.HasVertex("x") || e.HasVertex("q") {
 		t.Errorf("HasVertex wrong")
 	}
-	if !e.Covers([]string{"x"}) || !e.Covers([]string{"x", "y"}) || e.Covers([]string{"x", "q"}) {
-		t.Errorf("Covers wrong")
-	}
 	if e.String() != "R(x,y)" {
 		t.Errorf("String = %q", e.String())
 	}

@@ -19,7 +19,7 @@ import (
 type BuildFunc func(st *store.Store, part *shard.Partitioned) (engine.Engine, error)
 
 // planOpener matches engines that separate compilation from execution
-// (internal/engines' Engine: emptyheaded, logicblox and the auto router) —
+// (internal/engines' Engine: emptyheaded, logicblox and auto) —
 // structurally, so live does not import the registry that imports it.
 type planOpener interface {
 	Plan(*query.BGP) (*plan.Plan, error)

@@ -144,28 +144,3 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 func (s HistSnapshot) QuantileDuration(p float64) time.Duration {
 	return time.Duration(s.Quantile(p) * float64(time.Second))
 }
-
-// Merge returns the bucket-wise sum of two snapshots over identical bounds;
-// it panics on mismatched bounds (merging histograms with different shapes
-// is a programming error, not a runtime condition).
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	if len(o.Counts) == 0 {
-		return s
-	}
-	if len(s.Counts) == 0 {
-		return o
-	}
-	if len(s.Counts) != len(o.Counts) {
-		panic("obs: merging histograms with different bucket layouts")
-	}
-	out := HistSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]uint64, len(s.Counts)),
-		Sum:    s.Sum + o.Sum,
-		Count:  s.Count + o.Count,
-	}
-	for i := range out.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out
-}

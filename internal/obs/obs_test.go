@@ -66,21 +66,6 @@ func TestHistConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	a := NewHist([]float64{1, 10})
-	b := NewHist([]float64{1, 10})
-	a.Observe(0.5)
-	b.Observe(5)
-	b.Observe(50)
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 3 || m.Counts[0] != 1 || m.Counts[1] != 1 || m.Counts[2] != 1 {
-		t.Fatalf("merge = %+v", m)
-	}
-	if got := m.Merge(HistSnapshot{}); got.Count != 3 {
-		t.Fatalf("merge with empty lost data: %+v", got)
-	}
-}
-
 func TestPromWriterFormat(t *testing.T) {
 	var sb strings.Builder
 	p := NewPromWriter(&sb)

@@ -8,7 +8,7 @@ import (
 
 // Trace is one query's span tree, from parse to last encoded byte. The
 // server creates it per traced request; lower layers (the live overlay, the
-// shard scatter planner, the per-shard drains, the auto router) attach
+// shard scatter planner, the per-shard drains) attach
 // children and attributes through the context. A nil *Trace / *Span is the
 // "not traced" state: every method no-ops on a nil receiver, so untraced
 // queries pay one pointer check per instrumentation site and zero

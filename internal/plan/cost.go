@@ -10,48 +10,14 @@ import (
 	"repro/internal/store"
 )
 
-// This file is the cost model behind the statistics-driven engine choice
-// (the "auto" engine in internal/engines, the /stats chooser report,
-// and the server's cost×frequency plan-cache eviction). It estimates, from
-// the store's per-predicate statistics alone, how much work each engine
-// class would spend on a query: a worst-case optimal leapfrog pass over a
-// single flat node, a GHD-factorized hybrid plan, or a scan-and-enumerate
-// pairwise plan. The constants are fit to measured LUBM crossovers on this
-// codebase (see README "Cost model & kernels"): GHD factorization roughly
-// halves intersection work via pushdown but pays ~4× per emitted row for
-// materializing and decoding intermediates, which is why big-output queries
-// (q8, q14) route away from the hybrid plan while selective and cyclic
-// queries (q1, q2, q7) stay on it.
-
-// EngineClass is one of the three algorithmic families the cost model
-// prices. Each maps to a concrete engine in internal/engines' auto router.
-type EngineClass int
-
-const (
-	// ClassHybridGHD is the fully optimized EmptyHeaded configuration: GHD
-	// factorization, selection pushdown, adaptive set layouts.
-	ClassHybridGHD EngineClass = iota
-	// ClassPureWCOJ is a single-node worst-case optimal leapfrog join with
-	// array layouts (the LogicBlox-style plan) — no intermediate
-	// materialization at all.
-	ClassPureWCOJ
-	// ClassScanEnumerate is column-scan enumeration with uint-only layouts:
-	// the cheapest shape for join-free, output-dominated queries.
-	ClassScanEnumerate
-)
-
-// String names the class for /stats and logs.
-func (c EngineClass) String() string {
-	switch c {
-	case ClassHybridGHD:
-		return "hybrid-ghd"
-	case ClassPureWCOJ:
-		return "pure-wcoj"
-	case ClassScanEnumerate:
-		return "scan-enumerate"
-	}
-	return "unknown"
-}
+// This file prices a query from the store's per-predicate statistics
+// alone, without compiling it. The price is what the server's
+// cost×frequency plan-cache eviction keeps expensive plans by, and what the
+// shard planner (internal/shard) weighs a scatter against to decline it.
+// It prices the plan the emptyheaded and auto engines serve: the fully
+// optimized GHD plan, whose pushdown roughly halves raw intersection work
+// but pays ~4× per emitted row for materializing and decoding
+// intermediates, or, for a query with no join, a scan of its inputs.
 
 // varStat accumulates one variable's per-pattern statistics.
 type varStat struct {
@@ -67,8 +33,6 @@ type Profile struct {
 	// Empty is set when a constant is absent from the dictionary: the
 	// result is necessarily empty and every engine is equally cheap.
 	Empty bool
-	// Patterns is the number of triple patterns.
-	Patterns int
 	// JoinVars is the number of variables shared by ≥2 patterns.
 	JoinVars int
 	// ScanRows is the summed post-selection pattern cardinality — the cost
@@ -89,7 +53,7 @@ func ProfileQuery(q *query.BGP, st *store.Store) (Profile, error) {
 	if err := q.Validate(); err != nil {
 		return Profile{}, err
 	}
-	p := Profile{Patterns: len(q.Patterns)}
+	var p Profile
 	vars := map[string]*varStat{}
 	observe := func(name string, distinct float64) {
 		vs := vars[name]
@@ -153,8 +117,8 @@ func ProfileQuery(q *query.BGP, st *store.Store) (Profile, error) {
 		// by uniformity division. The difference matters: LUBM's rdf:type
 		// relation puts 1/3 of its rows under one of twelve type values, so
 		// rows/distinct underestimates the Student selection 4× and
-		// overestimates the Department selection 100× — and the engine
-		// routing below keys on exactly those cardinalities.
+		// overestimates the Department selection 100× — and the price
+		// below keys on exactly those cardinalities.
 		size := float64(s.Rows)
 		var pv []string
 		switch {
@@ -227,50 +191,22 @@ func ProfileQuery(q *query.BGP, st *store.Store) (Profile, error) {
 // Cost model constants, fit to the measured LUBM scale-1 crossovers (the
 // README records the fitting runs): the hybrid plan's pushdown roughly
 // halves raw intersection work, but every emitted row flows through child
-// materialization and layout decode (~4× per row vs ~1.5× for a flat
-// leapfrog enumeration); a pairwise plan without indexes scans everything
-// and pays heavily per join for hash materialization.
+// materialization and layout decode.
 const (
 	hybridIntersectFactor = 0.6
 	hybridRowFactor       = 4.0
-	wcojRowFactor         = 1.5
-	pairwiseJoinFactor    = 8.0
 )
 
-// Cost prices the profile under one engine class, in abstract "set elements
-// touched" units. Comparable across classes for the same profile only.
-func (p Profile) Cost(c EngineClass) float64 {
-	if p.Empty {
+// Cost prices the query in abstract "set elements touched" units: 0 when
+// the result is necessarily empty, the scan of every input for a query
+// with no join variable, and the GHD plan's intersection work plus its
+// per-row cost otherwise.
+func (p Profile) Cost() float64 {
+	switch {
+	case p.Empty:
 		return 0
+	case p.JoinVars == 0:
+		return p.ScanRows
 	}
-	switch c {
-	case ClassHybridGHD:
-		return hybridIntersectFactor*p.IntersectWork + hybridRowFactor*p.EstOut
-	case ClassPureWCOJ:
-		return p.IntersectWork + wcojRowFactor*p.EstOut
-	case ClassScanEnumerate:
-		cost := p.ScanRows
-		if p.JoinVars > 0 {
-			cost += pairwiseJoinFactor * (p.ScanRows + p.EstOut)
-		}
-		return cost
-	}
-	return math.Inf(1)
-}
-
-// Classes lists every engine class the model prices.
-func Classes() []EngineClass {
-	return []EngineClass{ClassHybridGHD, ClassPureWCOJ, ClassScanEnumerate}
-}
-
-// ChooseClass returns the cheapest engine class for the profile and its
-// estimated cost. Ties break toward the hybrid plan (the paper's default).
-func (p Profile) ChooseClass() (EngineClass, float64) {
-	best, bestCost := ClassHybridGHD, p.Cost(ClassHybridGHD)
-	for _, c := range []EngineClass{ClassPureWCOJ, ClassScanEnumerate} {
-		if cost := p.Cost(c); cost < bestCost {
-			best, bestCost = c, cost
-		}
-	}
-	return best, bestCost
+	return hybridIntersectFactor*p.IntersectWork + hybridRowFactor*p.EstOut
 }

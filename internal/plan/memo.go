@@ -24,17 +24,17 @@ type Memo struct {
 	m  map[*query.BGP]*Plan
 }
 
-// Get returns q's plan, compiling it with compile on a miss; hit reports
-// whether it was memoized.
-func (m *Memo) Get(q *query.BGP, compile func(*query.BGP) (*Plan, error)) (p *Plan, hit bool, err error) {
+// Get returns q's plan, compiling it with compile on a miss.
+func (m *Memo) Get(q *query.BGP, compile func(*query.BGP) (*Plan, error)) (*Plan, error) {
 	m.mu.Lock()
-	p, hit = m.m[q]
+	p, hit := m.m[q]
 	m.mu.Unlock()
 	if hit {
-		return p, true, nil
+		return p, nil
 	}
-	if p, err = compile(q); err != nil {
-		return nil, false, err
+	p, err := compile(q)
+	if err != nil {
+		return nil, err
 	}
 	m.mu.Lock()
 	if m.m == nil {
@@ -48,5 +48,5 @@ func (m *Memo) Get(q *query.BGP, compile func(*query.BGP) (*Plan, error)) (p *Pl
 	}
 	m.m[q] = p
 	m.mu.Unlock()
-	return p, false, nil
+	return p, nil
 }

@@ -145,10 +145,6 @@ type Plan struct {
 	// builds for the plan: the one Options.Layout selects for Compile, uint
 	// arrays for CompileFlat. Only Compile, CompileFlat and Bind write it.
 	Policy set.Policy
-	// Class is the engine class the plan was compiled for. The auto router
-	// (internal/engines) sets it for its chooser ledger; plans compiled by
-	// a static engine leave it zero.
-	Class EngineClass
 	// Sym is the BGP's automorphism group when the plan keeps one (nil
 	// otherwise): every element, identity first, as a permutation of
 	// Root.Attrs. A binding t's image under perm is u[i] = t[perm[i]];
@@ -177,7 +173,7 @@ func Bind(t *Plan, q *query.BGP, d *dict.Dictionary) *Plan {
 			}
 			id, ok := d.Lookup(n.Term)
 			if !ok {
-				return &Plan{Empty: true, Select: t.Select, Distinct: t.Distinct, Policy: t.Policy, Class: t.Class}
+				return &Plan{Empty: true, Select: t.Select, Distinct: t.Distinct, Policy: t.Policy}
 			}
 			ids[i][pos] = id
 		}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
@@ -99,11 +98,9 @@ type explainResponse struct {
 	QueryID string `json:"query_id"`
 	Engine  string `json:"engine"`
 	Cache   string `json:"cache"`
-	// Class is the cost model's chosen engine class; Costs holds the
-	// model's per-class estimates it chose from. Both are empty when
-	// profiling failed (the query still plans and runs).
-	Class string             `json:"engine_class,omitempty"`
-	Costs map[string]float64 `json:"costs,omitempty"`
+	// Cost is the query's price (plan.Profile.Cost), which the plan cache
+	// evicts by and a sharded server weighs a scatter against.
+	Cost float64 `json:"cost"`
 	// Scatter is the shard engine's compiled plan summary; nil when the
 	// server runs unsharded.
 	Scatter *shard.ExplainPlan `json:"scatter,omitempty"`
@@ -133,8 +130,7 @@ func (s *Server) explainPlan(w http.ResponseWriter, qid, engineName string, le *
 		QueryID:  qid,
 		Engine:   engineName,
 		Cache:    "miss",
-		Class:    pq.className(),
-		Costs:    pq.costs,
+		Cost:     pq.cost,
 		Plan:     "per-execution",
 		Template: template,
 	}
@@ -159,14 +155,6 @@ func (s *Server) explainPlan(w http.ResponseWriter, qid, engineName string, le *
 	return nil
 }
 
-// className renders the cost model's choice, empty when profiling failed.
-func (pq *preparedQuery) className() string {
-	if !pq.profiled {
-		return ""
-	}
-	return pq.class.String()
-}
-
 // annotatePlanSpan records the planner's decisions on the plan span.
 func annotatePlanSpan(sp *obs.Span, pq *preparedQuery, hit bool, template string) {
 	if sp == nil {
@@ -180,10 +168,5 @@ func annotatePlanSpan(sp *obs.Span, pq *preparedQuery, hit bool, template string
 	if template != "" {
 		sp.SetAttr("template", template)
 	}
-	if pq.profiled {
-		sp.SetAttr("engine_class", pq.class.String())
-		for _, c := range plan.Classes() {
-			sp.SetAttr("cost_"+c.String(), pq.costs[c.String()])
-		}
-	}
+	sp.SetAttr("cost", pq.cost)
 }

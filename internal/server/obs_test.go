@@ -168,9 +168,9 @@ func TestExplainDeclinedScatter(t *testing.T) {
 }
 
 // TestExplainTraceSharded is the issue's acceptance query: ?explain=1 on a
-// 4-shard LUBM query must return results plus a span tree that names the
-// chosen engine class, carries the scatter plan with its pruned-shard set,
-// and nests per-shard drain spans under the execute span.
+// 4-shard LUBM query must return results plus a span tree that prices the
+// query, carries the scatter plan with its pruned-shard set, and nests
+// per-shard drain spans under the execute span.
 func TestExplainTraceSharded(t *testing.T) {
 	_, ts := newTestServer(t, lubmScale1(), Config{Shards: 4, MaxRows: -1})
 	code, body := get(t, queryURL(ts.URL, lubm.Query(2, 1), map[string]string{"explain": "1"}))
@@ -201,17 +201,8 @@ func TestExplainTraceSharded(t *testing.T) {
 	}
 
 	planSp := root.Find("plan")
-	if cls, ok := planSp.Attrs["engine_class"].(string); !ok || cls == "" {
-		t.Fatalf("plan span does not name the chosen engine class: %v", planSp.Attrs)
-	}
-	hasCost := false
-	for k := range planSp.Attrs {
-		if strings.HasPrefix(k, "cost_") {
-			hasCost = true
-		}
-	}
-	if !hasCost {
-		t.Fatalf("plan span carries no per-class cost estimates: %v", planSp.Attrs)
+	if cost, ok := planSp.Attrs["cost"].(float64); !ok || cost <= 0 {
+		t.Fatalf("plan span carries no cost estimate: %v", planSp.Attrs)
 	}
 
 	exec := root.Find("execute")
@@ -265,8 +256,8 @@ func TestExplainTraceSharded(t *testing.T) {
 }
 
 // TestExplainPlanExecutesNothing: ?explain=plan reports the planner's
-// decisions — engine class, per-class costs, the compiled scatter plan —
-// without opening a cursor: no rows may leave any shard.
+// decisions — the query's cost, the compiled scatter plan — without
+// opening a cursor: no rows may leave any shard.
 func TestExplainPlanExecutesNothing(t *testing.T) {
 	s, ts := newTestServer(t, lubmScale1(), Config{Shards: 4, MaxRows: -1})
 	code, body := get(t, queryURL(ts.URL, lubm.Query(2, 1), map[string]string{"explain": "plan"}))
@@ -274,11 +265,10 @@ func TestExplainPlanExecutesNothing(t *testing.T) {
 		t.Fatalf("status = %d, body %s", code, body)
 	}
 	var out struct {
-		QueryID string             `json:"query_id"`
-		Engine  string             `json:"engine"`
-		Cache   string             `json:"cache"`
-		Class   string             `json:"engine_class"`
-		Costs   map[string]float64 `json:"costs"`
+		QueryID string  `json:"query_id"`
+		Engine  string  `json:"engine"`
+		Cache   string  `json:"cache"`
+		Cost    float64 `json:"cost"`
 		Scatter *struct {
 			Kind   string `json:"kind"`
 			Shards int    `json:"shards"`
@@ -296,8 +286,8 @@ func TestExplainPlanExecutesNothing(t *testing.T) {
 	if out.QueryID == "" || out.Cache != "miss" {
 		t.Fatalf("meta = %+v", out)
 	}
-	if out.Class == "" || len(out.Costs) == 0 {
-		t.Fatalf("no cost-model decision in explain=plan: %+v", out)
+	if out.Cost <= 0 {
+		t.Fatalf("no cost in explain=plan: %+v", out)
 	}
 	if out.Scatter == nil || out.Scatter.Shards != 4 || len(out.Scatter.Groups) == 0 {
 		t.Fatalf("no scatter plan in explain=plan: %+v", out)

@@ -66,11 +66,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("rdf_layout_bitset_nodes", "Trie set nodes the 1-in-256 rule laid out as bitsets.", float64(ch.LayoutBitsetNodes))
 	pw.Gauge("rdf_layout_uint_nodes", "Trie set nodes laid out as sorted uint arrays.", float64(ch.LayoutUintNodes))
 	pw.Counter("rdf_layout_flips_total", "Layout decisions that flipped the paper's density default.", float64(ch.LayoutFlips))
-	for _, cls := range obs.SortedKeys(ch.EnginePicks) {
-		pw.Counter("rdf_engine_picks_total", "Cost-model engine-class choices, by class.", float64(ch.EnginePicks[cls]), "class", cls)
-	}
-	pw.Counter("rdf_cost_lookups_total", "Auto-router routing-memo lookups on the direct Open path (shard engines, CLIs); served plans carry their class and skip the memo.", float64(ch.CostLookups))
-	pw.Counter("rdf_cost_hits_total", "Auto-router routing-memo hits on the direct Open path.", float64(ch.CostHits))
 
 	if sh := st.Sharding; sh != nil {
 		pw.Gauge("rdf_shards", "Configured shard count.", float64(sh.Shards))

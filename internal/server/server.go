@@ -385,15 +385,9 @@ type preparedQuery struct {
 	bgp   *query.BGP
 	plan  *plan.Plan // nil for engines that plan internally per execution
 	epoch uint64     // epoch plan was compiled against (meaningful when plan != nil)
-	cost  float64    // cost-model estimate; drives cache eviction priority
-
-	// Cost-model decision, retained for the EXPLAIN surface and trace
-	// attributes: the chosen class and the per-class estimates it was chosen
-	// from. profiled is false when ProfileQuery failed (the query still
-	// runs; the explanation just has no cost section).
-	profiled bool
-	class    plan.EngineClass
-	costs    map[string]float64
+	// cost is the query's price (plan.Profile.Cost): it drives cache
+	// eviction priority and is reported by EXPLAIN and the plan span.
+	cost float64
 
 	// template is the key of the template the plan was bound from or
 	// became; "" when there is none.
@@ -414,12 +408,11 @@ type preparedQuery struct {
 //
 // On a text miss, an engine that compiles plans looks up a template: the
 // plan compiled for q's shape (query.Shape — S/O constants lifted) under
-// the same epoch, engine and cost-model class. The class is in the key
-// because routing is value-sensitive; the plan itself is not, so
-// binding q's constants into a copy of the template (plan.Bind) gives
-// exactly the plan compiling q would. A template miss compiles q and
-// stores the plan as the shape's template unless it is empty. template
-// reports "hit" or "miss", or "" when no template was consulted.
+// the same epoch and engine. Compilation is value-independent, so binding
+// q's constants into a copy of the template (plan.Bind) gives exactly the
+// plan compiling q would. A template miss compiles q and stores the plan
+// as the shape's template unless it is empty. template reports "hit" or
+// "miss", or "" when no template was consulted.
 func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (pq *preparedQuery, hit bool, template string, err error) {
 	norm, key := query.Normalize(q)
 	prefix := "e" + strconv.FormatUint(le.Epoch(), 10) + "|" + engineName + "|"
@@ -429,19 +422,15 @@ func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (pq *
 	pq = &preparedQuery{bgp: norm}
 	// Price the query for the eviction policy: expensive plans are the ones
 	// worth keeping when the cache is under pressure. A profiling error just
-	// leaves cost 0 (lowest keep-priority). The per-class estimates are
-	// retained on the entry for EXPLAIN and trace attributes.
-	if prof, perr := plan.ProfileQuery(norm, s.ls.Base()); perr == nil {
-		pq.class, pq.cost = prof.ChooseClass()
-		pq.profiled = true
-		pq.costs = make(map[string]float64, len(plan.Classes()))
-		for _, c := range plan.Classes() {
-			pq.costs[c.String()] = prof.Cost(c)
-		}
+	// leaves cost 0 (lowest keep-priority), and no template is consulted:
+	// the query compiles, and fails validation, on its own.
+	prof, perr := plan.ProfileQuery(norm, s.ls.Base())
+	if perr == nil {
+		pq.cost = prof.Cost()
 	}
 	var tkey string
-	if compiles, sharded := compilesPlans(le); pq.profiled && compiles && !sharded {
-		tkey = "t|" + prefix + pq.class.String() + "|" + query.Shape(norm)
+	if compiles, sharded := compilesPlans(le); perr == nil && compiles && !sharded {
+		tkey = "t|" + prefix + query.Shape(norm)
 		if t, ok := s.cache.getTemplate(tkey); ok {
 			pq.plan, pq.epoch = plan.Bind(t.plan, norm, s.ls.Dict()), t.epoch
 			pq.template = tkey

@@ -182,10 +182,9 @@ type Stats struct {
 	// fleet health and the scatter-gather robustness counters (retries,
 	// hedges, failovers, partial results).
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
-	// Chooser reports the statistics-driven decision ledger: adaptive
-	// layout choices (and how often they flipped the paper's 1-in-256
-	// rule), the auto engine's per-class picks, and the routing decision
-	// cache's hit rate.
+	// Chooser reports the statistics-driven layout ledger: adaptive
+	// layout choices and how often they flipped the paper's 1-in-256
+	// rule.
 	Chooser stats.ChooserSnapshot `json:"chooser"`
 	// Durability is present only on durable servers (Config.Durable).
 	Durability *DurabilityStats `json:"durability,omitempty"`

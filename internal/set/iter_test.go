@@ -1,6 +1,7 @@
 package set
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -82,6 +83,49 @@ func TestIterPosIsRank(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDecodeChunksMatchesValues checks DecodeChunks against Values: from
+// any start, in buffers of 1, 3, 64 and 256 members, every chunk is full
+// but the last, the chunks concatenate to the members at or above the
+// start, and emit's error stops the decode at once.
+func TestDecodeChunksMatchesValues(t *testing.T) {
+	f := func(vals []uint32, from uint32) bool {
+		u, b := iterLayouts(vals)
+		if b.Layout() != Bitset {
+			return true // the empty set
+		}
+		members := u.Values()
+		for _, start := range []uint32{0, from % 100010, members[0] + 1} {
+			want := members[sort.Search(len(members), func(i int) bool { return members[i] >= start }):]
+			for _, n := range []int{1, 3, 64, 256} {
+				var got []uint32
+				short := false
+				err := b.DecodeChunks(make([]uint32, n), start, func(c []uint32) error {
+					if short || len(c) == 0 || len(c) > n {
+						return errStop
+					}
+					short = len(c) < n
+					got = append(got, c...)
+					return nil
+				})
+				if err != nil || len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+					return false
+				}
+				calls := 0
+				err = b.DecodeChunks(make([]uint32, n), start, func([]uint32) error { calls++; return errStop })
+				if len(want) > 0 && (err != errStop || calls != 1) || len(want) == 0 && (err != nil || calls != 0) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+var errStop = errors.New("stop")
 
 // TestSeekGEContract checks, across both layouts and against a reference
 // linear scan: SeekGE lands on the smallest member ≥ v, reports presence
@@ -211,7 +255,7 @@ func TestInitSortedViewAndInitBitset(t *testing.T) {
 	}
 	var z Set
 	InitSortedView(&z, nil)
-	if !z.IsEmpty() {
+	if z.Len() != 0 {
 		t.Errorf("InitSortedView(nil) not empty")
 	}
 

@@ -252,9 +252,6 @@ func (s *Set) Layout() Layout { return s.layout }
 // Len returns the cardinality of s.
 func (s *Set) Len() int { return s.card }
 
-// IsEmpty reports whether s has no members.
-func (s *Set) IsEmpty() bool { return s.card == 0 }
-
 // Min returns the smallest member. It panics on the empty set.
 func (s *Set) Min() uint32 {
 	if s.card == 0 {
@@ -403,6 +400,44 @@ func (s *Set) AppendValues(dst []uint32) []uint32 {
 		}
 	}
 	return dst
+}
+
+// DecodeChunks calls emit with the members of the bitset s at or above
+// from, in ascending chunks of at most len(buf) members decoded into buf
+// word by word, with no call per member, and returns emit's first error,
+// decoding no chunk after it: a caller that stops early decodes at most
+// one chunk past what it used. buf must not be empty.
+func (s *Set) DecodeChunks(buf []uint32, from uint32, emit func([]uint32) error) error {
+	if s.layout != Bitset {
+		panic("set: DecodeChunks of a uint array")
+	}
+	var off uint32
+	if from > s.base {
+		off = from - s.base
+	}
+	w := int(off / 64)
+	if w >= len(s.words) {
+		return nil
+	}
+	n := 0
+	for word := s.words[w] &^ (1<<(off%64) - 1); ; word = s.words[w] {
+		for ; word != 0; word &= word - 1 {
+			buf[n] = s.base + uint32(w*64+bits.TrailingZeros64(word))
+			if n++; n == len(buf) {
+				if err := emit(buf); err != nil {
+					return err
+				}
+				n = 0
+			}
+		}
+		if w++; w == len(s.words) {
+			break
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return emit(buf[:n])
 }
 
 // Equal reports whether two sets have identical membership, regardless of

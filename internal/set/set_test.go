@@ -59,7 +59,7 @@ func TestDensityBoundary(t *testing.T) {
 }
 
 func TestEmptySet(t *testing.T) {
-	if !Empty.IsEmpty() || Empty.Len() != 0 {
+	if Empty.Len() != 0 {
 		t.Fatalf("Empty set misbehaves")
 	}
 	if FromSorted(nil, PolicyAuto) != Empty {
@@ -241,7 +241,7 @@ func TestIntersectDisjoint(t *testing.T) {
 	b := sorted(1000, 2000, 3000)
 	for _, sa := range bothLayouts(t, a) {
 		for _, sb := range bothLayouts(t, b) {
-			if got := Intersect(sa, sb); !got.IsEmpty() {
+			if got := Intersect(sa, sb); got.Len() != 0 {
 				t.Errorf("disjoint intersection non-empty: %v", got.Values())
 			}
 		}
@@ -250,7 +250,7 @@ func TestIntersectDisjoint(t *testing.T) {
 
 func TestIntersectWithEmpty(t *testing.T) {
 	s := FromSorted([]uint32{1, 2, 3}, PolicyAuto)
-	if !Intersect(s, Empty).IsEmpty() || !Intersect(Empty, s).IsEmpty() {
+	if Intersect(s, Empty).Len() != 0 || Intersect(Empty, s).Len() != 0 {
 		t.Errorf("intersection with empty not empty")
 	}
 	if got := IntersectValues(nil, s, Empty); len(got) != 0 {
@@ -413,7 +413,7 @@ func TestIntersectMany(t *testing.T) {
 		t.Errorf("IntersectMany singleton should be identity")
 	}
 	d := FromSorted([]uint32{99}, PolicyUintOnly)
-	if !IntersectMany([]*Set{a, b, d}).IsEmpty() {
+	if IntersectMany([]*Set{a, b, d}).Len() != 0 {
 		t.Errorf("IntersectMany should be empty")
 	}
 }

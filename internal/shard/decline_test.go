@@ -23,7 +23,10 @@ package shard
 //
 // q5 and q13 bound the constant from both sides; 2000 sits inside
 // [1,455, 4,055], and the same rule also keeps q9 (c < 4,503) and q8
-// (c < 9,712) scattering at LUBM scale 1. The drain cost itself measures
+// (c < 9,712) scattering at LUBM scale 1. The table predates auto serving
+// one plan: its q13 row is the flat plan's drain and price (the GHD plan
+// drains q13 unsharded in ≈ 0.13 ms and prices it at 22,123), so the
+// upper bound q13 sets is due for re-measurement. The drain cost itself measures
 // ≈ 13 µs (q1: 39 µs over 3 drains), but the cost model's units do not
 // convert to time at one rate (≈ 50 ns per unit on q8 and q14, ≈ 660 ns
 // on the triangle), so the constant is fitted to the crossovers rather

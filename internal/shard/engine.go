@@ -62,8 +62,8 @@ type Engine struct {
 // wrapper. Construction cost is the base engine's, once per shard — over
 // smaller inputs, so eager index builds (rdf3x's six permutation sorts)
 // also parallelize across shards in wall-clock terms when the caller
-// shards a large dataset. Passing the "auto" engine gives every shard its
-// own cost-model router, so each shard picks its plan class from its own
+// shards a large dataset. A compiling engine ("emptyheaded", "auto",
+// "logicblox") compiles each shard's sub-queries against that shard's own
 // statistics. build is kept to construct the engine over p's parent store
 // the first time a query declines to scatter.
 func NewEngine(p *Partitioned, name string, build func(*store.Store) (engine.Engine, error)) (*Engine, error) {

@@ -6,8 +6,8 @@ package shard
 // choice, and the interned per-shard sub-queries — or the decision, priced
 // by the same cost model, not to scatter it at all. Interning matters beyond
 // avoiding re-decomposition: downstream engines cache their own compiled
-// plans per *query.BGP pointer (emptyheaded's GHD plans, the auto
-// router's class decisions), so handing every shard the same sub-query pointer on every
+// plans per *query.BGP pointer (emptyheaded's GHD plans, logicblox's flat
+// ones), so handing every shard the same sub-query pointer on every
 // execution turns a sharded cache hit into "skip all per-shard planning",
 // not just "skip parse+normalize". The cache lives on the Engine, which the
 // live layer rebuilds on every epoch swap — plans can never outlive the
@@ -263,7 +263,7 @@ func (e *Engine) compile(q *query.BGP) *queryPlan {
 	if err != nil {
 		return qp
 	}
-	_, exp.LocalCost = prof.ChooseClass()
+	exp.LocalCost = prof.Cost()
 	var decline bool
 	if exp.ScatterCost, decline = declineScatter(streamed, exp.LocalCost); !decline {
 		return qp

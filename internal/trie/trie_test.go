@@ -42,7 +42,7 @@ func TestEmptyTrie(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if !tr.Root().Set().IsEmpty() {
+	if tr.Root().Set().Len() != 0 {
 		t.Errorf("empty trie root set non-empty")
 	}
 	tr.Each(func([]uint32) bool { t.Error("Each on empty trie"); return true })

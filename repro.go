@@ -10,8 +10,9 @@
 //   - the paper's four comparison engines, modelled per §IV-A2:
 //     LogicBlox-like (un-optimized WCOJ), MonetDB-like (pairwise column
 //     store), RDF-3X-like and TripleBit-like (specialized RDF engines);
-//     EmptyHeaded, the LogicBlox model and the cost-model router "auto"
-//     are one engine type that differ only in how they compile a query;
+//     EmptyHeaded and the LogicBlox model are one engine type that differ
+//     only in how they compile a query, and "auto" is the fully optimized
+//     EmptyHeaded engine;
 //   - a deterministic LUBM data generator and the benchmark's queries;
 //   - N-Triples loading and a SPARQL basic-graph-pattern front end.
 //
