@@ -70,7 +70,7 @@ func (p *provider) Scan(ctx context.Context, pat query.Pattern) (*pairwise.Table
 		}
 		return out, nil
 	}
-	for _, t := range p.st.Triples() {
+	for t := range p.st.All() {
 		if err := tick.Check(); err != nil {
 			return nil, err
 		}

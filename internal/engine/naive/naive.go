@@ -8,6 +8,7 @@ package naive
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/query"
@@ -30,7 +31,7 @@ func New(st *store.Store) *Engine {
 		byS: map[uint32][]store.Triple{},
 		byP: map[uint32][]store.Triple{},
 		byO: map[uint32][]store.Triple{},
-		all: st.Triples(),
+		all: slices.Collect(st.All()),
 	}
 	for _, t := range e.all {
 		e.byS[t.S] = append(e.byS[t.S], t)

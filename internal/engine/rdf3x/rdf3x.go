@@ -10,6 +10,7 @@ package rdf3x
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -32,10 +33,8 @@ var perms = [6][3]int{
 // permutation indexes eagerly (RDF-3X builds its full set at load).
 func New(st *store.Store) engine.Engine {
 	p := &provider{st: st}
-	base := st.Triples()
 	for i, perm := range perms {
-		idx := make([]store.Triple, len(base))
-		copy(idx, base)
+		idx := slices.Collect(st.All())
 		perm := perm
 		sort.Slice(idx, func(a, b int) bool {
 			ta, tb := key(idx[a], perm), key(idx[b], perm)

@@ -2,6 +2,7 @@ package rdf3x
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -26,10 +27,8 @@ func buildProvider(t *testing.T) *provider {
 	_ = p
 	// Rebuild directly to reach the provider internals.
 	pr := &provider{st: st}
-	base := st.Triples()
 	for i, perm := range perms {
-		idx := make([]store.Triple, len(base))
-		copy(idx, base)
+		idx := slices.Collect(st.All())
 		perm := perm
 		sortTriples(idx, perm)
 		pr.indexes[i] = idx

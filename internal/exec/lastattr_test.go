@@ -98,7 +98,7 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 		policy      set.Policy
 		wantBitsets bool
 	}{{set.PolicyAdaptive, true}, {set.PolicyUintOnly, false}} {
-		leaf := e0.TrieSO(tc.policy).Stats()[1]
+		leaf := e0.TrieSO(tc.policy).Export()[1].Stats
 		if got := leaf.BitsetNodes > 0 && leaf.UintNodes > 0; got != tc.wantBitsets {
 			t.Fatalf("policy %d: e0 leaf level has %d bitset and %d uint nodes", tc.policy, leaf.BitsetNodes, leaf.UintNodes)
 		}
@@ -106,7 +106,7 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 			t.Fatalf("policy %d: e0 leaf cardinalities %d..%d, want singletons and hubs", tc.policy, leaf.MinCard, leaf.MaxCard)
 		}
 	}
-	if leaf := st.RelationByIRI("http://ex/e2").TrieSO(set.PolicyAdaptive).Stats()[1]; leaf.BitsetNodes != 0 {
+	if leaf := st.RelationByIRI("http://ex/e2").TrieSO(set.PolicyAdaptive).Export()[1].Stats; leaf.BitsetNodes != 0 {
 		t.Fatalf("e2 leaf level has %d bitset nodes, want a uint-only level", leaf.BitsetNodes)
 	}
 	// one-var-one-hub reads <n0>'s e0 out-neighbours alone at the last
@@ -270,7 +270,7 @@ func TestLimitOverBitsetLeafStaysLazy(t *testing.T) {
 		b.Add(rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i)), P: p, O: o})
 	}
 	st := b.Build()
-	if leaf := st.RelationByIRI("http://ex/p").TrieOS(set.PolicyAdaptive).Stats()[1]; leaf.BitsetNodes != 1 {
+	if leaf := st.RelationByIRI("http://ex/p").TrieOS(set.PolicyAdaptive).Export()[1].Stats; leaf.BitsetNodes != 1 {
 		t.Fatalf("the subject leaf has %d bitset nodes, want 1", leaf.BitsetNodes)
 	}
 	e := engines.NewEmptyHeaded(st, plan.AllOptimizations)

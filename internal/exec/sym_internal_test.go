@@ -146,7 +146,7 @@ func TestLastStepStaysWithinBound(t *testing.T) {
 		{"bitset-intersection", set.PolicyAdaptive, true},
 	} {
 		tr := trie.BuildFromRows(tRows, 3, tc.policy)
-		if leaf := tr.Stats()[2]; (leaf.BitsetNodes > 0) != (tc.policy == set.PolicyAdaptive) {
+		if leaf := tr.Export()[2].Stats; (leaf.BitsetNodes > 0) != (tc.policy == set.PolicyAdaptive) {
 			t.Fatalf("%s: T's leaf level has %d bitset nodes", tc.name, leaf.BitsetNodes)
 		}
 		inputs := []*input{newInput(tr, attrs)}

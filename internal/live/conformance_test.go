@@ -155,10 +155,12 @@ func applyLUBMPatch(t *testing.T, ls *live.Store, base *store.Store, applied tri
 	t.Helper()
 	d := base.Dict()
 	var dels, inss []rdf.Triple
-	for i, et := range base.Triples() {
+	i := 0
+	for et := range base.All() {
 		if i%97 == 0 {
 			dels = append(dels, rdf.Triple{S: d.Decode(et.S), P: d.Decode(et.P), O: d.Decode(et.O)})
 		}
+		i++
 	}
 	for _, p := range base.Predicates() {
 		rel := base.Relation(p)

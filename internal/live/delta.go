@@ -1,6 +1,9 @@
 package live
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/dict"
 	"repro/internal/rdf"
 	"repro/internal/set"
@@ -24,10 +27,11 @@ const layout = set.PolicyAdaptive
 // re-inserting a tombstoned triple just clears its tombstone. Being stores,
 // they are indexed the way the base is — by the lazily built, cached tries
 // of store.Relation and store.TripleTrie — and nothing else indexes them:
-// membership is Store.Has, enumeration is the overlay evaluator's scan, and
-// Triples() keeps the operations in arrival order. Writers build a new delta
-// per applied patch under the live store's writer lock; readers share
-// snapshots freely and never see a half-applied patch.
+// membership is Store.Has and enumeration is the overlay evaluator's scan.
+// Like every store, each side holds its rows sorted and deduplicated, so a
+// delta's contents do not depend on the order its operations arrived in.
+// Writers build a new delta per applied patch under the live store's writer
+// lock; readers share snapshots freely and never see a half-applied patch.
 type delta struct {
 	ins, del *store.Store
 }
@@ -66,10 +70,9 @@ type ApplyResult struct {
 // only, so deleting never grows the dictionary.
 func (d *delta) apply(patch Patch, base *store.Store) (*delta, ApplyResult) {
 	dc := base.Dict()
-	ins := workingSet(d.ins.Triples(), len(patch.Ops))
-	del := workingSet(d.del.Triples(), len(patch.Ops))
+	ins := workingSet(d.ins, len(patch.Ops))
+	del := workingSet(d.del, len(patch.Ops))
 	var res ApplyResult
-	var addedIns, addedDel []store.Triple
 	for _, op := range patch.Ops {
 		if op.Delete {
 			t, ok := lookupTriple(dc, op.Triple)
@@ -84,7 +87,6 @@ func (d *delta) apply(patch Patch, base *store.Store) (*delta, ApplyResult) {
 			}
 			if _, dead := del[t]; !dead && base.Has(t, layout) {
 				del[t] = struct{}{}
-				addedDel = append(addedDel, t)
 				res.Deleted++
 				continue
 			}
@@ -107,12 +109,11 @@ func (d *delta) apply(patch Patch, base *store.Store) (*delta, ApplyResult) {
 			continue
 		}
 		ins[t] = struct{}{}
-		addedIns = append(addedIns, t)
 		res.Inserted++
 	}
 	nd := d
 	if res.Inserted+res.Deleted > 0 {
-		nd = newDelta(dc, keepOrder(d.ins.Triples(), ins, addedIns), keepOrder(d.del.Triples(), del, addedDel))
+		nd = newDelta(dc, slices.Collect(maps.Keys(ins)), slices.Collect(maps.Keys(del)))
 	}
 	res.DeltaInserts = nd.ins.NumTriples()
 	res.DeltaTombstones = nd.del.NumTriples()
@@ -121,38 +122,12 @@ func (d *delta) apply(patch Patch, base *store.Store) (*delta, ApplyResult) {
 
 // workingSet is apply's mutable copy of one side of the delta, sized for
 // extra additions.
-func workingSet(ts []store.Triple, extra int) map[store.Triple]struct{} {
-	m := make(map[store.Triple]struct{}, len(ts)+extra)
-	for _, t := range ts {
+func workingSet(st *store.Store, extra int) map[store.Triple]struct{} {
+	m := make(map[store.Triple]struct{}, st.NumTriples()+extra)
+	for t := range st.All() {
 		m[t] = struct{}{}
 	}
 	return m
-}
-
-// keepOrder rebuilds a delta slice deterministically: survivors of the old
-// slice in their old order, then this patch's surviving additions in
-// operation order (an addition revoked — or re-made — later in the same
-// batch must not appear, or appear twice).
-func keepOrder(old []store.Triple, now map[store.Triple]struct{}, added []store.Triple) []store.Triple {
-	out := make([]store.Triple, 0, len(now))
-	seen := make(map[store.Triple]struct{}, len(now))
-	for _, t := range old {
-		if _, ok := now[t]; ok {
-			out = append(out, t)
-			seen[t] = struct{}{}
-		}
-	}
-	for _, t := range added {
-		if _, ok := now[t]; !ok {
-			continue
-		}
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
 }
 
 // lookupTriple resolves a parsed triple against the dictionary without

@@ -43,6 +43,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -356,23 +357,19 @@ func (ls *Store) SetShards(n int) error {
 	return nil
 }
 
-// overlayTriples materializes (base \ tombstones) ∪ inserts, in base order
-// followed by insertion order. The result is deduplicated by construction
-// (the base table is, tombstones only remove, inserts are disjoint from the
-// surviving base).
+// overlayTriples materializes (base \ tombstones) ∪ inserts: the surviving
+// base triples in the base's All order, then the inserts in the delta's. The
+// result is deduplicated by construction (the base is, tombstones only
+// remove, inserts are disjoint from the surviving base).
 func overlayTriples(s *state) []store.Triple {
-	base, d := s.base.st.Triples(), s.delta
-	out := make([]store.Triple, 0, len(base)-d.del.NumTriples()+d.ins.NumTriples())
-	if d.del.NumTriples() == 0 {
-		out = append(out, base...)
-	} else {
-		for _, t := range base {
-			if !d.del.Has(t, layout) {
-				out = append(out, t)
-			}
+	base, d := s.base.st, s.delta
+	out := make([]store.Triple, 0, base.NumTriples()-d.del.NumTriples()+d.ins.NumTriples())
+	for t := range base.All() {
+		if d.del.NumTriples() == 0 || !d.del.Has(t, layout) {
+			out = append(out, t)
 		}
 	}
-	return append(out, d.ins.Triples()...)
+	return slices.AppendSeq(out, d.ins.All())
 }
 
 // StoreStats is a point-in-time snapshot of the live store's counters.

@@ -102,9 +102,11 @@ func open(path string, m mapping) (*Loaded, error) {
 	}
 	r.pad()
 
-	nTriples := int(r.u64())
-	triples := viewTriples(r.take(nTriples * int(unsafe.Sizeof(store.Triple{}))))
-	r.pad()
+	if fileVersion < 3 {
+		// The triple table the relations duplicate: skipped.
+		r.take(int(r.u64()) * int(unsafe.Sizeof(store.Triple{})))
+		r.pad()
+	}
 
 	nRels := int(r.u64())
 	rels := make([]store.RelationData, 0, nRels)
@@ -133,7 +135,7 @@ func open(path string, m mapping) (*Loaded, error) {
 		return nil, fmt.Errorf("segment: %s: %w", path, r.err)
 	}
 	return &Loaded{
-		Store:  store.FromParts(d, triples, rels),
+		Store:  store.FromParts(d, rels),
 		Bytes:  int64(len(data)),
 		Mapped: m.mapped,
 		m:      m,
@@ -257,13 +259,6 @@ func viewU64(b []byte) []uint64 {
 		return nil
 	}
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-func viewTriples(b []byte) []store.Triple {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*store.Triple)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(store.Triple{})))
 }
 
 func decodeDict(b []byte) (*dict.Dictionary, error) {

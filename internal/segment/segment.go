@@ -14,7 +14,8 @@
 //	payload (offset 32, every section 8-aligned):
 //	  dict     u64 byte length + varint term count; per term: kind byte,
 //	           varint-length-prefixed value (and datatype, lang for literals)
-//	  triples  u64 count + count×12-byte store.Triple rows
+//	  triples  (versions 1 and 2 only) u64 count + count×12-byte
+//	           store.Triple rows
 //	  relations u64 count; per relation:
 //	    meta   predicate u32 · rows u32 · distinctS u32 · distinctO u32
 //	    S, O   columns (u32 rows each)
@@ -27,14 +28,17 @@
 //	    arenas, the layout bitmap, and the per-bitset-node (base u32,
 //	    nwords u32) table
 //
-// Version 2 tries are built under set.PolicyAdaptive (the statistics-driven
-// layout rule) and carry per-level histograms; version 1 files (PolicyAuto,
-// no histograms) still load, with statistics reported as unknown.
+// Version 3 drops the triple table: the relations are the store's only copy
+// of the data, and their columns are sorted by (S, O). Version 2 tries are
+// built under set.PolicyAdaptive (the statistics-driven layout rule) and
+// carry per-level histograms; version 1 files (PolicyAuto, no histograms)
+// still load, with statistics reported as unknown. Both older versions load
+// with their triple table skipped; their columns are in arrival order.
 //
 // The dictionary is the one heap-decoded section: it must stay mutable
-// (live updates register new terms). Everything else — columns, triple
-// table, trie arenas — is served straight from the mapping; only the
-// per-node set headers (Go slice headers) are materialized at load.
+// (live updates register new terms). Everything else — columns and trie
+// arenas — is served straight from the mapping; only the per-node set
+// headers (Go slice headers) are materialized at load.
 //
 // The format is explicitly not portable across byte order or word size;
 // the byte-order mark and version gate refuse a foreign file. That is the
@@ -59,7 +63,7 @@ import (
 const (
 	// Magic identifies a segment file.
 	Magic         = "RDFSEG01"
-	version       = 2
+	version       = 3
 	minVersion    = 1
 	byteOrderMark = 0x01020304
 	headerSize    = 32
@@ -68,8 +72,8 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Write serializes st's base image (dictionary, triple table, relations
-// with their PolicyAdaptive SO/OS tries — built now if not yet cached) to path
+// Write serializes st's base image (dictionary, relations with their
+// PolicyAdaptive SO/OS tries — built now if not yet cached) to path
 // atomically: temp file, fsync, rename, parent-directory fsync. A crash
 // mid-write leaves any previous segment intact.
 func Write(path string, st *store.Store) error {
@@ -89,12 +93,6 @@ func writeTo(f *os.File, st *store.Store) error {
 	dictBytes := encodeDict(st.Dict())
 	w.u64(uint64(len(dictBytes)))
 	w.bytes(dictBytes)
-	w.pad()
-
-	// Triple table, viewed as raw bytes.
-	triples := st.Triples()
-	w.u64(uint64(len(triples)))
-	w.bytes(triplesBytes(triples))
 	w.pad()
 
 	// Relations in predicate order.
@@ -238,13 +236,6 @@ func u64Bytes(s []uint64) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-}
-
-func triplesBytes(s []store.Triple) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(store.Triple{})))
 }
 
 func encodeDict(d *dict.Dictionary) []byte {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -54,8 +55,8 @@ func TestRoundTripLUBM(t *testing.T) {
 			t.Fatalf("term %d decodes to %v, want %v", id, a, b)
 		}
 	}
-	if !reflect.DeepEqual(got.Triples(), st.Triples()) {
-		t.Fatal("triple table differs")
+	if !reflect.DeepEqual(slices.Collect(got.All()), slices.Collect(st.All())) {
+		t.Fatal("triples differ")
 	}
 	if !reflect.DeepEqual(got.Predicates(), st.Predicates()) {
 		t.Fatalf("predicates differ: %v vs %v", got.Predicates(), st.Predicates())
@@ -141,7 +142,7 @@ func TestSmallMixedTerms(t *testing.T) {
 	}
 	defer l.Close()
 	var got []string
-	for _, tr := range l.Store.Triples() {
+	for tr := range l.Store.All() {
 		got = append(got, rdf.Triple{
 			S: l.Store.Dict().Decode(tr.S),
 			P: l.Store.Dict().Decode(tr.P),

@@ -337,7 +337,7 @@ func patched(st *store.Store, ins, del []rdf.Triple) *store.Store {
 		return store.Triple{S: s, P: p, O: o}
 	}
 	keep := map[store.Triple]bool{}
-	for _, t := range st.Triples() {
+	for t := range st.All() {
 		keep[t] = true
 	}
 	for _, t := range del {

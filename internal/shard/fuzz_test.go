@@ -53,13 +53,13 @@ func FuzzShardRouting(f *testing.F) {
 		}
 
 		parent := make(map[store.Triple]bool, st.NumTriples())
-		for _, tr := range st.Triples() {
+		for tr := range st.All() {
 			parent[tr] = true
 		}
 		union := map[store.Triple]bool{}
 		for i := 0; i < n; i++ {
 			seenHere := map[store.Triple]bool{}
-			for _, tr := range p.Shard(i).Triples() {
+			for tr := range p.Shard(i).All() {
 				if !parent[tr] {
 					t.Fatalf("shard %d holds foreign triple %v", i, tr)
 				}

@@ -116,7 +116,7 @@ func Partition(st *store.Store, n int) (*Partitioned, error) {
 	parts := make([][]store.Triple, n)
 	owned := make([]int, n)
 	replicated := make([]int, n)
-	for _, t := range st.Triples() {
+	for t := range st.All() {
 		own := ShardOf(t.S, n)
 		parts[own] = append(parts[own], t)
 		owned[own]++

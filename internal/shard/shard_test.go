@@ -49,7 +49,7 @@ func TestPartitionCounts(t *testing.T) {
 		}
 		// Every triple is owned by exactly its subject's shard, and replicas
 		// live only at the object's shard.
-		for _, tr := range st.Triples() {
+		for tr := range st.All() {
 			own := ShardOf(tr.S, n)
 			if !storeHas(p.Shard(own), tr) {
 				t.Fatalf("n=%d: triple %v missing from owner shard %d", n, tr, own)
@@ -69,7 +69,7 @@ func TestPartitionCounts(t *testing.T) {
 }
 
 func storeHas(s *store.Store, tr store.Triple) bool {
-	for _, got := range s.Triples() {
+	for got := range s.All() {
 		if got == tr {
 			return true
 		}

@@ -30,13 +30,12 @@ type RelationData struct {
 // FromParts assembles a Store from pre-built components without the
 // statistics pass or any column copying — the segment loading path: every
 // slice may be a view into a read-only mapping, and the tries are the
-// deserialized flat arenas. Triples must be deduplicated and each relation's
-// columns must list exactly its triples' rows, as a parent Store's would.
-func FromParts(d *dict.Dictionary, triples []Triple, rels []RelationData) *Store {
+// deserialized flat arenas. Each relation's columns must hold distinct
+// rows, as a parent Store's do; they need not be sorted.
+func FromParts(d *dict.Dictionary, rels []RelationData) *Store {
 	st := &Store{
 		dict:      d,
 		relations: make(map[dict.ID]*Relation, len(rels)),
-		triples:   triples,
 	}
 	for _, rd := range rels {
 		rel := &Relation{
@@ -54,6 +53,7 @@ func FromParts(d *dict.Dictionary, triples []Triple, rels []RelationData) *Store
 		}
 		st.relations[rd.Predicate] = rel
 		st.predicates = append(st.predicates, rd.Predicate)
+		st.rows += rel.Len()
 	}
 	slices.Sort(st.predicates)
 	return st

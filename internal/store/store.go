@@ -4,14 +4,16 @@
 // been shown to be superior to storing the data as triples").
 //
 // A Store groups dictionary-encoded triples by predicate: each predicate
-// owns a two-column (subject, object) relation. The store also retains the
-// full encoded triple table for engines that want it (the RDF-3X baseline
-// builds its six permutation indexes from it) and per-predicate statistics
-// for cardinality estimation.
+// owns a two-column (subject, object) relation, and those relations are the
+// only copy of the data. Engines that want whole triples (the RDF-3X
+// baseline's six permutation indexes, variable-predicate scans) walk them
+// through All. Each relation carries its statistics for cardinality
+// estimation.
 package store
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -69,7 +71,10 @@ func policyIdx(p set.Policy) int {
 }
 
 // Relation is one vertically partitioned predicate table: parallel subject
-// and object columns, one row per (distinct) triple.
+// and object columns, one row per distinct triple. Relations assembled in
+// memory hold their rows sorted by (S, O); relations loaded from version 1
+// and 2 segment files hold them in arrival order, so no reader may assume
+// the columns are sorted.
 type Relation struct {
 	Predicate dict.ID
 	S, O      []uint32
@@ -133,8 +138,8 @@ type Triple struct {
 type Store struct {
 	dict       *dict.Dictionary
 	relations  map[dict.ID]*Relation
-	triples    []Triple
 	predicates []dict.ID // sorted, for deterministic iteration
+	rows       int       // summed over the relations
 
 	// Lazily built full-table tries (see TripleTrie), one latch per
 	// (permutation, policy) so distinct permutations build concurrently.
@@ -156,12 +161,12 @@ func (s *Store) TripleTrie(perm [3]int, policy set.Policy) *trie.Trie {
 	return s.tripleTries[policyIdx(policy)][permIdx(perm)].get(func() *trie.Trie {
 		cols := make([][]uint32, 3)
 		for c := 0; c < 3; c++ {
-			cols[c] = make([]uint32, len(s.triples))
+			cols[c] = make([]uint32, 0, s.rows)
 		}
-		for i, t := range s.triples {
+		for t := range s.All() {
 			pos := [3]uint32{t.S, t.P, t.O}
 			for c := 0; c < 3; c++ {
-				cols[c][i] = pos[perm[c]]
+				cols[c] = append(cols[c], pos[perm[c]])
 			}
 		}
 		return trie.BuildFromColumns(cols, policy)
@@ -170,26 +175,20 @@ func (s *Store) TripleTrie(perm [3]int, policy set.Policy) *trie.Trie {
 
 // Builder accumulates triples and produces an immutable Store.
 type Builder struct {
-	dict    *dict.Dictionary
-	triples []Triple
-	seen    map[Triple]bool
+	dict *dict.Dictionary
+	rels relations
 }
 
 // NewBuilder returns an empty builder with a fresh dictionary.
 func NewBuilder() *Builder {
-	return &Builder{dict: dict.New(), seen: make(map[Triple]bool)}
+	return &Builder{dict: dict.New(), rels: relations{}}
 }
 
-// Add encodes and appends one triple. Exact duplicate triples are dropped
-// (RDF graphs are sets of triples).
+// Add encodes one triple and appends it to its predicate's relation. Exact
+// duplicates are dropped when Build sorts the relations (RDF graphs are sets
+// of triples).
 func (b *Builder) Add(t rdf.Triple) {
-	s, p, o := b.dict.EncodeTriple(t)
-	enc := Triple{S: s, P: p, O: o}
-	if b.seen[enc] {
-		return
-	}
-	b.seen[enc] = true
-	b.triples = append(b.triples, enc)
+	b.rels.add(b.dict.EncodeTriple(t))
 }
 
 // AddAll appends every triple in ts.
@@ -201,48 +200,79 @@ func (b *Builder) AddAll(ts []rdf.Triple) {
 
 // Build finalizes the store. The builder must not be used afterwards.
 func (b *Builder) Build() *Store {
-	return assemble(b.dict, b.triples)
+	return assemble(b.dict, b.rels)
 }
 
 // FromEncoded builds a store over triples that are already encoded against
 // d; the new store shares d rather than copying it. This is the loading
-// path of horizontal partitioning (internal/shard): shard stores hold a
-// slice of one parent dataset and must agree with it on term ids, so rows
-// from different shards are directly comparable and decode through the one
-// shared dictionary. The caller must pass deduplicated triples (a parent
-// Store's triple table already is) and must not mutate the slice afterwards.
+// path of horizontal partitioning (internal/shard) and of the live overlay:
+// shard and delta stores hold a slice of one parent dataset and must agree
+// with it on term ids, so rows from different stores are directly
+// comparable and decode through the one shared dictionary. triples may be
+// in any order and hold repeats; the slice is not retained.
 func FromEncoded(d *dict.Dictionary, triples []Triple) *Store {
-	return assemble(d, triples)
+	rels := relations{}
+	for _, t := range triples {
+		rels.add(t.S, t.P, t.O)
+	}
+	return assemble(d, rels)
 }
 
-// assemble builds the derived state (per-predicate relations, the sorted
-// predicate list, distinct-value statistics) over encoded triples. It runs
-// on every store build — including each Compact() swap and every shard of a
-// Partition — so the statistics pass is a radix sort (one reused scratch,
-// sequential memory traffic), not a hash map per column.
-func assemble(d *dict.Dictionary, triples []Triple) *Store {
-	st := &Store{
-		dict:      d,
-		relations: make(map[dict.ID]*Relation),
-		triples:   triples,
+// relations collects encoded rows per predicate, unsorted and possibly
+// repeated, until assemble finalizes them.
+type relations map[dict.ID]*Relation
+
+func (rs relations) add(s, p, o uint32) {
+	rel := rs[p]
+	if rel == nil {
+		rel = &Relation{Predicate: p}
+		rs[p] = rel
 	}
-	for _, t := range triples {
-		rel := st.relations[t.P]
-		if rel == nil {
-			rel = &Relation{Predicate: t.P}
-			st.relations[t.P] = rel
-			st.predicates = append(st.predicates, t.P)
-		}
-		rel.S = append(rel.S, t.S)
-		rel.O = append(rel.O, t.O)
+	rel.S = append(rel.S, s)
+	rel.O = append(rel.O, o)
+}
+
+// assemble finalizes collected relations into a store: each relation's rows
+// are sorted by (S, O), repeats dropped, and the distinct-value statistics
+// counted. It runs on every store build — including each Compact() swap and
+// every shard of a Partition — so the sort is a radix sort (one reused
+// scratch, sequential memory traffic), not a comparison sort or a hash map.
+func assemble(d *dict.Dictionary, rels relations) *Store {
+	st := &Store{dict: d, relations: rels}
+	var scratch radix.Scratch
+	for p, rel := range rels {
+		rel.sortDedup(&scratch)
+		st.predicates = append(st.predicates, p)
+		st.rows += rel.Len()
 	}
 	slices.Sort(st.predicates)
-	var scratch radix.Scratch
-	for _, rel := range st.relations {
-		rel.distinctS = scratch.CountDistinct(rel.S)
-		rel.distinctO = scratch.CountDistinct(rel.O)
-	}
 	return st
+}
+
+// sortDedup sorts the relation's rows by (S, O), drops repeated rows and
+// sets the distinct counts. The sorted subjects go to a fresh column and the
+// sorted objects overwrite the permutation as it is read, so the sort holds
+// one extra column beyond the radix scratch.
+func (r *Relation) sortDedup(scratch *radix.Scratch) {
+	perm := make([]uint32, len(r.S))
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	scratch.SortPermByColumns([][]uint32{r.S, r.O}, perm)
+	s, o := make([]uint32, 0, len(perm)), perm[:0]
+	for _, row := range perm {
+		rs, ro := r.S[row], r.O[row]
+		if n := len(s); n > 0 && s[n-1] == rs {
+			if o[n-1] == ro {
+				continue // a repeated row
+			}
+		} else {
+			r.distinctS++
+		}
+		s, o = append(s, rs), append(o, ro)
+	}
+	r.S, r.O = s, o
+	r.distinctO = scratch.CountDistinct(o)
 }
 
 // FromTriples builds a store from a triple slice in one step.
@@ -256,10 +286,22 @@ func FromTriples(ts []rdf.Triple) *Store {
 func (s *Store) Dict() *dict.Dictionary { return s.dict }
 
 // NumTriples returns the number of distinct triples loaded.
-func (s *Store) NumTriples() int { return len(s.triples) }
+func (s *Store) NumTriples() int { return s.rows }
 
-// Triples returns the encoded triple table. Callers must not mutate it.
-func (s *Store) Triples() []Triple { return s.triples }
+// All yields every triple, relation by relation in predicate order and each
+// relation's rows in column order.
+func (s *Store) All() iter.Seq[Triple] {
+	return func(yield func(Triple) bool) {
+		for _, p := range s.predicates {
+			rel := s.relations[p]
+			for i, subj := range rel.S {
+				if !yield(Triple{S: subj, P: p, O: rel.O[i]}) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // Predicates returns the encoded predicate ids present, in ascending order.
 func (s *Store) Predicates() []dict.ID { return s.predicates }
@@ -328,5 +370,5 @@ func (s *Store) IndexMemoryBytes() int {
 // String summarizes the store.
 func (s *Store) String() string {
 	return fmt.Sprintf("Store{triples=%d, predicates=%d, terms=%d}",
-		len(s.triples), len(s.relations), s.dict.Size())
+		s.rows, len(s.relations), s.dict.Size())
 }

@@ -144,9 +144,11 @@ func TestStringSummary(t *testing.T) {
 	if st.String() == "" {
 		t.Errorf("empty String()")
 	}
-	if st.Triples()[0].S != 0 {
-		// First term registered is the subject.
-		t.Errorf("unexpected encoding order: %+v", st.Triples()[0])
+	for tr := range st.All() {
+		if tr.S != 0 {
+			// First term registered is the subject.
+			t.Errorf("unexpected encoding order: %+v", tr)
+		}
 	}
 }
 

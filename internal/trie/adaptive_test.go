@@ -65,11 +65,12 @@ func TestBuildRecordsLevelStats(t *testing.T) {
 	cols := genColumns(rng, 3000, 3)
 	for _, policy := range []set.Policy{set.PolicyAuto, set.PolicyAdaptive, set.PolicyUintOnly} {
 		tr := BuildFromColumns(cols, policy)
-		ls := tr.Stats()
+		ls := tr.Export()
 		if len(ls) != tr.Arity() {
 			t.Fatalf("policy %v: %d stat levels for arity %d", policy, len(ls), tr.Arity())
 		}
-		for l, s := range ls {
+		for l, ld := range ls {
+			s := ld.Stats
 			if s.Nodes == 0 {
 				t.Fatalf("policy %v level %d: zero nodes", policy, l)
 			}
@@ -89,11 +90,9 @@ func TestBuildRecordsLevelStats(t *testing.T) {
 			}
 		}
 	}
-	// A view of a subtree shares the parent's stats slice identity or nil —
-	// either way Stats must not panic and its levels must hold nodes.
 	var nodes uint64
-	for _, s := range BuildFromColumns(cols, set.PolicyAdaptive).Stats() {
-		nodes += s.Nodes
+	for _, ld := range BuildFromColumns(cols, set.PolicyAdaptive).Export() {
+		nodes += ld.Stats.Nodes
 	}
 	if nodes == 0 {
 		t.Fatal("summed stats empty")

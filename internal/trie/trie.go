@@ -95,12 +95,6 @@ type Trie struct {
 	rootNode  int32
 }
 
-// Stats returns the per-level histograms recorded at build time (len ==
-// Arity for built tries). Tries loaded from pre-statistics segment files and
-// subtree views of them may return nil; callers must treat absent statistics
-// as "unknown", not "empty".
-func (t *Trie) Stats() []stats.Level { return t.lstats }
-
 // Node is a handle to one trie node: (trie, level, index). It is a value —
 // copying it is free and descent state can live in flat stacks
 // (internal/exec keeps []Node per input).
