@@ -2,7 +2,11 @@
 // chooses for the LUBM queries, reproducing Figures 2 and 3 of the paper:
 //
 //	ghdviz -query 2            # Figure 2: triangle root with type children
-//	ghdviz -query 4 -compare   # Figure 3: baseline star vs +GHD chain
+//	ghdviz -query 4 -compare   # Figure 3: baseline star vs +GHD pushdown
+//
+// The +GHD plan of query 4 is a star rooted at its ub:name pattern, not
+// Figure 3's chain: pushdown here prefers one-edge leaves, which the
+// executor reads as views, to a deeper chain of materialized nodes.
 package main
 
 import (

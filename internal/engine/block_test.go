@@ -167,6 +167,31 @@ func TestEarlyStopBoundsProducer(t *testing.T) {
 	})
 }
 
+// TestCancelledPushStopsAtPartialFlush: a producer whose context is done
+// gets the context's error from Push by the first partial flush, even when
+// the channel has room for it. Close drains the channel, so a Push that
+// flushed its partials without looking at the context would keep a
+// cancelled producer emitting for as long as the drain takes them.
+func TestCancelledPushStopsAtPartialFlush(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := &generator{vars: []string{"x"}, ch: make(chan Block, genChanDepth), free: make(chan []uint32, genChanDepth+2)}
+	e := &Emitter{g: g, ctx: ctx, blk: g.fresh()}
+	for row := 1; row <= genFlushMin; row++ {
+		e.Slot()[0] = uint32(row)
+		if err := e.Push(); err != nil {
+			if err != context.Canceled {
+				t.Fatalf("row %d: Push = %v, want %v", row, err, context.Canceled)
+			}
+			if len(g.ch) != 0 {
+				t.Fatalf("a cancelled Push flushed %d blocks", len(g.ch))
+			}
+			return
+		}
+	}
+	t.Fatalf("Push on a cancelled Emitter returned nil for %d rows", genFlushMin)
+}
+
 func TestBlockInPlaceEdits(t *testing.T) {
 	fill := func(n int) *Block {
 		b := &Block{}

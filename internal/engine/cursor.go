@@ -60,8 +60,12 @@ func (e *Emitter) Push() error {
 		// Opportunistic flush at power-of-two partial sizes: a waiting
 		// consumer gets its first rows after ≤ genFlushMin, while a
 		// keeping-up consumer still receives amortized blocks instead of
-		// one send per row.
+		// one send per row. A cancelled producer flushes nothing more:
+		// the drain in Close would otherwise keep taking its partials.
 		if n >= genFlushMin && n&(n-1) == 0 {
+			if err := e.ctx.Err(); err != nil {
+				return err
+			}
 			select {
 			case e.g.ch <- e.blk:
 				e.blk = e.g.fresh()

@@ -211,15 +211,15 @@ func stream(p *plan.Plan, st *store.Store, opts engine.ExecOpts, ctx context.Con
 // prepare runs the bottom-up pass and assembles the final enumeration's
 // inputs and attribute order. When it leaves e.dead set, a fully constant
 // node failed to match: the result is empty and nothing is returned.
+//
+// The root is never materialized: its relations stream straight into the
+// final enumeration beside every materialized node result. That join is
+// exactly the query's answer even when the root's bag misses variables,
+// because each node result is its subtree joined and projected onto the
+// node's own variables, and the final pass joins all of them. Building the
+// root's result first would cost one more join and a trie build, only for
+// the final pass to join that trie with the same node results again.
 func (e *executor) prepare(p *plan.Plan) ([]*input, []plan.Attr, error) {
-	// The root is streamed (its generic join feeds the output enumeration
-	// directly) when no top-down pass is necessary: single-node plans, and
-	// plans whose root bag covers every query variable (children act as
-	// pure semijoin filters; §II-C: "if necessary, we traverse the GHD
-	// top-down"). Otherwise the root's result is materialized like any
-	// other node, which is the paper's default two-phase execution.
-	streamRoot := len(p.Root.Children) == 0 || p.RootCoversAllVars()
-
 	// Bottom-up pass: materialize every non-root node.
 	for _, child := range p.Root.Children {
 		if _, err := e.materialize(child); err != nil {
@@ -229,18 +229,7 @@ func (e *executor) prepare(p *plan.Plan) ([]*input, []plan.Attr, error) {
 			return nil, nil, nil
 		}
 	}
-	if !streamRoot {
-		if _, err := e.materialize(p.Root); err != nil {
-			return nil, nil, err
-		}
-		if e.dead {
-			return nil, nil, nil
-		}
-	}
-
-	// Final pass: join the root (its raw relations when streaming, its
-	// materialized result otherwise) with every materialized node result.
-	return e.finalInputs(p, streamRoot)
+	return e.finalInputs(p)
 }
 
 // firstVarIdx returns the index of the first non-selection attribute, or -1.
@@ -272,7 +261,8 @@ type executor struct {
 var materializeHook func(*plan.Node)
 
 // materialize computes the node's result (recursively materializing its
-// children first) and caches it. A leaf node that is one relation, its
+// children first) and records it in e.results. Each non-root node is
+// materialized once, by its parent's call. A leaf node that is one relation, its
 // selections (if any) first in trie order, is answered as a zero-copy view
 // into the base trie — the covering-index effect of §IV-B ("EmptyHeaded is
 // able to provide covering indexes ... using only our trie data structure
@@ -280,9 +270,6 @@ var materializeHook func(*plan.Node)
 func (e *executor) materialize(n *plan.Node) (*trie.Trie, error) {
 	if e.results == nil {
 		e.results = map[*plan.Node]*trie.Trie{}
-	}
-	if t, ok := e.results[n]; ok {
-		return t, nil
 	}
 	if t, ok, err := e.relationView(n); err != nil {
 		return nil, err
@@ -425,33 +412,17 @@ func (e *executor) relTrie(ref plan.RelRef) (*trie.Trie, error) {
 	return rel.TrieOS(e.policy), nil
 }
 
-// finalInputs assembles the final enumeration join: the root (raw
-// relations when streaming, materialized result otherwise) and all
-// materialized node results. The returned attribute order is the plan's
-// global order restricted to the participating attributes.
-func (e *executor) finalInputs(p *plan.Plan, streamRoot bool) ([]*input, []plan.Attr, error) {
-	var inputs []*input
+// finalInputs assembles the final enumeration join: the root's own
+// relations and all materialized node results. The returned attribute order
+// is the plan's global order restricted to the participating attributes.
+func (e *executor) finalInputs(p *plan.Plan) ([]*input, []plan.Attr, error) {
+	inputs, err := e.nodeInputs(p.Root)
+	if err != nil {
+		return nil, nil, err
+	}
 	attrByName := map[string]plan.Attr{}
-	if streamRoot {
-		var err error
-		inputs, err = e.nodeInputs(p.Root)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, a := range p.Root.Attrs {
-			attrByName[a.Name] = a
-		}
-	} else {
-		t, ok := e.results[p.Root]
-		if !ok {
-			return nil, nil, fmt.Errorf("exec: root result missing")
-		}
-		if t != nil { // nil = neutral zero-variable root
-			inputs = append(inputs, newInput(t, varAttrs(p.Root.Vars)))
-			for _, v := range p.Root.Vars {
-				attrByName[v] = plan.Attr{Name: v}
-			}
-		}
+	for _, a := range p.Root.Attrs {
+		attrByName[a.Name] = a
 	}
 
 	var walk func(n *plan.Node) error

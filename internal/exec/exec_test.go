@@ -205,58 +205,85 @@ func TestLUBMAllQueriesMatchNaive(t *testing.T) {
 
 // TestOneRelationLeavesAreViewed: a leaf child that is one relation, its
 // variables in trie level order, enters its parent as a view of the base
-// trie, selection or not, and is never rebuilt by a join. Rows still equal
-// the naive engine's, on the lollipop, the barbell and the 2-hop DISTINCT
-// path under the fully optimized plans and on LUBM q4 under -GHD, whose
-// three attribute children are such leaves.
+// trie, selection or not, and is never rebuilt by a join. It drains every
+// query the plan golden pins (LUBM's 12 at scale 1 and the knows shapes)
+// under the served plan and under its -GHD ablation: neither may rebuild
+// such a leaf, the served plan never builds its root — the root's
+// relations stream into the final join — and builds no more nodes than the
+// ablation, and both return the naive engine's rows.
 func TestOneRelationLeavesAreViewed(t *testing.T) {
 	const k = `<http://bench/knows>`
 	knows := knowsGraph(200, 1500, 1)
 	lubm1 := store.FromTriples(lubm.Generate(lubm.Config{Universities: 1}))
 	noGHD := plan.AllOptimizations
 	noGHD.GHDPushdown = false
-	leaves := 0
-	for _, tc := range []struct {
+	type testCase struct {
 		name, text string
 		st         *store.Store
-		opts       plan.Options
-	}{
-		{"lollipop", `SELECT ?a ?b ?c ?d WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d }`, knows, plan.AllOptimizations},
-		{"barbell", `SELECT ?a ?b ?c ?d ?e ?f WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d . ?d ` + k + ` ?e . ?e ` + k + ` ?f . ?f ` + k + ` ?d }`, knows, plan.AllOptimizations},
-		{"2-hop distinct", `SELECT DISTINCT ?x WHERE { ?x ` + k + ` ?y . ?y ` + k + ` ?z }`, knows, plan.AllOptimizations},
-		{"lubm q4 -GHD", lubm.Query(4, 1), lubm1, noGHD},
+	}
+	var cases []testCase
+	for _, n := range lubm.QueryNumbers {
+		cases = append(cases, testCase{fmt.Sprintf("lubm q%d", n), lubm.Query(n, 1), lubm1})
+	}
+	for _, s := range []struct{ name, text string }{
+		{"triangle", `SELECT ?x ?y ?z WHERE { ?x ` + k + ` ?y . ?y ` + k + ` ?z . ?z ` + k + ` ?x }`},
+		{"4-cycle", `SELECT ?a ?b ?c ?d WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?d . ?d ` + k + ` ?a }`},
+		{"lollipop", `SELECT ?a ?b ?c ?d WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d }`},
+		{"barbell", `SELECT ?a ?b ?c ?d ?e ?f WHERE { ?a ` + k + ` ?b . ?b ` + k + ` ?c . ?c ` + k + ` ?a . ?c ` + k + ` ?d . ?d ` + k + ` ?e . ?e ` + k + ` ?f . ?f ` + k + ` ?d }`},
+		{"2-hop distinct", `SELECT DISTINCT ?x WHERE { ?x ` + k + ` ?y . ?y ` + k + ` ?z }`},
+		{"variable predicate", `SELECT ?x ?p ?z WHERE { ?x ?p ?y . ?y ` + k + ` ?z }`},
+		{"self-loop", `SELECT ?x WHERE { ?x ` + k + ` ?x }`},
 	} {
+		cases = append(cases, testCase{s.name, s.text, knows})
+	}
+	leaves := 0
+	for _, tc := range cases {
 		q := query.MustParseSPARQL(tc.text)
 		want, err := engine.Execute(naive.New(tc.st), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := engines.NewEmptyHeaded(tc.st, tc.opts)
-		p, err := e.Plan(q)
-		if err != nil {
-			t.Fatal(err)
+		// drain runs the plan opts compile and returns the nodes it built.
+		drain := func(opts plan.Options) (*plan.Plan, []*plan.Node) {
+			e := engines.NewEmptyHeaded(tc.st, opts)
+			p, err := e.Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneRelLeaf := func(n *plan.Node) bool {
+				return n != p.Root && len(n.Children) == 0 && len(n.Rels) == 1 && len(n.Rels[0].Levels) == len(n.Attrs)
+			}
+			for _, n := range p.Nodes() {
+				if oneRelLeaf(n) {
+					leaves++
+				}
+			}
+			built, restore := exec.TrackMaterialized()
+			got, err := engine.Collect(e.OpenPlan(p, engine.ExecOpts{}))
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Canonical() != want.Canonical() {
+				t.Errorf("%s: %d rows, want %d", tc.name, got.Len(), want.Len())
+			}
+			nodes := built()
+			for _, n := range nodes {
+				if oneRelLeaf(n) {
+					t.Errorf("%s: leaf %v (pattern %d) was rebuilt by a join", tc.name, n.Vars, n.Rels[0].PatternIdx)
+				}
+			}
+			return p, nodes
 		}
-		oneRelLeaf := func(n *plan.Node) bool {
-			return n != p.Root && len(n.Children) == 0 && len(n.Rels) == 1 && len(n.Rels[0].Levels) == len(n.Attrs)
-		}
-		for _, n := range p.Nodes() {
-			if oneRelLeaf(n) {
-				leaves++
+		p, built := drain(plan.AllOptimizations)
+		_, ablated := drain(noGHD)
+		for _, n := range built {
+			if n == p.Root {
+				t.Errorf("%s: the served plan built its root %v", tc.name, n.Vars)
 			}
 		}
-		built, restore := exec.TrackMaterialized()
-		got, err := engine.Collect(e.OpenPlan(p, engine.ExecOpts{}))
-		restore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Canonical() != want.Canonical() {
-			t.Errorf("%s: %d rows, want %d", tc.name, got.Len(), want.Len())
-		}
-		for _, n := range built() {
-			if oneRelLeaf(n) {
-				t.Errorf("%s: leaf %v (pattern %d) was rebuilt by a join", tc.name, n.Vars, n.Rels[0].PatternIdx)
-			}
+		if len(built) > len(ablated) {
+			t.Errorf("%s: the served plan built %d nodes, its -GHD ablation %d", tc.name, len(built), len(ablated))
 		}
 	}
 	if leaves < 4 {

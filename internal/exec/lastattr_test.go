@@ -179,14 +179,15 @@ func TestLastAttributeMatchesNaive(t *testing.T) {
 		// The closing leaf, ?a's in-neighbours, stays the same while ?b and
 		// ?c vary: two levels of the hoisted leaf.
 		{name: "four-cycle", text: `SELECT ?a ?b ?c ?d WHERE { ?a <http://ex/e0> ?b . ?b <http://ex/e1> ?c . ?c <http://ex/e2> ?d . ?d <http://ex/e0> ?a }`, inputs: 2, tail: shape{1, 1}},
-		// A path to a constant plans as a chain of GHD nodes; the last one
-		// is the one-level trie of <n0>'s e2-neighbours, whose leaf is its
-		// root, the same node for the whole join. Under PolicyAdaptive the
-		// join that probes it has V's leaves on an e1 level holding bitsets,
-		// so ?y's step is the leapfrog and ?z runs its own step.
-		{name: "path-to-constant", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . <http://ex/n0> <http://ex/e2> ?z }`, tail: shape{1, 1}},
+		// A three-hop path to a constant: the served plan's root is the
+		// middle hop, and the last hop with the constant's pattern below it
+		// is a materialized node. That node's join reads the one-level trie
+		// of <n0>'s e2-neighbours at its last attribute ?w, a leaf that is
+		// its root, the same node for the whole join, and probes the last
+		// hop's e2 leaves, which hold no bitsets, into it.
+		{name: "path-to-constant", text: `SELECT ?x ?y ?z ?w WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . ?z <http://ex/e2> ?w . <http://ex/n0> <http://ex/e2> ?w }`, tail: shape{1, 1}, adaptive: true},
 		// The same path to a vertex without e2-neighbours: ∩F is empty.
-		{name: "path-to-empty", text: `SELECT ?x ?y ?z WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . <` + sink + `> <http://ex/e2> ?z }`, tail: shape{1, 1}, empty: true},
+		{name: "path-to-empty", text: `SELECT ?x ?y ?z ?w WHERE { ?x <http://ex/e0> ?y . ?y <http://ex/e1> ?z . ?z <http://ex/e2> ?w . <` + sink + `> <http://ex/e2> ?w }`, tail: shape{1, 1}, adaptive: true, empty: true},
 	}
 	ref := naive.New(st)
 	for _, tc := range cases {

@@ -9,6 +9,14 @@
 //     selective relations to the root), so that high-selectivity relations
 //     execute earliest in the bottom-up pass.
 //
+// Beyond the paper, pushdown first prefers the tree with the fewest
+// materialized nodes (non-root nodes other than one-edge leaves), and only
+// then the deepest selections. A materialized node costs the executor one
+// more join and one more trie build, while a one-edge leaf is a view of the
+// base trie and the root streams; ranking depth first stacked
+// non-selective relations above selective ones (LUBM q8's email node over
+// its memberOf node), buying depth with nodes that each cost a build.
+//
 // Selection attributes (pattern positions bound to constants) are modelled
 // as ordinary hypergraph vertices with synthetic names; the caller tells
 // Choose which vertices those are.
@@ -91,6 +99,10 @@ type GHD struct {
 	SelectivePure bool
 	// NumNodes counts the tree's nodes.
 	NumNodes int
+	// Materialized counts the non-root nodes that are not one-edge leaves:
+	// the nodes whose result the executor builds by a join. The root
+	// streams and a one-edge leaf is a view of the base trie.
+	Materialized int
 }
 
 // String renders the decomposition tree compactly for logs and golden tests.
@@ -150,12 +162,18 @@ const widthEps = 1e-6
 func less(a, b *GHD, pushdown bool) bool {
 	if pushdown {
 		// §III-B2: min width over non-selection vertices, then selective
-		// purity, then max selection depth, then min height.
+		// purity, then (beyond the paper) fewest materialized nodes, then
+		// max selection depth, then min height. Depth ranked before the
+		// node count would stack relations into chains whose every node
+		// costs a join and a trie build; a one-edge leaf costs neither.
 		if math.Abs(a.WidthVars-b.WidthVars) > widthEps {
 			return a.WidthVars < b.WidthVars
 		}
 		if a.SelectivePure != b.SelectivePure {
 			return a.SelectivePure
+		}
+		if a.Materialized != b.Materialized {
+			return a.Materialized < b.Materialized
 		}
 		if a.SelectionDepth != b.SelectionDepth {
 			return a.SelectionDepth > b.SelectionDepth
@@ -235,6 +253,9 @@ func (sc *scorer) score(root *Node) (*GHD, error) {
 			g.Height = depth
 		}
 		g.NumNodes++
+		if depth > 0 && (len(n.Children) != 0 || len(n.Edges) != 1) {
+			g.Materialized++
+		}
 		for _, ei := range n.Edges {
 			if sc.edgeSelective(ei) {
 				g.SelectionDepth += depth

@@ -14,10 +14,14 @@ import (
 // alone, without compiling it. The price is what the server's
 // cost×frequency plan-cache eviction keeps expensive plans by, and what the
 // shard planner (internal/shard) weighs a scatter against to decline it.
-// It prices the plan the emptyheaded and auto engines serve: the fully
-// optimized GHD plan, whose pushdown roughly halves raw intersection work
-// but pays ~4× per emitted row for materializing and decoding
-// intermediates, or, for a query with no join, a scan of its inputs.
+// It prices the plan the emptyheaded and auto engines serve, the fully
+// optimized GHD plan, or, for a query with no join, a scan of its inputs.
+// The two constants below were fitted when that plan materialized its root
+// and stacked selective nodes into chains, paying ~4× per emitted row for
+// materializing and decoding intermediates. The root now streams and
+// pushdown prefers one-edge leaves, which are views, so the constants
+// overprice the plans that run (LUBM q8 most: its served plan is one
+// streamed pass); re-fitting them is ROADMAP item 6.
 
 // varStat accumulates one variable's per-pattern statistics.
 type varStat struct {
@@ -189,9 +193,10 @@ func ProfileQuery(q *query.BGP, st *store.Store) (Profile, error) {
 }
 
 // Cost model constants, fit to the measured LUBM scale-1 crossovers (the
-// README records the fitting runs): the hybrid plan's pushdown roughly
-// halves raw intersection work, but every emitted row flows through child
-// materialization and layout decode.
+// README records the fitting runs) of the plans served before the root
+// streamed: the hybrid plan's pushdown roughly halves raw intersection
+// work, but every emitted row flowed through child materialization and
+// layout decode.
 const (
 	hybridIntersectFactor = 0.6
 	hybridRowFactor       = 4.0

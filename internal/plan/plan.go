@@ -571,9 +571,9 @@ func (p *Plan) Nodes() []*Node {
 }
 
 // RootCoversAllVars reports whether every variable of every plan node
-// already occurs in the root's bag, in which case the root's generic join
-// binds the complete solution and no re-enumeration over materialized node
-// results is needed.
+// already occurs in the root's bag, in which case the root's relations bind
+// the complete solution and the node results the final join reads are pure
+// semijoin filters.
 func (p *Plan) RootCoversAllVars() bool {
 	rootVars := map[string]bool{}
 	for _, v := range p.Root.Vars {
